@@ -20,19 +20,7 @@ from .lp import (
     separate,
     solve_lp,
 )
-from .matroid import (
-    AxiomReport,
-    Matroid,
-    check_axioms,
-    contract,
-    exchange_witness,
-    extend_to_independent,
-    min_weight_basis,
-    rank,
-    restrict,
-    truncate,
-    union,
-)
+from .matroid import Matroid, contract, min_weight_basis, rank, restrict, truncate
 from .oracle import ExactResult, brute_force_opt, knapsack_dp
 from .scheme import (
     EpsParam,
@@ -40,10 +28,17 @@ from .scheme import (
     RunReport,
     approximate,
     find_rep,
-    is_replacement,
-    is_substitution,
     profit_class,
     run_for_alpha,
+)
+from .verify import (
+    AxiomReport,
+    check_axioms,
+    exchange_witness,
+    extend_to_independent,
+    is_replacement,
+    is_substitution,
+    union,
     verify_representative,
 )
 

@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,9 +17,9 @@ from .errors import InternalInvariantError, ScaleCapError, ValidationError
 from .generate import GenSpec, generate_instance
 from .instance import format_rational, parse_instance, serialize_instance
 from .lp import FractionalPoint, separate
-from .matroid import check_axioms
 from .oracle import brute_force_opt
-from .scheme import EpsParam, approximate, find_rep, verify_representative
+from .scheme import EpsParam, approximate, find_rep
+from .verify import check_axioms, verify_representative
 
 EXIT_VALIDATION = 2
 EXIT_SCALE_CAP = 3
@@ -44,11 +43,16 @@ def _parse_eps(text: str) -> Fraction:
         raise ValidationError(f"invalid eps {text!r}", "eps") from exc
 
 
+def _ratio(profit: Fraction, opt: Fraction) -> Fraction:
+    return profit / opt if opt > 0 else Fraction(1)
+
+
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    report = approximate(
-        inst, _parse_eps(args.eps), jobs=args.jobs, with_exact=args.exact
-    )
+    report = approximate(inst, _parse_eps(args.eps))
+    if args.exact:
+        report.exact_profit = brute_force_opt(inst).profit
+        report.ratio = _ratio(report.profit, report.exact_profit)
     print(f"solution: {list(report.solution)}")
     print(f"profit:   {format_rational(report.profit)}")
     if report.exact_profit is not None:
@@ -146,17 +150,12 @@ def cmd_bench(args) -> int:
     rows = []
     for path in paths:
         inst = parse_instance(path.read_text())
-        start = time.perf_counter()
         try:
-            exact = brute_force_opt(inst)
-            opt = exact.profit
+            opt = brute_force_opt(inst).profit
         except ScaleCapError:
             opt = None
         report = approximate(inst, eps)
-        wall_ms = (time.perf_counter() - start) * 1000
-        ratio = None
-        if opt is not None:
-            ratio = report.profit / opt if opt > 0 else Fraction(1)
+        ratio = None if opt is None else _ratio(report.profit, opt)
         rows.append(
             {
                 "instance": path.name,
@@ -168,7 +167,7 @@ def cmd_bench(args) -> int:
                 "lp_calls": report.lp_calls,
                 "enum_count": sum(report.enum_counts.values()),
                 "oracle_calls": report.oracle_calls,
-                "wall_ms": f"{wall_ms:.1f}",
+                "wall_ms": f"{report.wall_ms:.1f}",
             }
         )
         print(f"{path.name}: profit {format_rational(report.profit)}")
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--eps", required=True, help="target accuracy, e.g. 1/3")
     p.add_argument("--exact", action="store_true", help="also compute the exact optimum")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", help="write a JSON run report")
     p.set_defaults(func=cmd_solve)
 

@@ -95,6 +95,20 @@ def make_instance(
     return BmiInstance(budget, costs, profits, spec, matroid, active, dropped)
 
 
+def _int(value, path: str) -> int:
+    # bool is a subclass of int, but true/false are not integers in the format.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"expected an integer, got {value!r}", path)
+    return value
+
+
+def _int_rows(rows, path: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(
+        tuple(_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+
+
 def _spec_from_json(obj, path="matroid") -> FamilySpec:
     if not isinstance(obj, dict):
         raise ValidationError("matroid stanza must be an object", path)
@@ -103,16 +117,20 @@ def _spec_from_json(obj, path="matroid") -> FamilySpec:
         raise ValidationError(f"unknown matroid kind {kind!r}", f"{path}.kind")
     try:
         if kind == "uniform":
-            return FamilySpec(kind, rank=int(obj["rank"]))
+            return FamilySpec(kind, rank=_int(obj["rank"], f"{path}.rank"))
         if kind == "partition":
             return FamilySpec(
                 kind,
-                blocks=tuple(tuple(int(e) for e in b) for b in obj["blocks"]),
-                capacities=tuple(int(c) for c in obj["capacities"]),
+                blocks=_int_rows(obj["blocks"], f"{path}.blocks"),
+                capacities=tuple(
+                    _int(c, f"{path}.capacities[{i}]") for i, c in enumerate(obj["capacities"])
+                ),
             )
         if kind == "graphic":
-            edges = tuple((int(u), int(v)) for u, v in obj["edges"])
-            return FamilySpec(kind, num_vertices=int(obj["num_vertices"]), edges=edges)
+            edges = tuple((u, v) for u, v in _int_rows(obj["edges"], f"{path}.edges"))
+            return FamilySpec(
+                kind, num_vertices=_int(obj["num_vertices"], f"{path}.num_vertices"), edges=edges
+            )
         if kind == "linear":
             cols = tuple(
                 tuple(parse_rational(x, f"{path}.columns[{i}][{j}]") for j, x in enumerate(col))
@@ -120,7 +138,7 @@ def _spec_from_json(obj, path="matroid") -> FamilySpec:
             )
             return FamilySpec(kind, columns=cols)
         return FamilySpec(
-            kind, maximal_sets=tuple(tuple(int(e) for e in s) for s in obj["maximal_sets"])
+            kind, maximal_sets=_int_rows(obj["maximal_sets"], f"{path}.maximal_sets")
         )
     except KeyError as exc:
         raise ValidationError(f"missing field {exc.args[0]!r}", path) from exc

@@ -12,7 +12,6 @@ fractional entries, which is asserted on every solve.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
@@ -30,15 +29,13 @@ class LpStats:
     """Process-wide counters used by the acceptance suite and reports."""
 
     def __init__(self):
-        self._lock = threading.Lock()
         self.solves = 0
         self.max_fractional = 0
 
     def record(self, fractional: int) -> None:
-        with self._lock:
-            self.solves += 1
-            if fractional > self.max_fractional:
-                self.max_fractional = fractional
+        self.solves += 1
+        if fractional > self.max_fractional:
+            self.max_fractional = fractional
 
 
 LP_STATS = LpStats()
@@ -171,13 +168,15 @@ def solve_polytope_lp(
     return LpOutcome(point, objective_value, fractional, tuple(working))
 
 
+def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset:
+    """Active elements cheap enough in profit to be LP variables: p(e) <= 2 eps alpha."""
+    return frozenset(e for e in inst.active if inst.profits[e] <= 2 * eps * alpha)
+
+
 def residual_matroid(inst: BmiInstance, f: frozenset, eps: Fraction, alpha: Fraction) -> Matroid:
     """The contracted-and-restricted matroid whose polytope the LP uses."""
     m = inst.active_matroid()
-    low_profit = frozenset(
-        e for e in inst.active if inst.profits[e] <= 2 * eps * alpha
-    )
-    return restrict(contract(m, f), low_profit - f)
+    return restrict(contract(m, f), lp_variables(inst, eps, alpha) - f)
 
 
 def solve_lp(

@@ -1,10 +1,11 @@
 """Matroid oracle abstraction and the operations derived from it.
 
 A matroid is represented by its ground set and a pure independence test.
-All derived handles (restriction, contraction, truncation, disjoint union)
-answer through closures over their parents, so the oracle semantics are
-exactly the set-theoretic definitions.  Handles are immutable and safe to
-share across threads.
+All derived handles (restriction, contraction, truncation) answer through
+closures over their parents, so the oracle semantics are exactly the
+set-theoretic definitions.  Handles are immutable.  Helpers used only to
+verify matroids (axiom checker, exchange witnesses, disjoint union) live in
+``verify``.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.
@@ -12,14 +13,11 @@ makes all outputs deterministic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .errors import InternalInvariantError, PreconditionError, ScaleCapError
-
-ElementSet = frozenset
+from .errors import PreconditionError
 
 
 @dataclass(frozen=True)
@@ -79,48 +77,6 @@ def min_weight_basis(m: Matroid, w: Mapping[int, Fraction]) -> frozenset:
     return basis
 
 
-def extend_to_independent(m: Matroid, a: Iterable[int], b: Iterable[int]) -> frozenset:
-    """Return D subset of A \\ B with |D| = max(|A|-|B|, 0) and B u D independent."""
-    sa, sb = frozenset(a), frozenset(b)
-    if not m.is_independent(sa):
-        raise PreconditionError("A is not independent")
-    if not m.is_independent(sb):
-        raise PreconditionError("B is not independent")
-    need = max(len(sa) - len(sb), 0)
-    d: frozenset = frozenset()
-    cur = sb
-    for e in sorted(sa - sb):
-        if len(d) == need:
-            break
-        ext = cur | {e}
-        if m.indep_fn(ext):
-            cur = ext
-            d = d | {e}
-    if len(d) != need:
-        raise InternalInvariantError(
-            "exchange axiom failed while extending an independent set"
-        )
-    return d
-
-
-def exchange_witness(m: Matroid, a_set: Iterable[int], b_set: Iterable[int], a: int) -> int:
-    """Find b in B \\ A with A - a + b independent (generalized exchange)."""
-    sa, sb = frozenset(a_set), frozenset(b_set)
-    if not m.is_independent(sa):
-        raise PreconditionError("A is not independent")
-    if not m.is_independent(sb):
-        raise PreconditionError("B is not independent")
-    if a not in sa - sb:
-        raise PreconditionError("a must belong to A \\ B")
-    if m.indep_fn(sb | {a}):
-        raise PreconditionError("B + a must be dependent")
-    base = sa - {a}
-    for b in sorted(sb - sa):
-        if m.indep_fn(base | {b}):
-            return b
-    raise InternalInvariantError("no exchange witness found; oracle is not a matroid")
-
-
 def restrict(m: Matroid, f: Iterable[int]) -> Matroid:
     fs = frozenset(f)
     if not fs <= m.ground:
@@ -151,90 +107,11 @@ def truncate(m: Matroid, q: int) -> Matroid:
     )
 
 
-def union(ms: list[Matroid]) -> Matroid:
-    """Disjoint-ground union; A is independent iff each slice A n E_i is."""
-    grounds = [m.ground for m in ms]
-    for i, j in itertools.combinations(range(len(ms)), 2):
-        if grounds[i] & grounds[j]:
-            raise PreconditionError(
-                f"union requires pairwise disjoint grounds; parts {i} and {j} overlap"
-            )
-    parts = tuple((m.ground, m.indep_fn) for m in ms)
-    full = frozenset().union(*grounds) if grounds else frozenset()
-    return Matroid(
-        full,
-        lambda s, _parts=parts: all(fn(s & g) for g, fn in _parts),
-        label=f"union[{len(ms)}]",
-    )
-
-
-@dataclass(frozen=True)
-class AxiomReport:
-    ok: bool
-    violation: str | None = None
-    witness: tuple | None = None
-
-
-def check_axioms(m: Matroid, limit: int = 10) -> AxiomReport:
-    """Exhaustively verify non-emptiness, hereditary and exchange axioms.
-
-    Refuses above ``limit`` ground elements: the pairwise exchange scan is
-    a 3^n blowup.
-    """
-    elems = sorted(m.ground)
-    n = len(elems)
-    if n > limit:
-        raise ScaleCapError(f"ground size {n} exceeds axiom-check cap {limit}")
-    # Independence table over bitmasks of `elems`.
-    table = []
-    for mask in range(1 << n):
-        s = frozenset(elems[i] for i in range(n) if mask >> i & 1)
-        table.append(m.indep_fn(s))
-
-    def to_set(mask):
-        return tuple(elems[i] for i in range(n) if mask >> i & 1)
-
-    if not table[0]:
-        return AxiomReport(False, "empty set is dependent", ())
-    for mask in range(1 << n):
-        if not table[mask]:
-            continue
-        for i in range(n):
-            if mask >> i & 1 and not table[mask ^ (1 << i)]:
-                return AxiomReport(
-                    False, "hereditary violation", (to_set(mask), to_set(mask ^ (1 << i)))
-                )
-    indep_masks = [mask for mask in range(1 << n) if table[mask]]
-    by_size: dict[int, list[int]] = {}
-    for mask in indep_masks:
-        by_size.setdefault(bin(mask).count("1"), []).append(mask)
-    for size_a in sorted(by_size):
-        for size_b in sorted(by_size):
-            if size_a <= size_b:
-                continue
-            for a_mask in by_size[size_a]:
-                for b_mask in by_size[size_b]:
-                    diff = a_mask & ~b_mask
-                    found = False
-                    while diff:
-                        bit = diff & -diff
-                        if table[b_mask | bit]:
-                            found = True
-                            break
-                        diff ^= bit
-                    if not found:
-                        return AxiomReport(
-                            False, "exchange violation", (to_set(a_mask), to_set(b_mask))
-                        )
-    return AxiomReport(True)
-
-
 def counting_view(m: Matroid) -> tuple[Matroid, list[int]]:
     """Wrap a handle so independence-oracle calls are counted.
 
     Returns the wrapped handle and a one-cell counter list.  Counting is the
-    only mutation; under CPython the increment is effectively atomic and the
-    count is reporting-only either way.
+    only mutation, and the count is reporting-only.
     """
     counter = [0]
     inner = m.indep_fn

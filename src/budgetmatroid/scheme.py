@@ -1,32 +1,22 @@
 """The approximation scheme: profit classes, representative sets, the
-per-guess enumeration loop, and the top-level wrapper with geometric
-guessing of the optimum scale.
+per-guess enumeration of F within the representative set, and the top-level
+wrapper with geometric guessing of the optimum scale.
 
-Also hosts the test-facing checkers for the replacement / substitution /
-representative-set properties; these take the exact optimum as an argument
-because the profitable-element threshold depends on it, which only a
-verification oracle knows.
+The solve path is: bootstrap LP -> guess grid -> per guess, enumerate
+independent, affordable F within R -> residual LP for each F -> round.
+Checkers for the properties the scheme relies on live in ``verify``.
 """
 
 from __future__ import annotations
 
-import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import (
-    InternalInvariantError,
-    PreconditionError,
-    ScaleCapError,
-    ValidationError,
-)
+from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance
-from .lp import LpOutcome, lp_upper_bound, round_integral, solve_lp
-from .matroid import Matroid, counting_view, min_weight_basis, restrict, truncate
+from .lp import LpOutcome, lp_upper_bound, lp_variables, round_integral, solve_lp
+from .matroid import counting_view, min_weight_basis, restrict, truncate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,8 +74,6 @@ class EpsParam:
 class RepresentativeSet:
     elements: frozenset
     slices: dict = field(repr=False)  # class index -> frozenset
-    alpha: Fraction = ZERO
-    size_bound: int = 0
 
 
 @dataclass
@@ -166,55 +154,34 @@ def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> Representativ
         class_matroid = truncate(restrict(m, members), trunc_level)
         slices[r] = min_weight_basis(class_matroid, weights)
     elements = frozenset().union(*slices.values()) if slices else frozenset()
-    return RepresentativeSet(elements, slices, alpha, eps.q * eps.r_max)
+    return RepresentativeSet(elements, slices)
 
 
 @dataclass
 class AlphaStats:
     enum_count: int = 0
-    lp_calls: int = 0
 
 
 class RunSession:
-    """Shared state for one scheme run: LP memoization plus counters.
+    """One scheme run's LP memo and counted oracle handle.
 
     The LP outcome depends only on (F, variable set), so results are reused
-    across guesses of the optimum scale.  Access is lock-guarded to allow
-    concurrent per-guess workers.
+    across guesses of the optimum scale.  ``matroid`` counts the independence
+    tests of the enumeration in ``oracle_counter``.
     """
 
     def __init__(self, inst: BmiInstance, eps: EpsParam):
-        counted, counter = counting_view(inst.active_matroid())
         self.inst = inst
         self.eps = eps
-        self.matroid = counted
-        self.oracle_counter = counter
-        self._memo: dict = {}
-        self._lock = threading.Lock()
-        self.lp_calls = 0
+        self.matroid, self.oracle_counter = counting_view(inst.active_matroid())
+        self.memo: dict = {}
 
-    def solve(self, f: frozenset, alpha: Fraction) -> tuple[LpOutcome, bool]:
-        low = frozenset(
-            e
-            for e in self.inst.active
-            if self.inst.profits[e] <= 2 * self.eps.eps * alpha
-        )
-        key = (f, low - f)
-        # The whole solve is serialized so each key is computed exactly once;
-        # this keeps the call counters independent of worker scheduling.
-        with self._lock:
-            hit = self._memo.get(key)
-            if hit is not None:
-                return hit, False
-            outcome = solve_lp(self.inst, f, alpha, self.eps.eps)
-            self._memo[key] = outcome
-            self.lp_calls += 1
-            return outcome, True
-
-    @property
-    def lp_unique(self) -> int:
-        with self._lock:
-            return len(self._memo)
+    def solve(self, f: frozenset, alpha: Fraction) -> LpOutcome:
+        key = (f, lp_variables(self.inst, self.eps.eps, alpha) - f)
+        outcome = self.memo.get(key)
+        if outcome is None:
+            outcome = self.memo[key] = solve_lp(self.inst, f, alpha, self.eps.eps)
+        return outcome
 
 
 def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
@@ -232,36 +199,38 @@ def run_for_alpha(
 ) -> tuple[frozenset, AlphaStats]:
     """One pass of the enumeration scheme for a fixed guess alpha.
 
-    Enumerates independent, affordable F within the representative set (by
-    size, then lexicographically), extends each via the LP, and keeps the
-    best rounded solution.
+    Enumerates every independent, affordable F within the representative
+    set with |F| <= 1/eps, extends each via the LP, and keeps the best
+    rounded solution.  The enumeration is a depth-first search that extends
+    F only by elements above max(F) and cuts a branch at the first set that
+    is over budget or dependent: both properties are inherited by supersets,
+    so no set of the family is missed.
     """
     if session is None:
         session = RunSession(inst, eps)
-    rep = find_rep(inst, eps, alpha)
-    r_sorted = sorted(rep.elements)
-    m = session.matroid
+    r_sorted = sorted(find_rep(inst, eps, alpha).elements)
+    indep = session.matroid.indep_fn
     stats = AlphaStats()
-    best_set: frozenset = frozenset()
+    best_set: frozenset | None = None
     best_profit = ZERO
-    have_candidate = False
-    max_size = min(eps.inv, len(r_sorted))
-    for size in range(0, max_size + 1):
-        for combo in itertools.combinations(r_sorted, size):
-            fs = frozenset(combo)
-            if inst.cost(fs) > inst.budget:
+    # (F, cost(F), index in r_sorted of the first element that may extend F)
+    stack = [(frozenset(), ZERO, 0)]
+    while stack:
+        fs, cost, start = stack.pop()
+        stats.enum_count += 1
+        candidate = round_integral(inst, session.solve(fs, alpha), fs)
+        profit = inst.profit(candidate)
+        if best_set is None or _better(profit, candidate, best_profit, best_set):
+            best_set, best_profit = candidate, profit
+        if len(fs) == eps.inv:
+            continue
+        for i in range(start, len(r_sorted)):
+            ext_cost = cost + inst.costs[r_sorted[i]]
+            if ext_cost > inst.budget:
                 continue
-            if not m.indep_fn(fs):
-                continue
-            stats.enum_count += 1
-            outcome, fresh = session.solve(fs, alpha)
-            if fresh:
-                stats.lp_calls += 1
-            candidate = round_integral(inst, outcome, fs)
-            profit = inst.profit(candidate)
-            if not have_candidate or _better(profit, candidate, best_profit, best_set):
-                best_set, best_profit = candidate, profit
-                have_candidate = True
+            ext = fs | {r_sorted[i]}
+            if indep(ext):
+                stack.append((ext, ext_cost, i + 1))
     bound = (len(r_sorted) + 1) ** eps.inv
     if stats.enum_count > bound:
         raise InternalInvariantError(
@@ -289,233 +258,50 @@ def alpha_grid(lower: Fraction, upper: Fraction, eps: EpsParam) -> tuple[Fractio
     return tuple(grid)
 
 
-def approximate(
-    inst: BmiInstance,
-    eps_target: Fraction,
-    jobs: int = 1,
-    with_exact: bool = False,
-    exact_cap: int = 20,
-) -> RunReport:
+def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
     """Full scheme: guess the optimum scale geometrically, run the
     enumeration for each distinct guess configuration, return the best.
 
     Two guesses that induce the same class partition and the same LP
-    variable threshold are behaviourally identical, so only one of them is
-    executed.
+    variable set are behaviourally identical, so only one of them is
+    executed.  A zero LP bound leaves the grid empty and the answer empty.
     """
     eps_target = Fraction(eps_target)
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
     session = RunSession(inst, eps)
-    report_kwargs = dict(
-        eps_target=eps_target,
-        eps_internal=eps.eps,
-        dropped=inst.dropped,
-    )
-
     upper, lower = lp_upper_bound(inst)
-    if upper == 0:
-        wall = (time.perf_counter() - start) * 1000
-        report = RunReport(
-            solution=(),
-            profit=ZERO,
-            alpha_grid=(),
-            alpha_best=None,
-            enum_counts={},
-            lp_calls=session.lp_calls,
-            lp_unique=session.lp_unique,
-            oracle_calls=session.oracle_counter[0],
-            wall_ms=wall,
-            **report_kwargs,
-        )
-        _attach_exact(inst, report, with_exact, exact_cap)
-        return report
-
-    grid = alpha_grid(lower, upper, eps)
-    # Deduplicate guesses by behaviour: (class partition, variable threshold set).
+    grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
     configs: dict = {}
     for alpha in grid:
-        low = frozenset(
-            e for e in inst.active if inst.profits[e] <= 2 * eps.eps * alpha
+        key = (
+            tuple(sorted(class_partition(inst, eps, alpha).items())),
+            lp_variables(inst, eps.eps, alpha),
         )
-        key = (tuple(sorted(class_partition(inst, eps, alpha).items())), low)
         configs.setdefault(key, alpha)
-    run_alphas = sorted(configs.values())
-
-    results: dict[Fraction, tuple[frozenset, AlphaStats]] = {}
-    if jobs > 1 and len(run_alphas) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {
-                alpha: pool.submit(run_for_alpha, inst, eps, alpha, session)
-                for alpha in run_alphas
-            }
-            for alpha, fut in futures.items():
-                results[alpha] = fut.result()
-    else:
-        for alpha in run_alphas:
-            results[alpha] = run_for_alpha(inst, eps, alpha, session)
 
     best_set: frozenset = frozenset()
     best_profit = ZERO
     best_alpha = None
-    for alpha in run_alphas:
-        sol, _ = results[alpha]
+    enum_counts = {}
+    for alpha in sorted(configs.values()):
+        sol, stats = run_for_alpha(inst, eps, alpha, session)
+        enum_counts[alpha] = stats.enum_count
         profit = inst.profit(sol)
         if best_alpha is None or _better(profit, sol, best_profit, best_set):
             best_set, best_profit, best_alpha = sol, profit, alpha
-    enum_counts = {alpha: results[alpha][1].enum_count for alpha in run_alphas}
 
-    wall = (time.perf_counter() - start) * 1000
-    report = RunReport(
+    return RunReport(
         solution=tuple(sorted(best_set)),
         profit=best_profit,
+        eps_target=eps_target,
+        eps_internal=eps.eps,
         alpha_grid=grid,
         alpha_best=best_alpha,
         enum_counts=enum_counts,
-        lp_calls=session.lp_calls,
-        lp_unique=session.lp_unique,
+        lp_calls=len(session.memo),
+        lp_unique=len(session.memo),
         oracle_calls=session.oracle_counter[0],
-        wall_ms=wall,
-        **report_kwargs,
+        wall_ms=(time.perf_counter() - start) * 1000,
+        dropped=inst.dropped,
     )
-    _attach_exact(inst, report, with_exact, exact_cap)
-    return report
-
-
-def _attach_exact(inst, report, with_exact, exact_cap):
-    if not with_exact:
-        return
-    from .oracle import brute_force_opt
-
-    result = brute_force_opt(inst, cap=exact_cap)
-    report.exact_profit = result.profit
-    report.ratio = (
-        report.profit / result.profit if result.profit > 0 else ONE
-    )
-
-
-# ---------------------------------------------------------------------------
-# Property checkers (verification-side; require the exact optimum).
-
-
-def profitable_set(inst: BmiInstance, eps: EpsParam, opt_value: Fraction) -> frozenset:
-    return frozenset(e for e in inst.active if inst.profits[e] > eps.eps * opt_value)
-
-
-def is_replacement(
-    inst: BmiInstance,
-    eps: EpsParam,
-    g: Iterable[int],
-    z: Iterable[int],
-    opt_value: Fraction,
-) -> bool:
-    """The four replacement properties of Z for G, decided directly."""
-    gs, zs = frozenset(g), frozenset(z)
-    m = inst.active_matroid()
-    if not m.is_independent(gs) or len(gs) > eps.q:
-        raise PreconditionError("G must be independent with |G| <= q(eps)")
-    h = profitable_set(inst, eps, opt_value)
-    merged = (gs - h) | zs
-    if len(merged) > eps.q or not m.is_independent(merged):
-        return False
-    if inst.cost(zs) > inst.cost(gs & h):
-        return False
-    if inst.profit(merged) < (1 - eps.eps) * inst.profit(gs):
-        return False
-    if len(zs) > len(gs & h):
-        return False
-    return True
-
-
-def is_substitution(
-    inst: BmiInstance,
-    eps: EpsParam,
-    alpha: Fraction,
-    g: Iterable[int],
-    z: Iterable[int],
-    opt_value: Fraction,
-) -> bool:
-    """Substitution: class-preserving replacement disjoint from G \\ H."""
-    gs, zs = frozenset(g), frozenset(z)
-    m = inst.active_matroid()
-    if not m.is_independent(gs) or len(gs) > eps.q:
-        raise PreconditionError("G must be independent with |G| <= q(eps)")
-    h = profitable_set(inst, eps, opt_value)
-    classes = class_partition(inst, eps, alpha)
-    classed = frozenset(e for members in classes.values() for e in members)
-    if not zs <= classed:
-        return False
-    merged = (gs - h) | zs
-    if len(merged) > eps.q or not m.is_independent(merged):
-        return False
-    if inst.cost(zs) > inst.cost(gs & h):
-        return False
-    for members in classes.values():
-        cls = frozenset(members)
-        if len(cls & zs) != len(cls & gs & h):
-            return False
-    if (gs - h) & zs:
-        return False
-    return True
-
-
-def _independent_subsets(m: Matroid, max_size: int):
-    """All independent subsets up to max_size, by size then lexicographic."""
-    elems = sorted(m.ground)
-    frontier = [frozenset()]
-    yield frozenset()
-    for _ in range(max_size):
-        next_frontier = []
-        seen = set()
-        for base in frontier:
-            start = max(base) + 1 if base else 0
-            for e in elems:
-                if e < start:
-                    continue
-                ext = base | {e}
-                if ext in seen:
-                    continue
-                if m.indep_fn(ext):
-                    seen.add(ext)
-                    next_frontier.append(ext)
-                    yield ext
-        frontier = next_frontier
-        if not frontier:
-            return
-
-
-def verify_representative(
-    inst: BmiInstance,
-    eps: EpsParam,
-    rep: Iterable[int],
-    opt_value: Fraction,
-    cap: int = 12,
-) -> tuple[bool, frozenset | None]:
-    """Exhaustive check of the representative-set property.
-
-    Returns (True, None) or (False, witness G).  Refuses above the scale cap
-    since the search enumerates independent sets and subsets of R.
-    """
-    if len(inst.active) > cap:
-        raise ScaleCapError(
-            f"{len(inst.active)} active elements exceed representative-check cap {cap}"
-        )
-    rs = sorted(frozenset(rep))
-    m = inst.active_matroid()
-    h = profitable_set(inst, eps, opt_value)
-    max_size = min(eps.q, len(inst.active))
-    for gs in _independent_subsets(m, max_size):
-        gh = gs & h
-        if gh <= frozenset(rs):
-            continue  # identity replacement Z = G n H works
-        found = False
-        for size in range(0, len(gh) + 1):
-            for combo in itertools.combinations(rs, size):
-                if is_replacement(inst, eps, gs, combo, opt_value):
-                    found = True
-                    break
-            if found:
-                break
-        if not found:
-            return False, gs
-    return True, None

@@ -1,0 +1,264 @@
+"""Verification-only code: exhaustive checkers and exchange helpers.
+
+Nothing on the solve path imports this module.  The matroid helpers
+(axiom checker, exchange witnesses, disjoint union) decide matroid
+properties directly from the oracle; the scheme checkers (replacement,
+substitution, representative set) take the exact optimum as an argument
+because the profitable-element threshold depends on it, which only a
+verification oracle knows.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Iterable
+
+from .errors import InternalInvariantError, PreconditionError, ScaleCapError
+from .instance import BmiInstance
+from .matroid import Matroid
+from .scheme import EpsParam, class_partition
+
+
+def extend_to_independent(m: Matroid, a: Iterable[int], b: Iterable[int]) -> frozenset:
+    """Return D subset of A \\ B with |D| = max(|A|-|B|, 0) and B u D independent."""
+    sa, sb = frozenset(a), frozenset(b)
+    if not m.is_independent(sa):
+        raise PreconditionError("A is not independent")
+    if not m.is_independent(sb):
+        raise PreconditionError("B is not independent")
+    need = max(len(sa) - len(sb), 0)
+    d: frozenset = frozenset()
+    cur = sb
+    for e in sorted(sa - sb):
+        if len(d) == need:
+            break
+        ext = cur | {e}
+        if m.indep_fn(ext):
+            cur = ext
+            d = d | {e}
+    if len(d) != need:
+        raise InternalInvariantError(
+            "exchange axiom failed while extending an independent set"
+        )
+    return d
+
+
+def exchange_witness(m: Matroid, a_set: Iterable[int], b_set: Iterable[int], a: int) -> int:
+    """Find b in B \\ A with A - a + b independent (generalized exchange)."""
+    sa, sb = frozenset(a_set), frozenset(b_set)
+    if not m.is_independent(sa):
+        raise PreconditionError("A is not independent")
+    if not m.is_independent(sb):
+        raise PreconditionError("B is not independent")
+    if a not in sa - sb:
+        raise PreconditionError("a must belong to A \\ B")
+    if m.indep_fn(sb | {a}):
+        raise PreconditionError("B + a must be dependent")
+    base = sa - {a}
+    for b in sorted(sb - sa):
+        if m.indep_fn(base | {b}):
+            return b
+    raise InternalInvariantError("no exchange witness found; oracle is not a matroid")
+
+
+def union(ms: list[Matroid]) -> Matroid:
+    """Disjoint-ground union; A is independent iff each slice A n E_i is."""
+    grounds = [m.ground for m in ms]
+    for i, j in itertools.combinations(range(len(ms)), 2):
+        if grounds[i] & grounds[j]:
+            raise PreconditionError(
+                f"union requires pairwise disjoint grounds; parts {i} and {j} overlap"
+            )
+    parts = tuple((m.ground, m.indep_fn) for m in ms)
+    full = frozenset().union(*grounds) if grounds else frozenset()
+    return Matroid(
+        full,
+        lambda s, _parts=parts: all(fn(s & g) for g, fn in _parts),
+        label=f"union[{len(ms)}]",
+    )
+
+
+@dataclass(frozen=True)
+class AxiomReport:
+    ok: bool
+    violation: str | None = None
+    witness: tuple | None = None
+
+
+def check_axioms(m: Matroid, limit: int = 10) -> AxiomReport:
+    """Exhaustively verify non-emptiness, hereditary and exchange axioms.
+
+    Refuses above ``limit`` ground elements: the pairwise exchange scan is
+    a 3^n blowup.
+    """
+    elems = sorted(m.ground)
+    n = len(elems)
+    if n > limit:
+        raise ScaleCapError(f"ground size {n} exceeds axiom-check cap {limit}")
+    # Independence table over bitmasks of `elems`.
+    table = []
+    for mask in range(1 << n):
+        s = frozenset(elems[i] for i in range(n) if mask >> i & 1)
+        table.append(m.indep_fn(s))
+
+    def to_set(mask):
+        return tuple(elems[i] for i in range(n) if mask >> i & 1)
+
+    if not table[0]:
+        return AxiomReport(False, "empty set is dependent", ())
+    for mask in range(1 << n):
+        if not table[mask]:
+            continue
+        for i in range(n):
+            if mask >> i & 1 and not table[mask ^ (1 << i)]:
+                return AxiomReport(
+                    False, "hereditary violation", (to_set(mask), to_set(mask ^ (1 << i)))
+                )
+    indep_masks = [mask for mask in range(1 << n) if table[mask]]
+    by_size: dict[int, list[int]] = {}
+    for mask in indep_masks:
+        by_size.setdefault(bin(mask).count("1"), []).append(mask)
+    for size_a in sorted(by_size):
+        for size_b in sorted(by_size):
+            if size_a <= size_b:
+                continue
+            for a_mask in by_size[size_a]:
+                for b_mask in by_size[size_b]:
+                    diff = a_mask & ~b_mask
+                    found = False
+                    while diff:
+                        bit = diff & -diff
+                        if table[b_mask | bit]:
+                            found = True
+                            break
+                        diff ^= bit
+                    if not found:
+                        return AxiomReport(
+                            False, "exchange violation", (to_set(a_mask), to_set(b_mask))
+                        )
+    return AxiomReport(True)
+
+
+def profitable_set(inst: BmiInstance, eps: EpsParam, opt_value: Fraction) -> frozenset:
+    return frozenset(e for e in inst.active if inst.profits[e] > eps.eps * opt_value)
+
+
+def is_replacement(
+    inst: BmiInstance,
+    eps: EpsParam,
+    g: Iterable[int],
+    z: Iterable[int],
+    opt_value: Fraction,
+) -> bool:
+    """The four replacement properties of Z for G, decided directly."""
+    gs, zs = frozenset(g), frozenset(z)
+    m = inst.active_matroid()
+    if not m.is_independent(gs) or len(gs) > eps.q:
+        raise PreconditionError("G must be independent with |G| <= q(eps)")
+    h = profitable_set(inst, eps, opt_value)
+    merged = (gs - h) | zs
+    if len(merged) > eps.q or not m.is_independent(merged):
+        return False
+    if inst.cost(zs) > inst.cost(gs & h):
+        return False
+    if inst.profit(merged) < (1 - eps.eps) * inst.profit(gs):
+        return False
+    if len(zs) > len(gs & h):
+        return False
+    return True
+
+
+def is_substitution(
+    inst: BmiInstance,
+    eps: EpsParam,
+    alpha: Fraction,
+    g: Iterable[int],
+    z: Iterable[int],
+    opt_value: Fraction,
+) -> bool:
+    """Substitution: class-preserving replacement disjoint from G \\ H."""
+    gs, zs = frozenset(g), frozenset(z)
+    m = inst.active_matroid()
+    if not m.is_independent(gs) or len(gs) > eps.q:
+        raise PreconditionError("G must be independent with |G| <= q(eps)")
+    h = profitable_set(inst, eps, opt_value)
+    classes = class_partition(inst, eps, alpha)
+    classed = frozenset(e for members in classes.values() for e in members)
+    if not zs <= classed:
+        return False
+    merged = (gs - h) | zs
+    if len(merged) > eps.q or not m.is_independent(merged):
+        return False
+    if inst.cost(zs) > inst.cost(gs & h):
+        return False
+    for members in classes.values():
+        cls = frozenset(members)
+        if len(cls & zs) != len(cls & gs & h):
+            return False
+    if (gs - h) & zs:
+        return False
+    return True
+
+
+def _independent_subsets(m: Matroid, max_size: int):
+    """All independent subsets up to max_size, by size then lexicographic."""
+    elems = sorted(m.ground)
+    frontier = [frozenset()]
+    yield frozenset()
+    for _ in range(max_size):
+        next_frontier = []
+        seen = set()
+        for base in frontier:
+            start = max(base) + 1 if base else 0
+            for e in elems:
+                if e < start:
+                    continue
+                ext = base | {e}
+                if ext in seen:
+                    continue
+                if m.indep_fn(ext):
+                    seen.add(ext)
+                    next_frontier.append(ext)
+                    yield ext
+        frontier = next_frontier
+        if not frontier:
+            return
+
+
+def verify_representative(
+    inst: BmiInstance,
+    eps: EpsParam,
+    rep: Iterable[int],
+    opt_value: Fraction,
+    cap: int = 12,
+) -> tuple[bool, frozenset | None]:
+    """Exhaustive check of the representative-set property.
+
+    Returns (True, None) or (False, witness G).  Refuses above the scale cap
+    since the search enumerates independent sets and subsets of R.
+    """
+    if len(inst.active) > cap:
+        raise ScaleCapError(
+            f"{len(inst.active)} active elements exceed representative-check cap {cap}"
+        )
+    rs = sorted(frozenset(rep))
+    m = inst.active_matroid()
+    h = profitable_set(inst, eps, opt_value)
+    max_size = min(eps.q, len(inst.active))
+    for gs in _independent_subsets(m, max_size):
+        gh = gs & h
+        if gh <= frozenset(rs):
+            continue  # identity replacement Z = G n H works
+        found = False
+        for size in range(0, len(gh) + 1):
+            for combo in itertools.combinations(rs, size):
+                if is_replacement(inst, eps, gs, combo, opt_value):
+                    found = True
+                    break
+            if found:
+                break
+        if not found:
+            return False, gs
+    return True, None

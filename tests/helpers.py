@@ -2,7 +2,8 @@
 
 Everything here is deliberately independent of the code paths under test:
 ranks and bases come from exhaustive bitmask enumeration, not from the
-greedy routines.
+greedy routines, and the reference enumeration of F scans every
+combination rather than pruning.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from fractions import Fraction
 
 from budgetmatroid.families import construct
 from budgetmatroid.generate import GenSpec, _random_family, generate_instance
+from budgetmatroid.lp import round_integral
 from budgetmatroid.matroid import Matroid
+from budgetmatroid.scheme import _better, find_rep
 
 FAMILIES = ("uniform", "partition", "graphic", "linear", "explicit")
 
@@ -82,3 +85,33 @@ def skewed_size(rng: random.Random, max_n: int = 14) -> int:
 
 def random_rational(rng: random.Random, num_max: int = 8, dens=(1, 2, 3, 4)) -> Fraction:
     return Fraction(rng.randint(0, num_max), rng.choice(dens))
+
+
+def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
+    """(best solution, enumeration count) of run_for_alpha by a plain scan.
+
+    Tests every combination of at most 1/eps elements of the representative
+    set, by size and then lexicographically, for budget and independence
+    through the session's counted oracle, and sends each one that passes to
+    ``session.solve``.
+    """
+    r_sorted = sorted(find_rep(inst, eps, alpha).elements)
+    m = session.matroid
+    enum_count = 0
+    best_set: frozenset = frozenset()
+    best_profit = Fraction(0)
+    have_candidate = False
+    for size in range(0, min(eps.inv, len(r_sorted)) + 1):
+        for combo in itertools.combinations(r_sorted, size):
+            fs = frozenset(combo)
+            if inst.cost(fs) > inst.budget:
+                continue
+            if not m.indep_fn(fs):
+                continue
+            enum_count += 1
+            candidate = round_integral(inst, session.solve(fs, alpha), fs)
+            profit = inst.profit(candidate)
+            if not have_candidate or _better(profit, candidate, best_profit, best_set):
+                best_set, best_profit = candidate, profit
+                have_candidate = True
+    return best_set, enum_count

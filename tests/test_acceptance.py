@@ -31,7 +31,8 @@ from budgetmatroid import (
 from budgetmatroid.lp import LP_STATS, FractionalPoint, separate
 from budgetmatroid.matroid import Matroid, min_weight_basis
 from budgetmatroid.oracle import brute_force_opt, knapsack_dp
-from budgetmatroid.scheme import alpha_grid, class_partition, verify_representative
+from budgetmatroid.scheme import alpha_grid, class_partition
+from budgetmatroid.verify import verify_representative
 from helpers import (
     all_bases,
     random_instance,
@@ -335,8 +336,8 @@ def test_criterion_10_determinism():
             rng, rng.choice(("uniform", "partition", "graphic", "linear")), rng.randint(2, 9)
         )
         reference = None
-        for jobs in (1, 2, 4, 1):
-            doc = approximate(inst, F(1, 3), jobs=jobs).to_dict()
+        for _ in range(4):
+            doc = approximate(inst, F(1, 3)).to_dict()
             doc.pop("wall_ms")
             if reference is None:
                 reference = doc
@@ -345,7 +346,7 @@ def test_criterion_10_determinism():
         cases += 1
     report(
         10,
-        "byte-identical reports across repeats and --jobs (modulo timing)",
+        "byte-identical reports across repeats (modulo timing)",
         failures == 0,
         f"{cases} instances x 4 runs, {failures} mismatches",
     )

@@ -2,9 +2,11 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
+from budgetmatroid import cli
 from budgetmatroid.cli import main
 
 BENCH_COLUMNS = [
@@ -57,14 +59,13 @@ class TestSolve:
             assert key in doc
         assert doc["eps_target"] == "1/3"
 
-    def test_jobs_reports_identical_modulo_timing(self, tmp_path):
+    def test_repeat_reports_identical_modulo_timing(self, tmp_path):
         inst = gen(tmp_path, family="graphic", n=8, seed=11)
         docs = []
-        for jobs in ("1", "4"):
-            report = tmp_path / f"report-{jobs}.json"
+        for run in ("1", "2"):
+            report = tmp_path / f"report-{run}.json"
             assert main(
-                ["solve", "--instance", str(inst), "--eps", "1/3", "--jobs", jobs,
-                 "--report", str(report)]
+                ["solve", "--instance", str(inst), "--eps", "1/3", "--report", str(report)]
             ) == 0
             doc = json.loads(report.read_text())
             doc.pop("wall_ms")
@@ -142,6 +143,24 @@ class TestBench:
         for row in rows:
             assert row["eps"] == "1/3"
             assert int(row["lp_calls"]) >= 1
+
+    def test_bench_wall_ms_excludes_brute_force(self, tmp_path, monkeypatch):
+        real = cli.brute_force_opt
+
+        def slow_brute_force(inst, *args, **kwargs):
+            time.sleep(0.5)
+            return real(inst, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "brute_force_opt", slow_brute_force)
+        for i, family in enumerate(("uniform", "partition")):
+            gen(tmp_path, family=family, n=5, seed=i, name=f"{family}.json")
+        out_csv = tmp_path / "bench.csv"
+        assert main(["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(out_csv)]) == 0
+        with open(out_csv, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 2
+        for row in rows:
+            assert float(row["wall_ms"]) < 500
 
     def test_bench_empty_dir_is_validation_error(self, tmp_path):
         assert main(["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(tmp_path / "o.csv")]) == 2

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from budgetmatroid import FamilySpec, ValidationError, make_instance
+from budgetmatroid.cli import main
 from budgetmatroid.generate import GENERATOR_VERSION, GenSpec, generate_instance
 from budgetmatroid.instance import (
     format_rational,
@@ -104,6 +105,48 @@ class TestParse:
         # Serialization keeps the original element list and ids.
         again = parse_instance(serialize_instance(inst))
         assert again.n == 2 and again.dropped == (0,)
+
+
+NON_INTEGER_FIELDS = {
+    "rank-float": ({"kind": "uniform", "rank": 1.9}, "matroid.rank"),
+    "rank-bool": ({"kind": "uniform", "rank": True}, "matroid.rank"),
+    "rank-string": ({"kind": "uniform", "rank": "2"}, "matroid.rank"),
+    "blocks-float": (
+        {"kind": "partition", "blocks": [[0, 1.0]], "capacities": [1]},
+        "matroid.blocks[0][1]",
+    ),
+    "capacities-bool": (
+        {"kind": "partition", "blocks": [[0, 1]], "capacities": [False]},
+        "matroid.capacities[0]",
+    ),
+    "num_vertices-float": (
+        {"kind": "graphic", "num_vertices": 2.5, "edges": [[0, 1], [1, 0]]},
+        "matroid.num_vertices",
+    ),
+    "edges-float": (
+        {"kind": "graphic", "num_vertices": 2, "edges": [[0, 1], [1, 0.0]]},
+        "matroid.edges[1][1]",
+    ),
+    "maximal_sets-bool": (
+        {"kind": "explicit", "maximal_sets": [[0, True]]},
+        "matroid.maximal_sets[0][1]",
+    ),
+}
+
+
+class TestIntegerFields:
+    @pytest.mark.parametrize(
+        "matroid,path", list(NON_INTEGER_FIELDS.values()), ids=list(NON_INTEGER_FIELDS)
+    )
+    def test_non_integer_rejected_at_path(self, matroid, path, tmp_path, capsys):
+        text = json.dumps(minimal_doc(matroid=matroid))
+        with pytest.raises(ValidationError) as err:
+            parse_instance(text)
+        assert err.value.path == path
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        assert main(["solve", "--instance", str(inst), "--eps", "1/3"]) == 2
+        assert path in capsys.readouterr().err
 
 
 class TestRoundTrip:

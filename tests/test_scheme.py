@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from budgetmatroid import (
     EpsParam,
@@ -11,22 +12,21 @@ from budgetmatroid import (
     approximate,
     construct,
     find_rep,
+    lp_upper_bound,
     make_instance,
     run_for_alpha,
 )
-from budgetmatroid.matroid import restrict, truncate, union
-from budgetmatroid.matroid import min_weight_basis
+from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.scheme import (
-    alpha_grid,
-    class_partition,
+from budgetmatroid.scheme import RunSession, alpha_grid, class_partition, profit_class
+from budgetmatroid.verify import (
     is_replacement,
     is_substitution,
-    profit_class,
     profitable_set,
+    union,
     verify_representative,
 )
-from helpers import random_instance
+from helpers import FAMILIES, random_instance, reference_run_for_alpha
 
 
 def r_max_reference(k):
@@ -197,6 +197,61 @@ class TestRunForAlpha:
             assert inst.profit(sol) >= (1 - 7 * eps.eps) * opt
 
 
+class RecordingSession(RunSession):
+    """A session that records every F sent to the LP."""
+
+    def __init__(self, inst, eps):
+        super().__init__(inst, eps)
+        self.seen = []
+
+    def solve(self, f, alpha):
+        self.seen.append(f)
+        return super().solve(f, alpha)
+
+
+def check_dfs_against_reference(inst, eps, alpha):
+    dfs, ref = RecordingSession(inst, eps), RecordingSession(inst, eps)
+    sol, stats = run_for_alpha(inst, eps, alpha, dfs)
+    ref_sol, ref_count = reference_run_for_alpha(inst, eps, alpha, ref)
+    assert sorted(map(sorted, dfs.seen)) == sorted(map(sorted, ref.seen))
+    assert stats.enum_count == ref_count
+    assert sol == ref_sol
+    assert dfs.oracle_counter[0] <= ref.oracle_counter[0]
+
+
+def guess_grid(inst, eps):
+    upper, lower = lp_upper_bound(inst)
+    return alpha_grid(lower, upper, eps) if upper > 0 else (F(1),)
+
+
+class TestEnumerationReference:
+    """The pruned DFS of run_for_alpha against the unpruned combinations scan."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_reference_scan(self, family):
+        rng = random.Random(61 + FAMILIES.index(family))
+        for _ in range(6):
+            inst = random_instance(rng, family, rng.randint(1, 9))
+            for eps in (EpsParam(3), EpsParam(21)):
+                grid = guess_grid(inst, eps)
+                for alpha in {grid[0], grid[-1]}:
+                    check_dfs_against_reference(inst, eps, alpha)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        family=st.sampled_from(FAMILIES),
+        n=st.integers(0, 8),
+        seed=st.integers(0, 2**30),
+        k=st.sampled_from((3, 4, 21)),
+        pick=st.integers(0, 10),
+    )
+    def test_matches_reference_scan_hypothesis(self, family, n, seed, k, pick):
+        inst = random_instance(random.Random(seed), family, n)
+        eps = EpsParam(k)
+        grid = guess_grid(inst, eps)
+        check_dfs_against_reference(inst, eps, grid[pick % len(grid)])
+
+
 class TestAlphaGrid:
     def test_geometric_step(self):
         eps = EpsParam(3)
@@ -226,8 +281,8 @@ class TestApproximate:
             inst = random_instance(
                 rng, rng.choice(("uniform", "partition", "graphic", "linear")), rng.randint(1, 7)
             )
-            report = approximate(inst, F(1, 3), with_exact=True)
-            assert report.profit >= F(2, 3) * report.exact_profit
+            report = approximate(inst, F(1, 3))
+            assert report.profit >= F(2, 3) * brute_force_opt(inst).profit
             assert inst.active_matroid().is_independent(frozenset(report.solution))
             assert inst.cost(report.solution) <= inst.budget
             assert inst.profit(report.solution) == report.profit
@@ -239,15 +294,6 @@ class TestApproximate:
         report = approximate(inst, F(1, 3))
         assert report.profit == 0
         assert report.solution == ()
-
-    def test_jobs_do_not_change_report(self):
-        rng = random.Random(37)
-        for _ in range(5):
-            inst = random_instance(rng, "partition", rng.randint(3, 8))
-            a = approximate(inst, F(1, 3), jobs=1).to_dict()
-            b = approximate(inst, F(1, 3), jobs=4).to_dict()
-            a.pop("wall_ms"), b.pop("wall_ms")
-            assert a == b
 
     def test_profit_scaling_invariance(self):
         rng = random.Random(41)
