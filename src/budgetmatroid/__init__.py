@@ -11,15 +11,7 @@ from .errors import (
 from .families import FamilySpec, construct
 from .generate import GenSpec, generate_instance
 from .instance import BmiInstance, make_instance, parse_instance, serialize_instance
-from .lp import (
-    FractionalPoint,
-    LpOutcome,
-    SeparationResult,
-    lp_upper_bound,
-    round_integral,
-    separate,
-    solve_lp,
-)
+from .lp import FractionalPoint, LpOutcome, lp_upper_bound, round_integral, solve_lp
 from .matroid import Matroid, contract, min_weight_basis, rank, restrict, truncate
 from .oracle import ExactResult, brute_force_opt, knapsack_dp
 from .scheme import (
@@ -33,11 +25,13 @@ from .scheme import (
 )
 from .verify import (
     AxiomReport,
+    SeparationResult,
     check_axioms,
     exchange_witness,
     extend_to_independent,
     is_replacement,
     is_substitution,
+    separate,
     union,
     verify_representative,
 )

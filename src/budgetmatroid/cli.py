@@ -16,10 +16,10 @@ from pathlib import Path
 from .errors import InternalInvariantError, ScaleCapError, ValidationError
 from .generate import GenSpec, generate_instance
 from .instance import format_rational, parse_instance, serialize_instance
-from .lp import FractionalPoint, separate
+from .lp import FractionalPoint
 from .oracle import brute_force_opt
 from .scheme import EpsParam, approximate, find_rep
-from .verify import check_axioms, verify_representative
+from .verify import check_axioms, separate, verify_representative
 
 EXIT_VALIDATION = 2
 EXIT_SCALE_CAP = 3

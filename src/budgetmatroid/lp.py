@@ -1,28 +1,33 @@
 """Exact LP over the matroid polytope under a residual budget.
 
-solve_lp maximizes profit over {x >= 0, c.x <= budget, x in P_M} by cutting
-planes: a working set of rank constraints (seeded with singleton bounds) is
-solved by exact rational simplex, then the separation oracle either accepts
-the vertex or contributes a violated rank constraint.  A vertex of a
-relaxation that is feasible for the full region is a vertex of the full
-region, so the accepted point is basic — and therefore has at most two
-fractional entries, which is asserted on every solve.
+solve_polytope_lp maximizes p.x over {x in P_M : c.x <= budget} through its
+Lagrangian dual, min over lambda >= 0 of lambda*budget + max{w.x : x in P_M}
+with w = p - lambda*c, whose inner maximum is the greedy algorithm on the
+positive weights (Ravi and Goemans, SWAT 1996; Berger, Bonifaci, Grandoni
+and Schaefer, Math. Prog. 2011).  The greedy order changes only at O(n^2)
+breakpoints, so an exact binary search over them finds the optimal
+multiplier lambda*.  Walking from the greedy order just left of lambda* to
+the one just right of it, one tie or zero weight at a time, changes the
+greedy set by one addition, removal or swap per step; the two sets on
+either side of the budget give a budget-tight convex combination that is a
+vertex with at most two fractional entries.  Every solve checks primal =
+dual in exact arithmetic and the two-fractional bound.
+
+The cutting-plane solver with exhaustive separation that this replaces is
+kept in ``verify`` as the test reference.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
 from .instance import BmiInstance
-from .matroid import Matroid, contract, rank, restrict
-from .simplex import simplex_max
+from .matroid import Matroid, contract, greedy, restrict
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class LpStats:
@@ -57,62 +62,50 @@ class FractionalPoint:
 
 
 @dataclass(frozen=True)
-class SeparationResult:
-    inside: bool
-    violated: frozenset | None = None
-    violated_rank: int | None = None
-    violated_mass: Fraction | None = None
-
-
-@dataclass(frozen=True)
 class LpOutcome:
     point: FractionalPoint
     objective: Fraction
     fractional_support: tuple[int, ...]
-    certificate: tuple[frozenset, ...]
+    multiplier: Fraction  # optimal dual multiplier lambda* of the budget row
 
 
-def separate(m: Matroid, x: FractionalPoint) -> SeparationResult:
-    """Membership test for the matroid polytope, or a violated rank set.
+def _breakpoints(items: list[int], profits, costs) -> list[Fraction]:
+    """Sorted positive lambdas where a weight p - lambda*c changes sign or two
+    weights cross; between consecutive ones the greedy order is fixed."""
+    points = set()
+    for i, e in enumerate(items):
+        if costs[e] > 0:
+            points.add(profits[e] / costs[e])
+        for f in items[i + 1 :]:
+            if costs[e] != costs[f]:
+                lam = (profits[e] - profits[f]) / (costs[e] - costs[f])
+                if lam > 0:
+                    points.add(lam)
+    return sorted(points)
 
-    Reference implementation: exhaustive minimization of rank(S) - x(S).
-    The scan is restricted to the support of x, which is exact: dropping
-    zero-mass elements from S never increases rank(S) - x(S), and a
-    violation-free support implies membership.
+
+def _walk(seq: list[int], w: Mapping[int, Fraction], costs) -> Iterable[list[int]]:
+    """Orders from the greedy order just left of lambda* to the one just right.
+
+    ``seq`` starts as the left order.  Zero-weight elements, last in it,
+    leave one at a time; then adjacent elements tied at lambda* swap one
+    pair at a time into the right order.  Every order stays sorted by
+    non-increasing weight at lambda*, and each step changes the greedy set
+    by at most one addition, removal or swap.  ``seq`` is updated in place.
     """
-    dom = set(x.domain)
-    if not dom <= m.ground:
-        raise PreconditionError("point domain not contained in matroid ground")
-    for e in x.domain:
-        if x[e] < 0:
-            raise PreconditionError(f"negative entry for element {e}")
-    supp = sorted(x.support())
-    rank_cache: dict[frozenset, int] = {}
-
-    def cached_rank(s: frozenset) -> int:
-        r = rank_cache.get(s)
-        if r is None:
-            r = rank(m, s)
-            rank_cache[s] = r
-        return r
-
-    best_margin = ZERO
-    best_set: frozenset | None = None
-    for size in range(1, len(supp) + 1):
-        for combo in itertools.combinations(supp, size):
-            s = frozenset(combo)
-            margin = cached_rank(s) - x.mass(s)
-            if margin < best_margin:
-                best_margin = margin
-                best_set = s
-    if best_set is None:
-        return SeparationResult(True)
-    return SeparationResult(
-        False,
-        violated=best_set,
-        violated_rank=cached_rank(best_set),
-        violated_mass=x.mass(best_set),
-    )
+    yield seq
+    while seq and w[seq[-1]] == 0:
+        seq.pop()
+        yield seq
+    right = lambda e: (-w[e], costs[e], e)
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(len(seq) - 1):
+            if right(seq[i]) > right(seq[i + 1]):
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                swapped = True
+                yield seq
 
 
 def solve_polytope_lp(
@@ -121,51 +114,72 @@ def solve_polytope_lp(
     costs: Mapping[int, Fraction],
     budget: Fraction,
 ) -> LpOutcome:
-    """Cutting-plane solve of max{p.x : c.x <= budget, x in P_M, x >= 0}."""
+    """Exact basic optimum of max{p.x : c.x <= budget, x in P_M, x >= 0}."""
     if budget < 0:
         raise PreconditionError("negative residual budget")
-    variables = sorted(m.ground)
-    if not variables:
-        point = FractionalPoint((), {})
-        LP_STATS.record(0)
-        return LpOutcome(point, ZERO, (), ())
-    index = {e: j for j, e in enumerate(variables)}
-    objective = [profits[e] for e in variables]
-    rows: list[list[Fraction]] = [[costs[e] for e in variables]]
-    rhs: list[Fraction] = [budget]
-    working: list[frozenset] = []
-    # Singleton bounds keep the working LP bounded from the start.
-    for e in variables:
-        row = [ZERO] * len(variables)
-        row[index[e]] = ONE
-        rows.append(row)
-        rhs.append(Fraction(rank(m, {e})))
-        working.append(frozenset({e}))
+    domain = tuple(sorted(m.ground))
+    items = [e for e in domain if profits[e] > 0]
+    cost = lambda s: sum((costs[e] for e in s), ZERO)
 
-    while True:
-        xs, objective_value = simplex_max(objective, rows, rhs)
-        values = {e: xs[index[e]] for e in variables if xs[index[e]] != 0}
-        point = FractionalPoint(tuple(variables), values)
-        result = separate(m, point)
-        if result.inside:
-            break
-        s = result.violated
-        if s in working:
-            raise InternalInvariantError("separation returned an existing constraint")
-        row = [ZERO] * len(variables)
-        for e in s:
-            row[index[e]] = ONE
-        rows.append(row)
-        rhs.append(Fraction(result.violated_rank))
-        working.append(s)
+    def greedy_at(lam: Fraction) -> frozenset:
+        w = {e: profits[e] - lam * costs[e] for e in items}
+        return greedy(m, sorted((e for e in items if w[e] > 0), key=lambda e: (-w[e], e)))
 
-    fractional = tuple(e for e in variables if 0 < point[e] < 1)
+    # Interval i runs from breaks[i-1] (0 for i = 0) to breaks[i] (infinity
+    # for the last); greedy sets cost less as lambda grows, and the last one
+    # holds only zero-cost elements, so it is affordable.
+    breaks = _breakpoints(items, profits, costs)
+    edges = [ZERO, *breaks]
+    probes = [(a + b) / 2 for a, b in zip(edges, breaks)] + [edges[-1] + 1]
+    lo, hi = 0, len(breaks)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if cost(greedy_at(probes[mid])) <= budget:
+            hi = mid
+        else:
+            lo = mid + 1
+
+    if lo == 0:
+        # The greedy set for lambda near 0 maximizes profit and is affordable.
+        lam = ZERO
+        heavy = light = greedy_at(probes[0])
+        theta = ZERO
+    else:
+        lam = breaks[lo - 1]
+        w = {e: profits[e] - lam * costs[e] for e in items}
+        left = sorted((e for e in items if w[e] >= 0), key=lambda e: (-w[e], -costs[e], e))
+        heavy = None
+        for seq in _walk(left, w, costs):
+            light = greedy(m, seq)
+            if heavy is not None and cost(heavy) > budget >= cost(light):
+                break
+            heavy = light
+        else:
+            raise InternalInvariantError("greedy walk never crossed the budget")
+        theta = (budget - cost(light)) / (cost(heavy) - cost(light))
+
+    values: dict[int, Fraction] = {}
+    for e in heavy:
+        values[e] = theta
+    for e in light:
+        values[e] = values.get(e, ZERO) + (1 - theta)
+    values = {e: v for e, v in values.items() if v != 0}
+    point = FractionalPoint(domain, values)
+    objective = sum((profits[e] * v for e, v in values.items()), ZERO)
+
+    # Primal = dual: x is feasible and p.x equals the Lagrangian bound at lam.
+    reduced = lambda s: sum((profits[e] - lam * costs[e] for e in s), ZERO)
+    if reduced(heavy) != reduced(light) or objective != lam * budget + reduced(light):
+        raise InternalInvariantError("parametric greedy: primal value differs from dual bound")
+    if sum((costs[e] * v for e, v in values.items()), ZERO) > budget:
+        raise InternalInvariantError("parametric greedy: point exceeds the budget")
+    fractional = tuple(e for e in domain if 0 < point[e] < 1)
     LP_STATS.record(len(fractional))
     if len(fractional) > 2:
         raise InternalInvariantError(
             f"basic LP solution has {len(fractional)} fractional entries (limit 2)"
         )
-    return LpOutcome(point, objective_value, fractional, tuple(working))
+    return LpOutcome(point, objective, fractional, lam)
 
 
 def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset:
@@ -173,16 +187,24 @@ def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset
     return frozenset(e for e in inst.active if inst.profits[e] <= 2 * eps * alpha)
 
 
-def residual_matroid(inst: BmiInstance, f: frozenset, eps: Fraction, alpha: Fraction) -> Matroid:
-    """The contracted-and-restricted matroid whose polytope the LP uses."""
-    m = inst.active_matroid()
-    return restrict(contract(m, f), lp_variables(inst, eps, alpha) - f)
+def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> Matroid:
+    """The contracted-and-restricted matroid whose polytope the LP uses;
+    ``variables`` is the guess's ``lp_variables``."""
+    return restrict(contract(inst.active_matroid(), f), variables - f)
 
 
 def solve_lp(
-    inst: BmiInstance, f: Iterable[int], alpha: Fraction, eps: Fraction
+    inst: BmiInstance,
+    f: Iterable[int],
+    alpha: Fraction,
+    eps: Fraction,
+    variables: frozenset | None = None,
 ) -> LpOutcome:
-    """Exact basic optimum of the budget-constrained polytope LP given fixed F."""
+    """Exact basic optimum of the budget-constrained polytope LP given fixed F.
+
+    ``variables`` is ``lp_variables(inst, eps, alpha)``, passed by callers
+    that already hold it.
+    """
     fs = frozenset(f)
     m = inst.active_matroid()
     if not m.is_independent(fs):
@@ -191,7 +213,9 @@ def solve_lp(
         raise PreconditionError("F exceeds the budget")
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
-    residual = residual_matroid(inst, fs, eps, alpha)
+    if variables is None:
+        variables = lp_variables(inst, eps, alpha)
+    residual = residual_matroid(inst, fs, variables)
     return solve_polytope_lp(
         residual,
         {e: inst.profits[e] for e in residual.ground},

@@ -41,17 +41,28 @@ class Matroid:
         return bool(self.indep_fn(s))
 
 
+def greedy(m: Matroid, order: Iterable[int]) -> frozenset:
+    """The greedy set of ``order``: scan it and keep each element that leaves
+    the kept set independent.
+
+    ``order`` lists elements of ``m.ground``.  Scanned by non-increasing
+    weight, the result is a maximum-weight independent set, and any prefix
+    of ``order`` yields the result's intersection with that prefix.
+    """
+    kept: frozenset = frozenset()
+    for e in order:
+        ext = kept | {e}
+        if m.indep_fn(ext):
+            kept = ext
+    return kept
+
+
 def rank(m: Matroid, subset: Iterable[int]) -> int:
     """Greedy rank computation; correct for matroids by the exchange axiom."""
     s = frozenset(subset)
     if not s <= m.ground:
         raise PreconditionError(f"elements {sorted(s - m.ground)} outside ground set")
-    cur: frozenset = frozenset()
-    for e in sorted(s):
-        ext = cur | {e}
-        if m.indep_fn(ext):
-            cur = ext
-    return len(cur)
+    return len(greedy(m, sorted(s)))
 
 
 def _check_weights(m: Matroid, w: Mapping[int, Fraction]) -> None:
@@ -69,12 +80,7 @@ def min_weight_basis(m: Matroid, w: Mapping[int, Fraction]) -> frozenset:
     unique greedy basis under that order.
     """
     _check_weights(m, w)
-    basis: frozenset = frozenset()
-    for e in sorted(m.ground, key=lambda e: (w[e], e)):
-        ext = basis | {e}
-        if m.indep_fn(ext):
-            basis = ext
-    return basis
+    return greedy(m, sorted(m.ground, key=lambda e: (w[e], e)))
 
 
 def restrict(m: Matroid, f: Iterable[int]) -> Matroid:

@@ -176,11 +176,13 @@ class RunSession:
         self.matroid, self.oracle_counter = counting_view(inst.active_matroid())
         self.memo: dict = {}
 
-    def solve(self, f: frozenset, alpha: Fraction) -> LpOutcome:
-        key = (f, lp_variables(self.inst, self.eps.eps, alpha) - f)
+    def solve(self, f: frozenset, alpha: Fraction, variables: frozenset) -> LpOutcome:
+        """The LP outcome for F under guess alpha; ``variables`` is
+        ``lp_variables(inst, eps, alpha)``, computed once per guess."""
+        key = (f, variables - f)
         outcome = self.memo.get(key)
         if outcome is None:
-            outcome = self.memo[key] = solve_lp(self.inst, f, alpha, self.eps.eps)
+            outcome = self.memo[key] = solve_lp(self.inst, f, alpha, self.eps.eps, variables)
         return outcome
 
 
@@ -209,6 +211,7 @@ def run_for_alpha(
     if session is None:
         session = RunSession(inst, eps)
     r_sorted = sorted(find_rep(inst, eps, alpha).elements)
+    variables = lp_variables(inst, eps.eps, alpha)
     indep = session.matroid.indep_fn
     stats = AlphaStats()
     best_set: frozenset | None = None
@@ -218,7 +221,7 @@ def run_for_alpha(
     while stack:
         fs, cost, start = stack.pop()
         stats.enum_count += 1
-        candidate = round_integral(inst, session.solve(fs, alpha), fs)
+        candidate = round_integral(inst, session.solve(fs, alpha, variables), fs)
         profit = inst.profit(candidate)
         if best_set is None or _better(profit, candidate, best_profit, best_set):
             best_set, best_profit = candidate, profit

@@ -1,11 +1,14 @@
-"""Verification-only code: exhaustive checkers and exchange helpers.
+"""Verification-only code: exhaustive checkers, exchange helpers and the
+reference LP solver.
 
 Nothing on the solve path imports this module.  The matroid helpers
 (axiom checker, exchange witnesses, disjoint union) decide matroid
 properties directly from the oracle; the scheme checkers (replacement,
 substitution, representative set) take the exact optimum as an argument
 because the profitable-element threshold depends on it, which only a
-verification oracle knows.
+verification oracle knows.  The cutting-plane LP solver with exhaustive
+separation is the reference the parametric-greedy ``lp.solve_polytope_lp``
+is tested against.
 """
 
 from __future__ import annotations
@@ -13,12 +16,119 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError, ScaleCapError
 from .instance import BmiInstance
-from .matroid import Matroid
+from .lp import FractionalPoint
+from .matroid import Matroid, rank
 from .scheme import EpsParam, class_partition
+from .simplex import simplex_max
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+@dataclass(frozen=True)
+class SeparationResult:
+    inside: bool
+    violated: frozenset | None = None
+    violated_rank: int | None = None
+    violated_mass: Fraction | None = None
+
+
+def separate(m: Matroid, x: FractionalPoint) -> SeparationResult:
+    """Membership test for the matroid polytope, or a violated rank set.
+
+    Reference implementation: exhaustive minimization of rank(S) - x(S).
+    The scan is restricted to the support of x, which is exact: dropping
+    zero-mass elements from S never increases rank(S) - x(S), and a
+    violation-free support implies membership.
+    """
+    dom = set(x.domain)
+    if not dom <= m.ground:
+        raise PreconditionError("point domain not contained in matroid ground")
+    for e in x.domain:
+        if x[e] < 0:
+            raise PreconditionError(f"negative entry for element {e}")
+    supp = sorted(x.support())
+    rank_cache: dict[frozenset, int] = {}
+
+    def cached_rank(s: frozenset) -> int:
+        r = rank_cache.get(s)
+        if r is None:
+            r = rank(m, s)
+            rank_cache[s] = r
+        return r
+
+    best_margin = ZERO
+    best_set: frozenset | None = None
+    for size in range(1, len(supp) + 1):
+        for combo in itertools.combinations(supp, size):
+            s = frozenset(combo)
+            margin = cached_rank(s) - x.mass(s)
+            if margin < best_margin:
+                best_margin = margin
+                best_set = s
+    if best_set is None:
+        return SeparationResult(True)
+    return SeparationResult(
+        False,
+        violated=best_set,
+        violated_rank=cached_rank(best_set),
+        violated_mass=x.mass(best_set),
+    )
+
+
+def solve_polytope_lp_reference(
+    m: Matroid,
+    profits: Mapping[int, Fraction],
+    costs: Mapping[int, Fraction],
+    budget: Fraction,
+) -> tuple[FractionalPoint, Fraction]:
+    """Cutting-plane solve of max{p.x : c.x <= budget, x in P_M, x >= 0}.
+
+    A working set of rank constraints (seeded with singleton bounds) is
+    solved by exact rational simplex, then the separation oracle either
+    accepts the vertex or contributes a violated rank constraint.  A vertex
+    of a relaxation that is feasible for the full region is a vertex of the
+    full region, so the accepted point is basic.  Returns the point and its
+    objective value.
+    """
+    if budget < 0:
+        raise PreconditionError("negative residual budget")
+    variables = sorted(m.ground)
+    if not variables:
+        return FractionalPoint((), {}), ZERO
+    index = {e: j for j, e in enumerate(variables)}
+    objective = [profits[e] for e in variables]
+    rows: list[list[Fraction]] = [[costs[e] for e in variables]]
+    rhs: list[Fraction] = [budget]
+    working: list[frozenset] = []
+    # Singleton bounds keep the working LP bounded from the start.
+    for e in variables:
+        row = [ZERO] * len(variables)
+        row[index[e]] = ONE
+        rows.append(row)
+        rhs.append(Fraction(rank(m, {e})))
+        working.append(frozenset({e}))
+
+    while True:
+        xs, objective_value = simplex_max(objective, rows, rhs)
+        values = {e: xs[index[e]] for e in variables if xs[index[e]] != 0}
+        point = FractionalPoint(tuple(variables), values)
+        result = separate(m, point)
+        if result.inside:
+            return point, objective_value
+        s = result.violated
+        if s in working:
+            raise InternalInvariantError("separation returned an existing constraint")
+        row = [ZERO] * len(variables)
+        for e in s:
+            row[index[e]] = ONE
+        rows.append(row)
+        rhs.append(Fraction(result.violated_rank))
+        working.append(s)
 
 
 def extend_to_independent(m: Matroid, a: Iterable[int], b: Iterable[int]) -> frozenset:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from budgetmatroid.families import construct
 from budgetmatroid.generate import GenSpec, _random_family, generate_instance
-from budgetmatroid.lp import round_integral
+from budgetmatroid.lp import lp_variables, round_integral
 from budgetmatroid.matroid import Matroid
 from budgetmatroid.scheme import _better, find_rep
 
@@ -96,6 +96,7 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
     ``session.solve``.
     """
     r_sorted = sorted(find_rep(inst, eps, alpha).elements)
+    variables = lp_variables(inst, eps.eps, alpha)
     m = session.matroid
     enum_count = 0
     best_set: frozenset = frozenset()
@@ -109,7 +110,7 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
             if not m.indep_fn(fs):
                 continue
             enum_count += 1
-            candidate = round_integral(inst, session.solve(fs, alpha), fs)
+            candidate = round_integral(inst, session.solve(fs, alpha, variables), fs)
             profit = inst.profit(candidate)
             if not have_candidate or _better(profit, candidate, best_profit, best_set):
                 best_set, best_profit = candidate, profit

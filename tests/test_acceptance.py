@@ -28,11 +28,11 @@ from budgetmatroid import (
     truncate,
     union,
 )
-from budgetmatroid.lp import LP_STATS, FractionalPoint, separate
+from budgetmatroid.lp import LP_STATS, FractionalPoint
 from budgetmatroid.matroid import Matroid, min_weight_basis
 from budgetmatroid.oracle import brute_force_opt, knapsack_dp
 from budgetmatroid.scheme import alpha_grid, class_partition
-from budgetmatroid.verify import verify_representative
+from budgetmatroid.verify import separate, verify_representative
 from helpers import (
     all_bases,
     random_instance,

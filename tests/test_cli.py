@@ -1,8 +1,10 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -169,10 +171,15 @@ class TestBench:
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):
         inst = gen(tmp_path)
+        # pytest's pythonpath setting does not reach a child interpreter.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "budgetmatroid.cli", "solve", "--instance", str(inst), "--eps", "1/3"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert "profit:" in proc.stdout

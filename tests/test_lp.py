@@ -3,27 +3,37 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from budgetmatroid import (
     FamilySpec,
     PreconditionError,
     construct,
+    contract,
     make_instance,
     rank,
 )
+from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import (
     LP_STATS,
     FractionalPoint,
     lp_upper_bound,
+    lp_variables,
     residual_matroid,
     round_integral,
-    separate,
     solve_lp,
     solve_polytope_lp,
 )
 from budgetmatroid.oracle import brute_force_opt
 from budgetmatroid.simplex import simplex_max
-from helpers import random_instance, random_matroid, random_rational
+from budgetmatroid.verify import separate, solve_polytope_lp_reference
+from helpers import (
+    FAMILIES,
+    all_independent_sets,
+    random_instance,
+    random_matroid,
+    random_rational,
+)
 
 
 def free(n):
@@ -77,6 +87,17 @@ class TestSeparate:
             assert result.violated_rank - result.violated_mass == best
 
 
+def dense_case(seed):
+    """(matroid, profits, costs, budget) of test_matches_dense_formulation."""
+    rng = random.Random(900 + seed)
+    m = random_matroid(rng, rng.randint(1, 6))
+    elems = sorted(m.ground)
+    profits = {e: random_rational(rng) for e in elems}
+    costs = {e: F(rng.randint(0, 5), rng.choice((1, 2))) for e in elems}
+    budget = F(rng.randint(1, 12), 2)
+    return m, profits, costs, budget
+
+
 class TestSolvePolytopeLp:
     def test_expensive_element_fractional_vertex(self):
         # One high-profit element whose cost exceeds the budget: the LP takes
@@ -112,12 +133,8 @@ class TestSolvePolytopeLp:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_dense_formulation(self, seed):
-        rng = random.Random(900 + seed)
-        m = random_matroid(rng, rng.randint(1, 6))
+        m, profits, costs, budget = dense_case(seed)
         elems = sorted(m.ground)
-        profits = {e: random_rational(rng) for e in elems}
-        costs = {e: F(rng.randint(0, 5), rng.choice((1, 2))) for e in elems}
-        budget = F(rng.randint(1, 12), 2)
         outcome = solve_polytope_lp(m, profits, costs, budget)
         # Dense reference: every rank constraint written out explicitly.
         rows = [[costs[e] for e in elems]]
@@ -129,6 +146,111 @@ class TestSolvePolytopeLp:
         _, dense_value = simplex_max([profits[e] for e in elems], rows, rhs)
         assert outcome.objective == dense_value
         assert len(outcome.fractional_support) <= 2
+
+
+def check_against_reference(m, profits, costs, budget):
+    """The parametric-greedy solve against the cutting-plane reference.
+
+    Also checks the returned multiplier independently: its Lagrangian bound,
+    maximized over every independent set, equals the objective.
+    """
+    outcome = solve_polytope_lp(m, profits, costs, budget)
+    _, reference = solve_polytope_lp_reference(m, profits, costs, budget)
+    x = outcome.point
+    assert outcome.objective == reference
+    assert outcome.objective == sum((profits[e] * x[e] for e in x.domain), F(0))
+    assert sum((costs[e] * x[e] for e in x.domain), F(0)) <= budget
+    assert separate(m, x).inside
+    assert outcome.fractional_support == tuple(e for e in x.domain if 0 < x[e] < 1)
+    assert len(outcome.fractional_support) <= 2
+    lam = outcome.multiplier
+    assert lam >= 0
+    inner = max(sum((profits[e] - lam * costs[e] for e in s), F(0)) for s in all_independent_sets(m))
+    assert lam * budget + inner == outcome.objective
+    return outcome
+
+
+def solve_listed(m, items, budget):
+    """check_against_reference with (profit, cost) listed per element id."""
+    profits = {e: F(p) for e, (p, _) in enumerate(items)}
+    costs = {e: F(c) for e, (_, c) in enumerate(items)}
+    return check_against_reference(m, profits, costs, F(budget))
+
+
+class TestAgainstReference:
+    """solve_polytope_lp against the cutting-plane solver kept in verify."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_dense_formulation_cases(self, seed):
+        check_against_reference(*dense_case(seed))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_instances(self, family):
+        for n in (4, 7, 10 if family == "explicit" else 11):
+            for seed in range(3):
+                inst = generate_instance(GenSpec(family, n, seed))
+                m = inst.active_matroid()
+                profits = {e: inst.profits[e] for e in m.ground}
+                costs = {e: inst.costs[e] for e in m.ground}
+                check_against_reference(m, profits, costs, inst.budget)
+                # A residual LP: the cheapest element fixed, its cost spent.
+                f = min(m.ground, key=lambda e: (costs[e], e))
+                check_against_reference(
+                    contract(m, {f}), profits, costs, inst.budget - costs[f]
+                )
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**30),
+        n=st.integers(0, 7),
+        top=st.integers(1, 3),
+        budget=st.integers(0, 8),
+    )
+    def test_small_integers_dense_ties(self, seed, n, top, budget):
+        rng = random.Random(seed)
+        m = random_matroid(rng, n)
+        profits = {e: F(rng.randint(0, top)) for e in m.ground}
+        costs = {e: F(rng.randint(0, top)) for e in m.ground}
+        check_against_reference(m, profits, costs, F(budget))
+
+    def test_several_pairs_cross_at_the_multiplier(self):
+        # p = c + 1 for every element: all weights tie at lambda = 1, and the
+        # greedy order reverses there.
+        outcome = solve_listed(
+            construct(FamilySpec("uniform", rank=2), 4), [(5, 4), (4, 3), (3, 2), (2, 1)], 4
+        )
+        assert outcome.multiplier == 1
+        assert outcome.objective == 6
+
+    def test_parallel_elements(self):
+        m = construct(FamilySpec("uniform", rank=2), 5)
+        solve_listed(m, [(3, 2), (3, 2), (3, 2), (1, 1), (1, 1)], 3)
+        solve_listed(m, [(2, 1), (2, 1), (2, 1), (2, 1), (2, 1)], F(3, 2))
+
+    def test_weight_reaches_zero_at_the_multiplier(self):
+        # Elements 0 and 1 both have profit/cost 2 = lambda*.
+        outcome = solve_listed(free(3), [(2, 1), (4, 2), (5, 1)], 2)
+        assert outcome.multiplier == 2
+        assert outcome.objective == 7
+
+    def test_zero_cost_and_zero_profit_elements(self):
+        m = construct(FamilySpec("uniform", rank=2), 4)
+        solve_listed(m, [(0, 1), (3, 0), (2, 0), (4, 2)], 1)
+        solve_listed(free(4), [(0, 1), (3, 0), (0, 0), (4, 2)], 1)
+        outcome = solve_listed(free(2), [(0, 1), (0, 0)], 1)
+        assert outcome.objective == 0 and outcome.point.support() == ()
+
+    def test_zero_budget(self):
+        outcome = solve_listed(free(3), [(5, 1), (2, 0), (3, 2)], 0)
+        assert outcome.objective == 2
+        assert outcome.point.support() == (1,)
+
+    def test_slack_budget(self):
+        m = construct(FamilySpec("uniform", rank=2), 4)
+        outcome = solve_listed(m, [(5, 1), (2, 0), (3, 2), (4, 1)], 100)
+        assert outcome.multiplier == 0
+        assert outcome.objective == 9
+        assert outcome.fractional_support == ()
 
 
 class TestSolveLpAndRounding:
@@ -153,7 +275,7 @@ class TestSolveLpAndRounding:
         inst = self._instance()
         # alpha = 6, eps = 1/3: profit threshold 2*alpha*eps = 4, so elements
         # with profit {2, 1} stay and {6, 5} are filtered out.
-        m = residual_matroid(inst, frozenset({0}), F(1, 3), F(6))
+        m = residual_matroid(inst, frozenset({0}), lp_variables(inst, F(1, 3), F(6)))
         assert m.ground == {1, 3}
         # element 0 is contracted: rank 2 leaves room for only one more.
         assert m.is_independent({1})

@@ -204,9 +204,9 @@ class RecordingSession(RunSession):
         super().__init__(inst, eps)
         self.seen = []
 
-    def solve(self, f, alpha):
+    def solve(self, f, alpha, variables):
         self.seen.append(f)
-        return super().solve(f, alpha)
+        return super().solve(f, alpha, variables)
 
 
 def check_dfs_against_reference(inst, eps, alpha):
