@@ -8,6 +8,7 @@ no value ever passes through floating point.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -17,12 +18,25 @@ from .families import KINDS, FamilySpec, construct, validate_spec
 from .matroid import Matroid, restrict
 
 
+# Largest decimal exponent accepted in a rational literal; it matches
+# Python's default limit on the digits of an int converted from a string.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]*)")
+
+
 def parse_rational(value, path: str) -> Fraction:
     if not isinstance(value, str):
         raise ValidationError(
             "rationals must be strings like \"1/3\" or \"0.25\" (JSON numbers are forbidden)",
             path,
         )
+    # Fraction computes 10**exponent, so a huge exponent costs time before
+    # it can fail; the substring test keeps the common case off the regex.
+    exponent = ("e" in value or "E" in value) and _EXPONENT.search(value)
+    if exponent:
+        digits = exponent.group(1).replace("_", "")
+        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+            raise ValidationError(f"decimal exponent exceeds {MAX_EXPONENT} in {value!r}", path)
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -172,7 +186,9 @@ def _spec_to_json(spec: FamilySpec) -> dict:
 def parse_instance(text: str) -> BmiInstance:
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON and integers longer than Python's
+        # int-string digit limit; RecursionError covers deep nesting.
         raise ValidationError(f"invalid JSON: {exc}", "$") from exc
     if not isinstance(obj, dict):
         raise ValidationError("instance must be a JSON object", "$")

@@ -190,31 +190,18 @@ def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset
 def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> Matroid:
     """The contracted-and-restricted matroid whose polytope the LP uses;
     ``variables`` is the guess's ``lp_variables``."""
-    return restrict(contract(inst.active_matroid(), f), variables - f)
-
-
-def solve_lp(
-    inst: BmiInstance,
-    f: Iterable[int],
-    alpha: Fraction,
-    eps: Fraction,
-    variables: frozenset | None = None,
-) -> LpOutcome:
-    """Exact basic optimum of the budget-constrained polytope LP given fixed F.
-
-    ``variables`` is ``lp_variables(inst, eps, alpha)``, passed by callers
-    that already hold it.
-    """
-    fs = frozenset(f)
     m = inst.active_matroid()
-    if not m.is_independent(fs):
-        raise PreconditionError("F must be independent")
+    # Contracting nothing is the identity; skipping it spares the bootstrap
+    # LP and every F = {} solve a wrapper on each oracle call.
+    return restrict(contract(m, f) if f else m, variables - f)
+
+
+def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOutcome:
+    """Exact basic optimum of the budget-constrained polytope LP given fixed,
+    independent F, over the elements of ``variables`` outside F."""
+    fs = frozenset(f)
     if inst.cost(fs) > inst.budget:
         raise PreconditionError("F exceeds the budget")
-    if alpha <= 0:
-        raise PreconditionError("alpha must be positive")
-    if variables is None:
-        variables = lp_variables(inst, eps, alpha)
     residual = residual_matroid(inst, fs, variables)
     return solve_polytope_lp(
         residual,
@@ -243,17 +230,11 @@ def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
     singleton.  At most two fractional entries, each worth at most one
     singleton profit, give the factor 3.
     """
-    m = inst.active_matroid()
-    if not m.ground:
+    if not inst.active:
         return ZERO, ZERO
-    outcome = solve_polytope_lp(
-        m,
-        {e: inst.profits[e] for e in m.ground},
-        {e: inst.costs[e] for e in m.ground},
-        inst.budget,
-    )
+    outcome = solve_lp(inst, frozenset(), inst.active)
     integral = round_integral(inst, outcome, frozenset())
-    best_singleton = max(inst.profits[e] for e in m.ground)
+    best_singleton = max(inst.profits[e] for e in inst.active)
     lower = max(inst.profit(integral), best_singleton)
     upper = outcome.objective
     if 3 * lower < upper:

@@ -2,16 +2,20 @@
 per-guess enumeration of F within the representative set, and the top-level
 wrapper with geometric guessing of the optimum scale.
 
-The solve path is: bootstrap LP -> guess grid -> per guess, enumerate
-independent, affordable F within R -> residual LP for each F -> round.
+The solve path is: bootstrap LP -> guess grid -> per distinct guess (same R,
+same LP variables), enumerate independent, affordable F within R -> residual
+LP for each F -> round.
 Checkers for the properties the scheme relies on live in ``verify``.
 """
 
 from __future__ import annotations
 
+import operator
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance
@@ -49,25 +53,23 @@ class EpsParam:
         return Fraction(1, self.k)
 
     @property
-    def inv(self) -> int:
-        return self.k
-
-    @property
     def q(self) -> int:
         """Cardinality level k^k; saturate at the ground size when truncating."""
         return self.k**self.k
 
+    @cached_property
+    def bounds(self) -> tuple[Fraction, ...]:
+        """Class bounds (1-eps)^r for r = 0 .. r_max, decreasing."""
+        one_minus = 1 - self.eps
+        powers = [ONE]
+        while powers[-1] >= self.eps / 2:
+            powers.append(powers[-1] * one_minus)
+        return tuple(powers)
+
     @property
     def r_max(self) -> int:
         """Largest class index: max{m : (1-eps)^m >= eps/2} + 1, exactly."""
-        one_minus = 1 - self.eps
-        bound = self.eps / 2
-        power = one_minus
-        m = 0
-        while power >= bound:
-            m += 1
-            power *= one_minus
-        return m + 1
+        return len(self.bounds) - 1
 
 
 @dataclass(frozen=True)
@@ -86,7 +88,6 @@ class RunReport:
     alpha_best: Fraction | None
     enum_counts: dict
     lp_calls: int
-    lp_unique: int
     oracle_calls: int
     wall_ms: float
     dropped: tuple[int, ...]
@@ -104,7 +105,6 @@ class RunReport:
             "alpha_best": frac(self.alpha_best),
             "enum_counts": {frac(a): c for a, c in self.enum_counts.items()},
             "lp_calls": self.lp_calls,
-            "lp_unique": self.lp_unique,
             "oracle_calls": self.oracle_calls,
             "wall_ms": self.wall_ms,
             "dropped": list(self.dropped),
@@ -118,16 +118,9 @@ def profit_class(inst: BmiInstance, eps: EpsParam, alpha: Fraction, e: int) -> i
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
     ratio = inst.profits[e] / (2 * alpha)
-    if ratio > 1:
-        return None
-    upper = ONE
-    one_minus = 1 - eps.eps
-    for r in range(1, eps.r_max + 1):
-        lower = upper * one_minus
-        if lower < ratio <= upper:
-            return r
-        upper = lower
-    return None
+    # The bounds decrease, so the number of them >= ratio is the class index.
+    r = bisect_right(eps.bounds, -ratio, key=operator.neg)
+    return r if 1 <= r <= eps.r_max else None
 
 
 def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:
@@ -157,11 +150,6 @@ def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> Representativ
     return RepresentativeSet(elements, slices)
 
 
-@dataclass
-class AlphaStats:
-    enum_count: int = 0
-
-
 class RunSession:
     """One scheme run's LP memo and counted oracle handle.
 
@@ -176,13 +164,12 @@ class RunSession:
         self.matroid, self.oracle_counter = counting_view(inst.active_matroid())
         self.memo: dict = {}
 
-    def solve(self, f: frozenset, alpha: Fraction, variables: frozenset) -> LpOutcome:
-        """The LP outcome for F under guess alpha; ``variables`` is
-        ``lp_variables(inst, eps, alpha)``, computed once per guess."""
+    def solve(self, f: frozenset, variables: frozenset) -> LpOutcome:
+        """The LP outcome for F over the guess's ``lp_variables``."""
         key = (f, variables - f)
         outcome = self.memo.get(key)
         if outcome is None:
-            outcome = self.memo[key] = solve_lp(self.inst, f, alpha, self.eps.eps, variables)
+            outcome = self.memo[key] = solve_lp(self.inst, f, variables)
         return outcome
 
 
@@ -198,34 +185,46 @@ def run_for_alpha(
     eps: EpsParam,
     alpha: Fraction,
     session: RunSession | None = None,
-) -> tuple[frozenset, AlphaStats]:
-    """One pass of the enumeration scheme for a fixed guess alpha.
-
-    Enumerates every independent, affordable F within the representative
-    set with |F| <= 1/eps, extends each via the LP, and keeps the best
-    rounded solution.  The enumeration is a depth-first search that extends
-    F only by elements above max(F) and cuts a branch at the first set that
-    is over budget or dependent: both properties are inherited by supersets,
-    so no set of the family is missed.
-    """
+) -> tuple[frozenset, int]:
+    """One pass of the enumeration scheme for a fixed guess alpha:
+    (best rounded solution, number of F enumerated)."""
     if session is None:
         session = RunSession(inst, eps)
-    r_sorted = sorted(find_rep(inst, eps, alpha).elements)
-    variables = lp_variables(inst, eps.eps, alpha)
+    rep = find_rep(inst, eps, alpha).elements
+    return _enumerate(inst, eps, session, rep, lp_variables(inst, eps.eps, alpha))
+
+
+def _enumerate(
+    inst: BmiInstance,
+    eps: EpsParam,
+    session: RunSession,
+    rep: frozenset,
+    variables: frozenset,
+) -> tuple[frozenset, int]:
+    """Best rounded solution over every independent, affordable F within the
+    representative set ``rep`` with |F| <= 1/eps, each extended by the LP
+    over ``variables``; also returns the number of F enumerated.
+
+    The enumeration is a depth-first search that extends F only by elements
+    above max(F) and cuts a branch at the first set that is over budget or
+    dependent: both properties are inherited by supersets, so no set of the
+    family is missed.
+    """
+    r_sorted = sorted(rep)
     indep = session.matroid.indep_fn
-    stats = AlphaStats()
+    enum_count = 0
     best_set: frozenset | None = None
     best_profit = ZERO
     # (F, cost(F), index in r_sorted of the first element that may extend F)
     stack = [(frozenset(), ZERO, 0)]
     while stack:
         fs, cost, start = stack.pop()
-        stats.enum_count += 1
-        candidate = round_integral(inst, session.solve(fs, alpha, variables), fs)
+        enum_count += 1
+        candidate = round_integral(inst, session.solve(fs, variables), fs)
         profit = inst.profit(candidate)
         if best_set is None or _better(profit, candidate, best_profit, best_set):
             best_set, best_profit = candidate, profit
-        if len(fs) == eps.inv:
+        if len(fs) == eps.k:
             continue
         for i in range(start, len(r_sorted)):
             ext_cost = cost + inst.costs[r_sorted[i]]
@@ -234,12 +233,12 @@ def run_for_alpha(
             ext = fs | {r_sorted[i]}
             if indep(ext):
                 stack.append((ext, ext_cost, i + 1))
-    bound = (len(r_sorted) + 1) ** eps.inv
-    if stats.enum_count > bound:
+    bound = (len(r_sorted) + 1) ** eps.k
+    if enum_count > bound:
         raise InternalInvariantError(
-            f"enumeration count {stats.enum_count} exceeds (|R|+1)^(1/eps) = {bound}"
+            f"enumeration count {enum_count} exceeds (|R|+1)^(1/eps) = {bound}"
         )
-    return best_set, stats
+    return best_set, enum_count
 
 
 def alpha_grid(lower: Fraction, upper: Fraction, eps: EpsParam) -> tuple[Fraction, ...]:
@@ -263,11 +262,12 @@ def alpha_grid(lower: Fraction, upper: Fraction, eps: EpsParam) -> tuple[Fractio
 
 def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
     """Full scheme: guess the optimum scale geometrically, run the
-    enumeration for each distinct guess configuration, return the best.
+    enumeration once per distinct guess, return the best.
 
-    Two guesses that induce the same class partition and the same LP
-    variable set are behaviourally identical, so only one of them is
-    executed.  A zero LP bound leaves the grid empty and the answer empty.
+    The enumeration for a guess reads only its representative set R and its
+    LP variable set, so guesses that share both are identical and only the
+    smallest of them runs.  A zero LP bound leaves the grid empty and the
+    answer empty.
     """
     eps_target = Fraction(eps_target)
     eps = EpsParam.from_target(eps_target)
@@ -275,21 +275,18 @@ def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
     session = RunSession(inst, eps)
     upper, lower = lp_upper_bound(inst)
     grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
-    configs: dict = {}
-    for alpha in grid:
-        key = (
-            tuple(sorted(class_partition(inst, eps, alpha).items())),
-            lp_variables(inst, eps.eps, alpha),
-        )
-        configs.setdefault(key, alpha)
 
     best_set: frozenset = frozenset()
     best_profit = ZERO
     best_alpha = None
     enum_counts = {}
-    for alpha in sorted(configs.values()):
-        sol, stats = run_for_alpha(inst, eps, alpha, session)
-        enum_counts[alpha] = stats.enum_count
+    seen = set()
+    for alpha in grid:
+        guess = (find_rep(inst, eps, alpha).elements, lp_variables(inst, eps.eps, alpha))
+        if guess in seen:
+            continue
+        seen.add(guess)
+        sol, enum_counts[alpha] = _enumerate(inst, eps, session, *guess)
         profit = inst.profit(sol)
         if best_alpha is None or _better(profit, sol, best_profit, best_set):
             best_set, best_profit, best_alpha = sol, profit, alpha
@@ -303,7 +300,6 @@ def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
         alpha_best=best_alpha,
         enum_counts=enum_counts,
         lp_calls=len(session.memo),
-        lp_unique=len(session.memo),
         oracle_calls=session.oracle_counter[0],
         wall_ms=(time.perf_counter() - start) * 1000,
         dropped=inst.dropped,

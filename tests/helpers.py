@@ -102,7 +102,7 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
     best_set: frozenset = frozenset()
     best_profit = Fraction(0)
     have_candidate = False
-    for size in range(0, min(eps.inv, len(r_sorted)) + 1):
+    for size in range(0, min(eps.k, len(r_sorted)) + 1):
         for combo in itertools.combinations(r_sorted, size):
             fs = frozenset(combo)
             if inst.cost(fs) > inst.budget:
@@ -110,7 +110,7 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
             if not m.indep_fn(fs):
                 continue
             enum_count += 1
-            candidate = round_integral(inst, session.solve(fs, alpha, variables), fs)
+            candidate = round_integral(inst, session.solve(fs, variables), fs)
             profit = inst.profit(candidate)
             if not have_candidate or _better(profit, candidate, best_profit, best_set):
                 best_set, best_profit = candidate, profit

@@ -163,9 +163,9 @@ def test_criterion_05_enumeration_bound():
             continue
         for alpha in alpha_grid(upper / 2, upper, eps):
             rep = find_rep(inst, eps, alpha)
-            _, stats = run_for_alpha(inst, eps, alpha)
+            _, enum_count = run_for_alpha(inst, eps, alpha)
             runs += 1
-            if stats.enum_count > (len(rep.elements) + 1) ** eps.inv:
+            if enum_count > (len(rep.elements) + 1) ** eps.k:
                 failures += 1
     report(
         5,

@@ -51,7 +51,6 @@ class TestSolve:
             "alpha_best",
             "enum_counts",
             "lp_calls",
-            "lp_unique",
             "oracle_calls",
             "wall_ms",
             "dropped",

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from budgetmatroid import FamilySpec, ValidationError, make_instance
 from budgetmatroid.cli import main
@@ -46,6 +46,16 @@ class TestRationals:
             with pytest.raises(ValidationError):
                 parse_rational(bad, "x")
 
+    @pytest.mark.parametrize("literal", ["1e1000000", "1e-1000000", "2.5E+4301", "1e" + "9" * 5000])
+    def test_exponent_above_cap_rejected(self, literal):
+        with pytest.raises(ValidationError) as err:
+            parse_rational(literal, "budget")
+        assert err.value.path == "budget"
+
+    def test_exponent_at_cap_accepted(self):
+        assert parse_rational("1e4300", "x") == 10**4300
+        assert parse_rational("1e-4300", "x") == F(1, 10**4300)
+
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
     def test_round_trip(self, num, den):
         x = F(num, den)
@@ -69,6 +79,24 @@ class TestParse:
     def test_invalid_json(self):
         with pytest.raises(ValidationError):
             parse_instance("{nope")
+
+    def test_deep_nesting_is_validation_error(self):
+        with pytest.raises(ValidationError) as err:
+            parse_instance("[" * 100000)
+        assert err.value.path == "$"
+
+    def test_integer_over_digit_limit_is_validation_error(self):
+        text = json.dumps(minimal_doc()).replace('"rank": 2', '"rank": ' + "9" * 5000)
+        with pytest.raises(ValidationError) as err:
+            parse_instance(text)
+        assert err.value.path == "$"
+
+    @pytest.mark.parametrize("text", ["[" * 100000, json.dumps(minimal_doc(budget="1e1000000"))])
+    def test_solve_exits_2(self, text, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(text)
+        assert main(["solve", "--instance", str(inst), "--eps", "1/3"]) == 2
+        assert "error:" in capsys.readouterr().err
 
     def test_numeric_cost_rejected_with_path(self):
         doc = minimal_doc()
@@ -147,6 +175,65 @@ class TestIntegerFields:
         inst.write_text(text)
         assert main(["solve", "--instance", str(inst), "--eps", "1/3"]) == 2
         assert path in capsys.readouterr().err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON document, the root included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from json_paths(child, path + (key,))
+
+
+def parse_or_reject(text):
+    try:
+        parse_instance(text)
+    except ValidationError:
+        pass
+
+
+class TestParseFuzz:
+    """parse_instance raises nothing but ValidationError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_arbitrary_text(self, text):
+        parse_or_reject(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 20), data=st.data())
+    def test_mutated_instances(self, family, seed, data):
+        doc = json.loads(serialize_instance(generate_instance(GenSpec(family, 5, seed=seed))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            path = data.draw(st.sampled_from(list(json_paths(doc))))
+            if not path:
+                doc = data.draw(JSON_VALUES)
+                continue
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if data.draw(st.booleans()):
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = data.draw(JSON_VALUES)
+        parse_or_reject(json.dumps(doc))
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), seed=st.integers(0, 20), data=st.data())
+    def test_mutated_text(self, family, seed, data):
+        text = serialize_instance(generate_instance(GenSpec(family, 5, seed=seed)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            i = data.draw(st.integers(0, len(text)))
+            j = data.draw(st.integers(i, min(len(text), i + 4)))
+            text = text[:i] + data.draw(st.text(max_size=4)) + text[j:]
+        parse_or_reject(text)
 
 
 class TestRoundTrip:

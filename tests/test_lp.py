@@ -264,12 +264,11 @@ class TestSolveLpAndRounding:
 
     def test_preconditions(self):
         inst = self._instance()
+        variables = lp_variables(inst, F(1, 3), F(10))
         with pytest.raises(PreconditionError):
-            solve_lp(inst, {0, 1, 2}, F(10), F(1, 3))  # dependent F
+            solve_lp(inst, {0, 1, 2}, variables)  # dependent F
         with pytest.raises(PreconditionError):
-            solve_lp(inst, {0, 2}, F(10), F(1, 3))  # cost 5 > budget 4
-        with pytest.raises(PreconditionError):
-            solve_lp(inst, set(), F(0), F(1, 3))
+            solve_lp(inst, {0, 2}, variables)  # cost 5 > budget 4
 
     def test_residual_matroid_contracts_and_filters(self):
         inst = self._instance()
@@ -283,7 +282,7 @@ class TestSolveLpAndRounding:
 
     def test_round_integral_feasible(self):
         inst = self._instance()
-        outcome = solve_lp(inst, {1}, F(6), F(1, 3))
+        outcome = solve_lp(inst, {1}, lp_variables(inst, F(1, 3), F(6)))
         chosen = round_integral(inst, outcome, {1})
         assert 1 in chosen
         assert inst.cost(chosen) <= inst.budget

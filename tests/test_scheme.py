@@ -1,13 +1,17 @@
+import ast
 import itertools
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import budgetmatroid
 from budgetmatroid import (
     EpsParam,
     FamilySpec,
+    PreconditionError,
     ValidationError,
     approximate,
     construct,
@@ -16,9 +20,11 @@ from budgetmatroid import (
     make_instance,
     run_for_alpha,
 )
+from budgetmatroid.generate import GenSpec, generate_instance
+from budgetmatroid.lp import lp_variables
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.scheme import RunSession, alpha_grid, class_partition, profit_class
+from budgetmatroid.scheme import RunSession, _better, alpha_grid, class_partition, profit_class
 from budgetmatroid.verify import (
     is_replacement,
     is_substitution,
@@ -109,6 +115,13 @@ class TestProfitClasses:
                 else:
                     assert (1 - eps.eps) ** r < ratio <= (1 - eps.eps) ** (r - 1)
 
+    def test_alpha_must_be_positive(self):
+        inst = small_instance()
+        with pytest.raises(PreconditionError):
+            profit_class(inst, EpsParam(3), F(0), 0)
+        with pytest.raises(PreconditionError):
+            run_for_alpha(inst, EpsParam(3), F(0))
+
     def test_partition_covers_classed_elements(self):
         inst = small_instance()
         classes = class_partition(inst, EpsParam(3), F(5))
@@ -169,9 +182,9 @@ class TestFindRep:
 class TestRunForAlpha:
     def test_single_element(self):
         inst = make_instance(F(1), [F(1)], [F(4)], FamilySpec("uniform", rank=1))
-        sol, stats = run_for_alpha(inst, EpsParam(3), F(4))
+        sol, enum_count = run_for_alpha(inst, EpsParam(3), F(4))
         assert sol == {0}
-        assert stats.enum_count >= 1
+        assert enum_count >= 1
 
     def test_enum_bound_holds(self):
         rng = random.Random(21)
@@ -182,8 +195,8 @@ class TestRunForAlpha:
             if opt == 0:
                 continue
             rep = find_rep(inst, eps, opt)
-            _, stats = run_for_alpha(inst, eps, opt)
-            assert stats.enum_count <= (len(rep.elements) + 1) ** eps.inv
+            _, enum_count = run_for_alpha(inst, eps, opt)
+            assert enum_count <= (len(rep.elements) + 1) ** eps.k
 
     def test_good_alpha_gives_good_profit(self):
         rng = random.Random(23)
@@ -204,17 +217,17 @@ class RecordingSession(RunSession):
         super().__init__(inst, eps)
         self.seen = []
 
-    def solve(self, f, alpha, variables):
+    def solve(self, f, variables):
         self.seen.append(f)
-        return super().solve(f, alpha, variables)
+        return super().solve(f, variables)
 
 
 def check_dfs_against_reference(inst, eps, alpha):
     dfs, ref = RecordingSession(inst, eps), RecordingSession(inst, eps)
-    sol, stats = run_for_alpha(inst, eps, alpha, dfs)
+    sol, enum_count = run_for_alpha(inst, eps, alpha, dfs)
     ref_sol, ref_count = reference_run_for_alpha(inst, eps, alpha, ref)
     assert sorted(map(sorted, dfs.seen)) == sorted(map(sorted, ref.seen))
-    assert stats.enum_count == ref_count
+    assert enum_count == ref_count
     assert sol == ref_sol
     assert dfs.oracle_counter[0] <= ref.oracle_counter[0]
 
@@ -311,6 +324,42 @@ class TestApproximate:
             assert b.profit == 7 * a.profit
 
 
+class TestGuessDedup:
+    """approximate against run_for_alpha on every point of its guess grid."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_enumeration_per_distinct_guess(self, family):
+        for seed in range(4):
+            for n in (6, 8):
+                inst = generate_instance(GenSpec(family, n, seed=seed))
+                for eps_target in (F(1, 2), F(1, 3)):
+                    check_against_every_guess(inst, eps_target)
+
+
+def check_against_every_guess(inst, eps_target):
+    """Guesses with the same R and LP variables give the same run; approximate
+    runs the first of each and returns the best run over the whole grid."""
+    report = approximate(inst, eps_target)
+    eps = EpsParam.from_target(eps_target)
+    session = RunSession(inst, eps)
+    first_of_guess, runs = {}, {}
+    best = None
+    for alpha in report.alpha_grid:
+        guess = (find_rep(inst, eps, alpha).elements, lp_variables(inst, eps.eps, alpha))
+        first_of_guess.setdefault(guess, alpha)
+        sol, enum_count = run_for_alpha(inst, eps, alpha, session)
+        assert runs.setdefault(guess, (sol, enum_count)) == (sol, enum_count)
+        profit = inst.profit(sol)
+        if best is None or _better(profit, sol, best[1], best[0]):
+            best = (sol, profit, alpha)
+    assert report.enum_counts == {a: runs[g][1] for g, a in first_of_guess.items()}
+    if best is None:
+        assert report.alpha_best is None and report.solution == ()
+    else:
+        assert report.solution == tuple(sorted(best[0]))
+        assert (report.profit, report.alpha_best) == best[1:]
+
+
 class TestCheckers:
     def setup_method(self):
         self.inst = small_instance()
@@ -393,3 +442,25 @@ class TestVerifyRepresentative:
             rep = find_rep(inst, eps, opt)
             ok, witness = verify_representative(inst, eps, rep.elements, opt)
             assert ok, (inst, sorted(rep.elements), witness)
+
+
+def imported_modules(tree) -> set:
+    """Every dotted component of every module a parsed source imports."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from . import x` names a module; `from .m import x` names m.
+            modules = [node.module] if node.module else [alias.name for alias in node.names]
+        else:
+            continue
+        for module in modules:
+            names.update(module.split("."))
+    return names
+
+
+@pytest.mark.parametrize("module", ["lp", "scheme"])
+def test_solve_path_imports_no_verification_code(module):
+    source = Path(budgetmatroid.__file__).with_name(f"{module}.py").read_text()
+    assert not imported_modules(ast.parse(source)) & {"verify", "simplex", "oracle", "itertools"}
