@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import InternalInvariantError, ScaleCapError, ValidationError
 from .generate import GenSpec, generate_instance
-from .instance import format_rational, parse_instance, serialize_instance
+from .instance import format_rational, parse_instance, parse_rational, serialize_instance
 from .lp import FractionalPoint
 from .oracle import brute_force_opt
 from .scheme import EpsParam, approximate, find_rep
@@ -36,20 +36,13 @@ def _load_instance(path: str):
     return inst
 
 
-def _parse_eps(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"invalid eps {text!r}", "eps") from exc
-
-
 def _ratio(profit: Fraction, opt: Fraction) -> Fraction:
     return profit / opt if opt > 0 else Fraction(1)
 
 
 def cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
-    report = approximate(inst, _parse_eps(args.eps))
+    report = approximate(inst, parse_rational(args.eps, "eps"))
     if args.exact:
         report.exact_profit = brute_force_opt(inst).profit
         report.ratio = _ratio(report.profit, report.exact_profit)
@@ -84,7 +77,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     inst = _load_instance(args.instance)
-    eps_target = _parse_eps(args.eps)
+    eps_target = parse_rational(args.eps, "eps")
     # Unit fractions are used directly for the property checkers; anything
     # else goes through the top-level parameter mapping.
     if eps_target.numerator == 1 and eps_target.denominator >= 3:
@@ -143,7 +136,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    eps = _parse_eps(args.eps)
+    eps = parse_rational(args.eps, "eps")
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         raise ValidationError(f"no .json instances under {args.dir}", "dir")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable
 
@@ -18,10 +19,27 @@ from .families import KINDS, FamilySpec, construct, validate_spec
 from .matroid import Matroid, restrict
 
 
-# Largest decimal exponent accepted in a rational literal; it matches
-# Python's default limit on the digits of an int converted from a string.
+# Largest decimal exponent accepted in a rational literal.
 MAX_EXPONENT = 4300
-_EXPONENT = re.compile(r"[eE][-+]?0*([0-9_]*)")
+# Most digits in the numerator or the denominator of a parsed rational, so
+# that 10**MAX_EXPONENT fits.
+MAX_DIGITS = MAX_EXPONENT + 1
+_BOUND = 10**MAX_DIGITS
+# Longest literal accepted: "-n/d" with MAX_DIGITS digits each, so every
+# accepted value prints (format_rational) as a literal that parses back.
+MAX_LITERAL = 2 * MAX_DIGITS + 2
+# Fraction's string grammar: "n", "n/d", or a decimal with an optional exponent.
+_RATIONAL = re.compile(
+    r"\s*([-+]?)(?=\d|\.\d)(\d+(?:_\d+)*)?"
+    r"(?:/(\d+(?:_\d+)*)|(?:\.(\d+(?:_\d+)*)?)?(?:[eE]([-+]?\d+(?:_\d+)*))?)\s*"
+)
+
+
+def _integer(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # more digits than the interpreter's int-string limit
+        return int(Decimal(digits))
 
 
 def parse_rational(value, path: str) -> Fraction:
@@ -30,21 +48,39 @@ def parse_rational(value, path: str) -> Fraction:
             "rationals must be strings like \"1/3\" or \"0.25\" (JSON numbers are forbidden)",
             path,
         )
-    # Fraction computes 10**exponent, so a huge exponent costs time before
-    # it can fail; the substring test keeps the common case off the regex.
-    exponent = ("e" in value or "E" in value) and _EXPONENT.search(value)
-    if exponent:
-        digits = exponent.group(1).replace("_", "")
-        if len(digits) > len(str(MAX_EXPONENT)) or int(digits or 0) > MAX_EXPONENT:
+    if len(value) > MAX_LITERAL:
+        raise ValidationError(f"rational literal longer than {MAX_LITERAL} characters", path)
+    match = _RATIONAL.fullmatch(value)
+    if match is None:
+        raise ValidationError(f"not a rational literal: {value!r}", path)
+    sign, num, den, dec, exp = match.groups()
+    n = _integer(num) if num else 0
+    d = _integer(den) if den else 1
+    if d == 0:
+        raise ValidationError(f"zero denominator in {value!r}", path)
+    if dec:
+        scale = 10 ** len(dec.replace("_", ""))
+        n, d = n * scale + _integer(dec), scale
+    if exp:
+        e = _integer(exp)
+        # 10**e costs time before the digit bound below could reject it.
+        if abs(e) > MAX_EXPONENT:
             raise ValidationError(f"decimal exponent exceeds {MAX_EXPONENT} in {value!r}", path)
-    try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"not a rational literal: {value!r} ({exc})", path) from exc
+        n, d = (n * 10**e, d) if e >= 0 else (n, d * 10**-e)
+    x = Fraction(-n if sign == "-" else n, d)
+    if abs(x.numerator) >= _BOUND or x.denominator >= _BOUND:
+        raise ValidationError(f"{value!r} has more than {MAX_DIGITS} digits in lowest terms", path)
+    return x
 
 
 def format_rational(x: Fraction) -> str:
-    return str(Fraction(x))
+    """``str(Fraction(x))`` for numerators and denominators of any size."""
+    x = Fraction(x)
+    try:
+        return str(x)
+    except ValueError:  # more digits than the interpreter's int-string limit
+        num = str(Decimal(x.numerator))
+        return num if x.denominator == 1 else f"{num}/{Decimal(x.denominator)}"
 
 
 @dataclass(frozen=True)
@@ -98,7 +134,9 @@ def make_instance(
             raise ValidationError("cost must be >= 0", f"elements[{i}].cost")
         if c > budget:
             raise ValidationError(
-                f"cost {c} of element {i} exceeds budget {budget}", f"elements[{i}].cost"
+                f"cost {format_rational(c)} of element {i} exceeds budget "
+                f"{format_rational(budget)}",
+                f"elements[{i}].cost",
             )
     for i, p in enumerate(profits):
         if p < 0:

@@ -13,8 +13,11 @@ either side of the budget give a budget-tight convex combination that is a
 vertex with at most two fractional entries.  Every solve checks primal =
 dual in exact arithmetic and the two-fractional bound.
 
-The cutting-plane solver with exhaustive separation that this replaces is
-kept in ``verify`` as the test reference.
+The tests compare solves on up to 9 elements with
+``verify.solve_polytope_lp_reference``.  A vertex of the feasible region
+lies on a vertex or an edge of P_M, and an edge joins two independent sets,
+so the reference takes the best affordable set or budget-tight mix of two
+sets.
 """
 
 from __future__ import annotations

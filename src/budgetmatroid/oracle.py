@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ScaleCapError, ValidationError
-from .instance import BmiInstance
+from .instance import BmiInstance, format_rational
 
 ZERO = Fraction(0)
 
@@ -74,7 +74,7 @@ def knapsack_dp(inst: BmiInstance, cap: int = 100_000) -> Fraction:
     assert capacity.denominator == 1
     capacity = int(capacity)
     if capacity > cap:
-        raise ScaleCapError(f"integerized budget {capacity} exceeds DP cap {cap}")
+        raise ScaleCapError(f"integerized budget {format_rational(capacity)} exceeds DP cap {cap}")
     dp: list[Fraction | None] = [None] * (capacity + 1)
     dp[0] = ZERO
     for e in elems:

@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .instance import BmiInstance
+from .instance import BmiInstance, format_rational
 from .lp import LpOutcome, lp_upper_bound, lp_variables, round_integral, solve_lp
 from .matroid import counting_view, min_weight_basis, restrict, truncate
 
@@ -95,21 +95,21 @@ class RunReport:
     ratio: Fraction | None = None
 
     def to_dict(self) -> dict:
-        frac = lambda x: None if x is None else str(Fraction(x))
+        optional = lambda x: None if x is None else format_rational(x)
         return {
             "solution": list(self.solution),
-            "profit": frac(self.profit),
-            "eps_target": frac(self.eps_target),
-            "eps_internal": frac(self.eps_internal),
-            "alpha_grid": [frac(a) for a in self.alpha_grid],
-            "alpha_best": frac(self.alpha_best),
-            "enum_counts": {frac(a): c for a, c in self.enum_counts.items()},
+            "profit": format_rational(self.profit),
+            "eps_target": format_rational(self.eps_target),
+            "eps_internal": format_rational(self.eps_internal),
+            "alpha_grid": [format_rational(a) for a in self.alpha_grid],
+            "alpha_best": optional(self.alpha_best),
+            "enum_counts": {format_rational(a): c for a, c in self.enum_counts.items()},
             "lp_calls": self.lp_calls,
             "oracle_calls": self.oracle_calls,
             "wall_ms": self.wall_ms,
             "dropped": list(self.dropped),
-            "exact_profit": frac(self.exact_profit),
-            "ratio": frac(self.ratio),
+            "exact_profit": optional(self.exact_profit),
+            "ratio": optional(self.ratio),
         }
 
 

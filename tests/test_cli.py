@@ -73,6 +73,40 @@ class TestSolve:
             docs.append(doc)
         assert docs[0] == docs[1]
 
+    def test_rationals_beyond_digit_limit_print_and_report(self, tmp_path, capsys):
+        # 10**4300 has 4,301 digits, one more than str(int) prints by default.
+        doc = {
+            "budget": "1e4300",
+            "elements": [{"cost": "1", "profit": "1e4300"}, {"cost": "2", "profit": "3"}],
+            "matroid": {"kind": "uniform", "rank": 1},
+        }
+        inst = tmp_path / "huge.json"
+        inst.write_text(json.dumps(doc))
+        report = tmp_path / "report.json"
+        code = main(["solve", "--instance", str(inst), "--eps", "1/2", "--report", str(report)])
+        assert code == 0
+        huge = "1" + "0" * 4300
+        assert f"profit:   {huge}\n" in capsys.readouterr().out
+        doc = json.loads(report.read_text())
+        assert doc["solution"] == [0] and doc["profit"] == huge
+
+    def test_cost_beyond_digit_limit_is_validation_error(self, tmp_path, capsys):
+        doc = {
+            "budget": "1",
+            "elements": [{"cost": "1e4300", "profit": "1"}],
+            "matroid": {"kind": "uniform", "rank": 1},
+        }
+        inst = tmp_path / "huge.json"
+        inst.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(inst), "--eps", "1/2"]) == 2
+        assert "elements[0].cost: cost 1" + "0" * 4300 + " of element 0" in capsys.readouterr().err
+
+    def test_eps_goes_through_the_rational_parser(self, tmp_path, capsys):
+        # Rejected before 10**exponent is computed, which would take minutes.
+        inst = gen(tmp_path)
+        assert main(["solve", "--instance", str(inst), "--eps", "1e-99999999"]) == 2
+        assert "eps: decimal exponent exceeds 4300" in capsys.readouterr().err
+
     def test_bad_eps_is_validation_error(self, tmp_path):
         inst = gen(tmp_path)
         assert main(["solve", "--instance", str(inst), "--eps", "zero"]) == 2

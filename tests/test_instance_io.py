@@ -9,6 +9,8 @@ from budgetmatroid import FamilySpec, ValidationError, make_instance
 from budgetmatroid.cli import main
 from budgetmatroid.generate import GENERATOR_VERSION, GenSpec, generate_instance
 from budgetmatroid.instance import (
+    MAX_DIGITS,
+    MAX_LITERAL,
     format_rational,
     parse_instance,
     parse_rational,
@@ -55,6 +57,49 @@ class TestRationals:
     def test_exponent_at_cap_accepted(self):
         assert parse_rational("1e4300", "x") == 10**4300
         assert parse_rational("1e-4300", "x") == F(1, 10**4300)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789./eE+-", max_size=7))
+    def test_grammar_matches_fraction(self, text):
+        try:
+            expected = F(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            assert parse_rational(text, "x") == expected
+        except ValidationError as err:
+            assert expected is None or "exponent exceeds" in str(err)
+
+    def test_underscores_between_digits(self):
+        assert parse_rational("+1_000/3_0", "x") == F(100, 3)
+        assert parse_rational("1_0.2_5e0_1", "x") == F(205, 2)
+        for bad in ("1_", "_1", "1__0", "1/_2"):
+            with pytest.raises(ValidationError):
+                parse_rational(bad, "x")
+
+    def test_digit_and_length_caps(self):
+        longest = "9" * MAX_DIGITS
+        assert parse_rational(longest, "x") == 10**MAX_DIGITS - 1
+        assert parse_rational("-1/" + longest, "x") == F(-1, 10**MAX_DIGITS - 1)
+        # Leading zeros count toward the length cap only.
+        assert parse_rational("1e-" + "0" * 5000 + "3", "x") == F(1, 1000)
+        assert parse_rational("0" * (MAX_LITERAL - 1) + "7", "x") == 7
+        for bad in ("9" + longest, "1/9" + longest, "10e4300", "0" * MAX_LITERAL + "7"):
+            with pytest.raises(ValidationError):
+                parse_rational(bad, "x")
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["1e4300", "-1e-4300", "9" * MAX_DIGITS, "1/" + "9" * MAX_DIGITS, "0.5e4300"],
+        ids=["1e4300", "-1e-4300", "longest-integer", "longest-denominator", "0.5e4300"],
+    )
+    def test_round_trip_at_the_caps(self, literal):
+        x = parse_rational(literal, "x")
+        assert parse_rational(format_rational(x), "x") == x
+
+    def test_format_beyond_digit_limit(self):
+        assert format_rational(F(10**4300)) == "1" + "0" * 4300
+        assert format_rational(F(-1, 10**5000)) == "-1/1" + "0" * 5000
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
     def test_round_trip(self, num, den):
@@ -245,6 +290,13 @@ class TestRoundTrip:
         assert again.costs == inst.costs
         assert again.profits == inst.profits
         assert again.matroid_spec == inst.matroid_spec
+        assert serialize_instance(again) == text
+
+    def test_profit_beyond_digit_limit_round_trips(self):
+        inst = parse_instance(json.dumps(minimal_doc(elements=[{"cost": "1", "profit": "1e4300"}])))
+        text = serialize_instance(inst)
+        again = parse_instance(text)
+        assert again.profits == (F(10**4300),)
         assert serialize_instance(again) == text
 
     @pytest.mark.parametrize("family", FAMILIES)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from budgetmatroid import (
     FamilySpec,
     PreconditionError,
+    ScaleCapError,
     construct,
     contract,
     make_instance,
@@ -25,8 +26,7 @@ from budgetmatroid.lp import (
     solve_polytope_lp,
 )
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.simplex import simplex_max
-from budgetmatroid.verify import separate, solve_polytope_lp_reference
+from budgetmatroid.verify import LP_REFERENCE_CAP, separate, solve_polytope_lp_reference
 from helpers import (
     FAMILIES,
     all_independent_sets,
@@ -88,7 +88,7 @@ class TestSeparate:
 
 
 def dense_case(seed):
-    """(matroid, profits, costs, budget) of test_matches_dense_formulation."""
+    """(matroid, profits, costs, budget) of a random LP with at most 6 elements."""
     rng = random.Random(900 + seed)
     m = random_matroid(rng, rng.randint(1, 6))
     elems = sorted(m.ground)
@@ -136,28 +136,31 @@ class TestSolvePolytopeLp:
         m, profits, costs, budget = dense_case(seed)
         elems = sorted(m.ground)
         outcome = solve_polytope_lp(m, profits, costs, budget)
-        # Dense reference: every rank constraint written out explicitly.
-        rows = [[costs[e] for e in elems]]
-        rhs = [budget]
+        x = outcome.point
+        # Dense formulation: the budget row, the box, and every rank
+        # constraint written out explicitly, checked row by row.
+        assert sum((costs[e] * x[e] for e in elems), F(0)) <= budget
+        assert all(0 <= x[e] <= 1 for e in elems)
         for size in range(1, len(elems) + 1):
             for combo in itertools.combinations(elems, size):
-                rows.append([F(1) if e in combo else F(0) for e in elems])
-                rhs.append(F(rank(m, set(combo))))
-        _, dense_value = simplex_max([profits[e] for e in elems], rows, rhs)
-        assert outcome.objective == dense_value
+                assert x.mass(combo) <= rank(m, set(combo))
+        assert outcome.objective == solve_polytope_lp_reference(m, profits, costs, budget)
         assert len(outcome.fractional_support) <= 2
 
 
 def check_against_reference(m, profits, costs, budget):
-    """The parametric-greedy solve against the cutting-plane reference.
+    """The parametric-greedy solve against the pair-enumeration reference.
 
-    Also checks the returned multiplier independently: its Lagrangian bound,
-    maximized over every independent set, equals the objective.
+    The reference runs up to LP_REFERENCE_CAP elements.  Every case also
+    checks a certificate that proves optimality on its own: x is feasible
+    (budget and exhaustive separation), and the returned multiplier's
+    Lagrangian bound, maximized over every independent set, equals the
+    objective.
     """
     outcome = solve_polytope_lp(m, profits, costs, budget)
-    _, reference = solve_polytope_lp_reference(m, profits, costs, budget)
     x = outcome.point
-    assert outcome.objective == reference
+    if len(m.ground) <= LP_REFERENCE_CAP:
+        assert outcome.objective == solve_polytope_lp_reference(m, profits, costs, budget)
     assert outcome.objective == sum((profits[e] * x[e] for e in x.domain), F(0))
     assert sum((costs[e] * x[e] for e in x.domain), F(0)) <= budget
     assert separate(m, x).inside
@@ -178,7 +181,7 @@ def solve_listed(m, items, budget):
 
 
 class TestAgainstReference:
-    """solve_polytope_lp against the cutting-plane solver kept in verify."""
+    """solve_polytope_lp against the reference and its optimality certificate."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_dense_formulation_cases(self, seed):
@@ -251,6 +254,36 @@ class TestAgainstReference:
         assert outcome.multiplier == 0
         assert outcome.objective == 9
         assert outcome.fractional_support == ()
+
+
+class TestPairReference:
+    """The reference on LPs solved by hand."""
+
+    def test_expensive_element_fractional_vertex(self):
+        # Half of element 0 (profit 3, cost 2) fills the budget of 1.
+        value = solve_polytope_lp_reference(free(2), {0: F(3), 1: F(1)}, {0: F(2), 1: F(1)}, F(1))
+        assert value == F(3, 2)
+
+    def test_swap_edge_two_fractional_entries(self):
+        # Rank 1: the optimum x = (1/2, 1/2) lies on the edge from {0} to {1}.
+        m = construct(FamilySpec("uniform", rank=1), 2)
+        assert solve_polytope_lp_reference(m, {0: F(3), 1: F(1)}, {0: F(2), 1: F(0)}, F(1)) == 2
+
+    def test_rank_constraint_binds(self):
+        # The budget is slack; rank 2 keeps the two best of three elements.
+        m = construct(FamilySpec("uniform", rank=2), 3)
+        profits = {0: F(3), 1: F(2), 2: F(1)}
+        assert solve_polytope_lp_reference(m, profits, {e: F(1) for e in m.ground}, F(10)) == 5
+
+    def test_refuses_above_cap(self):
+        m = free(LP_REFERENCE_CAP + 1)
+        unit = {e: F(1) for e in m.ground}
+        with pytest.raises(ScaleCapError):
+            solve_polytope_lp_reference(m, unit, unit, F(1))
+
+    def test_negative_budget_rejected(self):
+        with pytest.raises(PreconditionError):
+            solve_polytope_lp_reference(free(1), {0: F(1)}, {0: F(1)}, F(-1))
 
 
 class TestSolveLpAndRounding:

@@ -84,6 +84,11 @@ class TestKnapsackDp:
         with pytest.raises(ScaleCapError):
             knapsack_dp(inst)
 
+    def test_cap_names_a_budget_beyond_digit_limit(self):
+        inst = free_instance("1e4300", [1], [1])
+        with pytest.raises(ScaleCapError, match="integerized budget 1" + "0" * 4300 + " exceeds"):
+            knapsack_dp(inst)
+
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_brute_force_randomized(self, seed):
         rng = random.Random(100 + seed)
