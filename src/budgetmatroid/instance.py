@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import ValidationError
-from .families import KINDS, FamilySpec, construct, validate_spec
+from .families import KINDS, FamilySpec, check_basis_exchange, construct
 from .matroid import Matroid, restrict
 
 
@@ -244,8 +244,10 @@ def parse_instance(text: str) -> BmiInstance:
         costs.append(parse_rational(el.get("cost"), f"elements[{i}].cost"))
         profits.append(parse_rational(el.get("profit"), f"elements[{i}].profit"))
     spec = _spec_from_json(obj["matroid"])
-    validate_spec(spec, len(costs))
-    return make_instance(budget, costs, profits, spec)
+    inst = make_instance(budget, costs, profits, spec)
+    if spec.kind == "explicit":
+        check_basis_exchange(spec.maximal_sets)
+    return inst
 
 
 def serialize_instance(inst: BmiInstance) -> str:

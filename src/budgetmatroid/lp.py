@@ -4,14 +4,20 @@ solve_polytope_lp maximizes p.x over {x in P_M : c.x <= budget} through its
 Lagrangian dual, min over lambda >= 0 of lambda*budget + max{w.x : x in P_M}
 with w = p - lambda*c, whose inner maximum is the greedy algorithm on the
 positive weights (Ravi and Goemans, SWAT 1996; Berger, Bonifaci, Grandoni
-and Schaefer, Math. Prog. 2011).  The greedy order changes only at O(n^2)
-breakpoints, so an exact binary search over them finds the optimal
-multiplier lambda*.  Walking from the greedy order just left of lambda* to
-the one just right of it, one tie or zero weight at a time, changes the
-greedy set by one addition, removal or swap per step; the two sets on
-either side of the budget give a budget-tight convex combination that is a
-vertex with at most two fractional entries.  Every solve checks primal =
-dual in exact arithmetic and the two-fractional bound.
+and Schaefer, Math. Prog. 2011).  The dual is the upper envelope of one line
+p(S) + lambda*(budget - c(S)) per independent set S.  Newton's method for
+this parametric problem (Dinkelbach 1967; Radzik 1992, "Newton's method for
+fractional combinatorial optimization"), in the line-intersection form of
+Eisner and Severance (JACM 1976), finds the optimal multiplier lambda*: it
+intersects the lines of an over-budget and an affordable greedy set, runs
+greedy at the intersection and stops when that greedy set's line passes
+through it, one greedy pass per step.  Walking from the greedy order just
+left of lambda* to the one just right of it, one tie or zero weight at a
+time, changes the greedy set by one addition, removal or swap per step; the
+two sets on either side of the budget give a budget-tight convex
+combination that is a vertex with at most two fractional entries.  Every
+solve checks primal = dual in exact arithmetic and the two-fractional
+bound.
 
 The tests compare solves on up to 9 elements with
 ``verify.solve_polytope_lp_reference``.  A vertex of the feasible region
@@ -72,21 +78,6 @@ class LpOutcome:
     multiplier: Fraction  # optimal dual multiplier lambda* of the budget row
 
 
-def _breakpoints(items: list[int], profits, costs) -> list[Fraction]:
-    """Sorted positive lambdas where a weight p - lambda*c changes sign or two
-    weights cross; between consecutive ones the greedy order is fixed."""
-    points = set()
-    for i, e in enumerate(items):
-        if costs[e] > 0:
-            points.add(profits[e] / costs[e])
-        for f in items[i + 1 :]:
-            if costs[e] != costs[f]:
-                lam = (profits[e] - profits[f]) / (costs[e] - costs[f])
-                if lam > 0:
-                    points.add(lam)
-    return sorted(points)
-
-
 def _walk(seq: list[int], w: Mapping[int, Fraction], costs) -> Iterable[list[int]]:
     """Orders from the greedy order just left of lambda* to the one just right.
 
@@ -123,33 +114,32 @@ def solve_polytope_lp(
     domain = tuple(sorted(m.ground))
     items = [e for e in domain if profits[e] > 0]
     cost = lambda s: sum((costs[e] for e in s), ZERO)
+    profit = lambda s: sum((profits[e] for e in s), ZERO)
+    reduced = lambda s, lam: sum((profits[e] - lam * costs[e] for e in s), ZERO)
 
-    def greedy_at(lam: Fraction) -> frozenset:
-        w = {e: profits[e] - lam * costs[e] for e in items}
-        return greedy(m, sorted((e for e in items if w[e] > 0), key=lambda e: (-w[e], e)))
-
-    # Interval i runs from breaks[i-1] (0 for i = 0) to breaks[i] (infinity
-    # for the last); greedy sets cost less as lambda grows, and the last one
-    # holds only zero-cost elements, so it is affordable.
-    breaks = _breakpoints(items, profits, costs)
-    edges = [ZERO, *breaks]
-    probes = [(a + b) / 2 for a, b in zip(edges, breaks)] + [edges[-1] + 1]
-    lo, hi = 0, len(breaks)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cost(greedy_at(probes[mid])) <= budget:
-            hi = mid
-        else:
-            lo = mid + 1
-
-    if lo == 0:
-        # The greedy set for lambda near 0 maximizes profit and is affordable.
-        lam = ZERO
-        heavy = light = greedy_at(probes[0])
-        theta = ZERO
+    # The greedy set just right of lambda = 0: equal profits are ordered by
+    # cost, so it is the cheapest set of maximum profit.
+    heavy = greedy(m, sorted(items, key=lambda e: (-profits[e], costs[e], e)))
+    if cost(heavy) <= budget:
+        lam, light, theta = ZERO, heavy, ZERO
     else:
-        lam = breaks[lo - 1]
-        w = {e: profits[e] - lam * costs[e] for e in items}
+        # Newton steps: ``heavy`` stays over budget and ``light``, first the
+        # greedy set for lambda -> infinity, affordable.  When the greedy set
+        # where their lines meet lies on that point, lambda minimizes the
+        # dual, and no smaller lambda does: the line of ``heavy`` falls.
+        zero_cost = sorted((e for e in items if costs[e] == 0), key=lambda e: (-profits[e], e))
+        light = greedy(m, zero_cost)
+        while True:
+            lam = (profit(heavy) - profit(light)) / (cost(heavy) - cost(light))
+            w = {e: profits[e] - lam * costs[e] for e in items}
+            probe = greedy(m, sorted((e for e in items if w[e] > 0), key=lambda e: (-w[e], e)))
+            if reduced(probe, lam) == reduced(heavy, lam):
+                break
+            if cost(probe) > budget:
+                heavy = probe
+            else:
+                light = probe
+
         left = sorted((e for e in items if w[e] >= 0), key=lambda e: (-w[e], -costs[e], e))
         heavy = None
         for seq in _walk(left, w, costs):
@@ -171,8 +161,8 @@ def solve_polytope_lp(
     objective = sum((profits[e] * v for e, v in values.items()), ZERO)
 
     # Primal = dual: x is feasible and p.x equals the Lagrangian bound at lam.
-    reduced = lambda s: sum((profits[e] - lam * costs[e] for e in s), ZERO)
-    if reduced(heavy) != reduced(light) or objective != lam * budget + reduced(light):
+    dual = lam * budget + reduced(light, lam)
+    if reduced(heavy, lam) != reduced(light, lam) or objective != dual:
         raise InternalInvariantError("parametric greedy: primal value differs from dual bound")
     if sum((costs[e] * v for e, v in values.items()), ZERO) > budget:
         raise InternalInvariantError("parametric greedy: point exceeds the budget")

@@ -10,12 +10,11 @@ Checkers for the properties the scheme relies on live in ``verify``.
 
 from __future__ import annotations
 
-import operator
 import time
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import floor, inf, log
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance, format_rational
@@ -23,7 +22,6 @@ from .lp import LpOutcome, lp_upper_bound, lp_variables, round_integral, solve_l
 from .matroid import counting_view, min_weight_basis, restrict, truncate
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -31,7 +29,9 @@ class EpsParam:
     """Accuracy parameter restricted to integer reciprocals 1/k, k >= 3.
 
     The restriction keeps 1/eps, the truncation level k^k and every class
-    interval endpoint exact.
+    interval endpoint (1-eps)^r exact.  The endpoints are computed where a
+    class index is looked up and never tabulated: there are about k ln(2k)
+    of them, and (1-eps)^r has about r log10(k) digits.
     """
 
     k: int
@@ -58,18 +58,25 @@ class EpsParam:
         return self.k**self.k
 
     @cached_property
-    def bounds(self) -> tuple[Fraction, ...]:
-        """Class bounds (1-eps)^r for r = 0 .. r_max, decreasing."""
-        one_minus = 1 - self.eps
-        powers = [ONE]
-        while powers[-1] >= self.eps / 2:
-            powers.append(powers[-1] * one_minus)
-        return tuple(powers)
-
-    @property
     def r_max(self) -> int:
-        """Largest class index: max{m : (1-eps)^m >= eps/2} + 1, exactly."""
-        return len(self.bounds) - 1
+        """Largest class index, the class of eps/2: (1-eps)^(r_max-1) >= eps/2 > (1-eps)^r_max."""
+        return _power_index(1 - self.eps, self.eps / 2, inf)
+
+
+def _power_index(base: Fraction, x: Fraction, cap: float) -> int:
+    """min(cap, the r >= 1 with x in (base^r, base^(r-1)]) for 0 < base < 1, 0 < x <= 1.
+
+    The logarithms of numerator and denominator, taken apart because x may
+    be too small for a float, guess r; exact comparisons settle it, with
+    one power and then one multiplication or division per step.
+    """
+    r = min(max(1, floor((log(x.numerator) - log(x.denominator)) / log(base)) + 1), cap)
+    upper = base ** (r - 1)
+    while r > 1 and x > upper:
+        r, upper = r - 1, upper / base
+    while r < cap and x <= upper * base:
+        r, upper = r + 1, upper * base
+    return r
 
 
 @dataclass(frozen=True)
@@ -114,13 +121,14 @@ class RunReport:
 
 
 def profit_class(inst: BmiInstance, eps: EpsParam, alpha: Fraction, e: int) -> int | None:
-    """Class index r with p(e)/(2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None."""
+    """Class index r <= r_max with p(e)/(2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None."""
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
     ratio = inst.profits[e] / (2 * alpha)
-    # The bounds decrease, so the number of them >= ratio is the class index.
-    r = bisect_right(eps.bounds, -ratio, key=operator.neg)
-    return r if 1 <= r <= eps.r_max else None
+    if not 0 < ratio <= 1:
+        return None
+    r = _power_index(1 - eps.eps, ratio, eps.r_max + 1)
+    return r if r <= eps.r_max else None
 
 
 def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:

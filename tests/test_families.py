@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from budgetmatroid import FamilySpec, ValidationError, check_axioms, construct, rank
-from budgetmatroid.families import column_rank, columns_independent
+from budgetmatroid.families import check_basis_exchange, column_rank, columns_independent
 from helpers import FAMILIES, all_bases, random_matroid
 
 
@@ -106,3 +106,24 @@ class TestRandomFamiliesAreMatroids:
             m = random_matroid(rng, n, kind=family)
             report = check_axioms(m)
             assert report.ok, (family, i, report)
+
+
+class TestBasisExchange:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_agrees_with_axiom_checker(self, seed):
+        # A random antichain of subsets of 5 elements: the maximal members of
+        # a few random sets, of one size or of mixed sizes.
+        rng = random.Random(seed)
+        size = rng.randint(0, 5) if seed % 2 else None
+        drawn = set()
+        for _ in range(rng.randint(1, 8)):
+            k = size if size is not None else rng.randint(0, 5)
+            drawn.add(frozenset(rng.sample(range(5), k)))
+        sets = tuple(sorted(tuple(sorted(s)) for s in drawn if not any(s < t for t in drawn)))
+        is_matroid = check_axioms(construct(FamilySpec("explicit", maximal_sets=sets), 5)).ok
+        try:
+            check_basis_exchange(sets)
+        except ValidationError:
+            assert not is_matroid
+        else:
+            assert is_matroid

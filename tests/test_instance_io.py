@@ -143,6 +143,26 @@ class TestParse:
         assert main(["solve", "--instance", str(inst), "--eps", "1/3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sets", [[[0, 1], [2]], [[0, 1], [2, 3]]])
+    def test_non_matroid_explicit_family_rejected(self, sets, tmp_path, capsys):
+        doc = minimal_doc(
+            elements=[{"cost": "1", "profit": "1"}] * 4,
+            matroid={"kind": "explicit", "maximal_sets": sets},
+        )
+        with pytest.raises(ValidationError) as err:
+            parse_instance(json.dumps(doc))
+        assert err.value.path == "matroid.maximal_sets"
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(doc))
+        assert main(["solve", "--instance", str(inst), "--eps", "1/3"]) == 2
+        assert "maximal_sets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [6, 8, 10])
+    def test_generated_explicit_families_parse(self, n):
+        for seed in range(7):
+            inst = generate_instance(GenSpec("explicit", n, seed))
+            assert parse_instance(serialize_instance(inst)).matroid_spec == inst.matroid_spec
+
     def test_numeric_cost_rejected_with_path(self):
         doc = minimal_doc()
         doc["elements"][1]["cost"] = 0.5

@@ -216,6 +216,22 @@ class TestAgainstReference:
         costs = {e: F(rng.randint(0, top)) for e in m.ground}
         check_against_reference(m, profits, costs, F(budget))
 
+    def test_tight_on_an_interval(self):
+        # The greedy set {1, 2} costs exactly the budget for lambda in
+        # (4/3, 3/2); the multiplier is the left end, where the walk starts.
+        m = construct(FamilySpec("uniform", rank=3), 3)
+        outcome = solve_listed(m, [(4, 3), (3, 2), (2, 1)], 3)
+        assert outcome.multiplier == F(4, 3)
+        assert outcome.objective == 5
+        assert outcome.point.support() == (1, 2)
+
+    def test_tie_at_zero_broken_by_cost(self):
+        # Equal profits: the cheaper element is the greedy set at lambda = 0.
+        m = construct(FamilySpec("uniform", rank=1), 2)
+        outcome = solve_listed(m, [(3, 2), (3, 1)], 5)
+        assert outcome.multiplier == 0
+        assert outcome.point.support() == (1,)
+
     def test_several_pairs_cross_at_the_multiplier(self):
         # p = c + 1 for every element: all weights tie at lambda = 1, and the
         # greedy order reverses there.

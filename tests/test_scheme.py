@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -71,6 +72,28 @@ class TestEpsParam:
     def test_r_max_matches_reference(self, k):
         assert EpsParam(k).r_max == r_max_reference(k)
 
+    def test_r_max_at_small_eps(self):
+        eps = EpsParam(1400)
+        one_minus = 1 - eps.eps
+        assert one_minus ** (eps.r_max - 1) >= eps.eps / 2 > one_minus**eps.r_max
+
+    def test_small_eps_memory(self):
+        # eps target 1/200 gives k = 1400 and r_max = 11,109; class bounds
+        # that deep have tens of thousands of digits each.
+        inst = make_instance(
+            F(5),
+            [F(2), F(3), F(1), F(4), F(1), F(2)],
+            [F(8), F(6), F(3), F(1), F(2), F(5)],
+            FamilySpec("uniform", rank=3),
+        )
+        tracemalloc.start()
+        try:
+            approximate(inst, F(1, 200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
 
 def small_instance():
     # Partition matroid, two blocks of two, one pick each.
@@ -80,6 +103,16 @@ def small_instance():
         [F(8), F(6), F(3), F(1)],
         FamilySpec("partition", blocks=((0, 1), (2, 3)), capacities=(1, 1)),
     )
+
+
+def check_class(inst, eps, alpha, e):
+    """profit_class of e against the interval definition."""
+    ratio = inst.profits[e] / (2 * alpha)
+    r = profit_class(inst, eps, alpha, e)
+    if r is None:
+        assert ratio > 1 or ratio <= (1 - eps.eps) ** eps.r_max
+    else:
+        assert (1 - eps.eps) ** r < ratio <= (1 - eps.eps) ** (r - 1)
 
 
 class TestProfitClasses:
@@ -108,12 +141,20 @@ class TestProfitClasses:
             eps = EpsParam(rng.choice((3, 4, 5)))
             alpha = F(rng.randint(1, 40), rng.choice((1, 2)))
             for e in sorted(inst.active):
-                ratio = inst.profits[e] / (2 * alpha)
-                r = profit_class(inst, eps, alpha, e)
-                if r is None:
-                    assert ratio > 1 or ratio <= (1 - eps.eps) ** eps.r_max
-                else:
-                    assert (1 - eps.eps) ** r < ratio <= (1 - eps.eps) ** (r - 1)
+                check_class(inst, eps, alpha, e)
+
+    @pytest.mark.parametrize("k", [3, 7, 21])
+    def test_matches_interval_definition_at_the_bounds(self, k):
+        # Ratios on and just beside every bound (1-eps)^j, where the float
+        # guess of the class can land on either side.
+        eps = EpsParam(k)
+        tiny = F(1, 10**30)
+        ratios = [
+            (1 - eps.eps) ** j * f for j in range(eps.r_max + 2) for f in (1 - tiny, 1, 1 + tiny)
+        ]
+        inst = make_instance(F(1), [F(0)] * len(ratios), ratios, FamilySpec("uniform", rank=1))
+        for e in range(len(ratios)):
+            check_class(inst, eps, F(1, 2), e)
 
     def test_alpha_must_be_positive(self):
         inst = small_instance()
