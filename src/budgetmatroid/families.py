@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .errors import ValidationError
@@ -29,33 +30,50 @@ class FamilySpec:
     maximal_sets: tuple[tuple[int, ...], ...] | None = None
 
 
-def columns_independent(cols: Sequence[Sequence[Fraction]]) -> bool:
-    """Exact Gaussian elimination; True iff the columns are linearly independent."""
+def _integer_column(col: Sequence[Fraction]) -> tuple[int, ...]:
+    """The column times the lcm of its denominators: the same span, integer entries."""
+    d = 1
+    for x in col:
+        d = lcm(d, x.denominator)
+    return tuple([x.numerator * (d // x.denominator) for x in col])
+
+
+def _integer_columns_independent(cols: Sequence[Sequence[int]]) -> bool:
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968) on integer columns.
+
+    Each column in turn takes its first nonzero entry as pivot and clears
+    that row from the later columns.  Each update is a 2x2 cross product
+    divided exactly by the previous pivot, so every entry stays an integer
+    minor of the input.  A column that is zero when its turn comes lies in
+    the span of the earlier ones.
+    """
     if not cols:
         return True
     dim = len(cols[0])
     if len(cols) > dim:
         return False
-    # Work on the transpose-free copy; eliminate column by column.
     mat = [list(col) for col in cols]
-    used_rows: set[int] = set()
-    for vec in mat:
-        pivot_row = None
-        for r in range(dim):
-            if r not in used_rows and vec[r] != 0:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    prev = 1
+    for i, vec in enumerate(mat):
+        row = next((r for r in range(dim) if vec[r] != 0), None)
+        if row is None:
             return False
-        used_rows.add(pivot_row)
-        inv = 1 / vec[pivot_row]
-        for other in mat:
-            if other is vec or other[pivot_row] == 0:
-                continue
-            factor = other[pivot_row] * inv
+        pivot = vec[row]
+        for other in mat[i + 1 :]:
+            factor = other[row]
             for r in range(dim):
-                other[r] -= factor * vec[r]
+                other[r] = (pivot * other[r] - factor * vec[r]) // prev
+        prev = pivot
     return True
+
+
+def columns_independent(cols: Sequence[Sequence[Fraction]]) -> bool:
+    """True iff the rational columns are linearly independent.
+
+    Each column is scaled to integers, which keeps its span, and the
+    integer columns go through fraction-free elimination.
+    """
+    return _integer_columns_independent([_integer_column(col) for col in cols])
 
 
 def column_rank(cols: Sequence[Sequence[Fraction]]) -> int:
@@ -223,10 +241,10 @@ def construct(spec: FamilySpec, n: int) -> Matroid:
             return True
 
     elif spec.kind == "linear":
-        cols = spec.columns
+        cols = tuple(_integer_column(col) for col in spec.columns)
 
         def indep(s, _cols=cols):
-            return columns_independent([_cols[e] for e in sorted(s)])
+            return _integer_columns_independent([_cols[e] for e in sorted(s)])
 
     else:  # explicit
         sets = tuple(frozenset(ms) for ms in spec.maximal_sets)

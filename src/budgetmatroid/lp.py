@@ -19,6 +19,14 @@ combination that is a vertex with at most two fractional entries.  Every
 solve checks primal = dual in exact arithmetic and the two-fractional
 bound.
 
+The solve runs on integers: profits are scaled by the lcm of their
+denominators and costs and budget by the lcm of theirs, lambda is a pair of
+integers, and every weight, sum and comparison is exact integer arithmetic.
+Only theta, lambda*, the point and the objective are made Fractions, once
+at the end of a solve.  ``IntegerView`` holds an instance scaled this way;
+``solve_lp`` passes it to ``solve_polytope_lp`` and scales the objective
+and the multiplier back.
+
 The tests compare solves on up to 9 elements with
 ``verify.solve_polytope_lp_reference``.  A vertex of the feasible region
 lies on a vertex or an edge of P_M, and an edge joins two independent sets,
@@ -30,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
@@ -78,7 +87,7 @@ class LpOutcome:
     multiplier: Fraction  # optimal dual multiplier lambda* of the budget row
 
 
-def _walk(seq: list[int], w: Mapping[int, Fraction], costs) -> Iterable[list[int]]:
+def _walk(seq: list[int], w: Mapping[int, int], costs) -> Iterable[list[int]]:
     """Orders from the greedy order just left of lambda* to the one just right.
 
     ``seq`` starts as the left order.  Zero-weight elements, last in it,
@@ -102,77 +111,118 @@ def _walk(seq: list[int], w: Mapping[int, Fraction], costs) -> Iterable[list[int
                 yield seq
 
 
-def solve_polytope_lp(
-    m: Matroid,
-    profits: Mapping[int, Fraction],
-    costs: Mapping[int, Fraction],
-    budget: Fraction,
-) -> LpOutcome:
-    """Exact basic optimum of max{p.x : c.x <= budget, x in P_M, x >= 0}."""
+def _scaled(values, d: int) -> list[int]:
+    """The rationals ``values`` times ``d``, a common multiple of their denominators."""
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
+class IntegerView:
+    """An instance's profits times ``dp``, the lcm of their denominators, and
+    its costs and budget times ``dc``, the lcm of theirs.
+
+    Positive scaling keeps every comparison of sums, so the solve path
+    compares costs, profits and LP weights as integers.  A run builds the
+    view once; it is not kept on the instance.
+    """
+
+    __slots__ = ("profits", "costs", "budget", "dp", "dc")
+
+    def __init__(self, inst: BmiInstance):
+        self.dp = lcm(*(p.denominator for p in inst.profits))
+        self.dc = lcm(inst.budget.denominator, *(c.denominator for c in inst.costs))
+        self.profits = tuple(_scaled(inst.profits, self.dp))
+        self.costs = tuple(_scaled(inst.costs, self.dc))
+        self.budget = inst.budget.numerator * (self.dc // inst.budget.denominator)
+
+    def cost(self, elements: Iterable[int]) -> int:
+        return sum(self.costs[e] for e in elements)
+
+    def profit(self, elements: Iterable[int]) -> int:
+        return sum(self.profits[e] for e in elements)
+
+
+def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
+    """Exact basic optimum of max{p.x : c.x <= budget, x in P_M, x >= 0}.
+
+    ``profits`` and ``costs``, mappings or sequences indexed by element,
+    give each element of ``m.ground`` a rational or an int.  Profits are
+    scaled by the lcm D_p of their denominators, costs and budget by the
+    lcm D_c of theirs, and the solve runs on those integers: at
+    lambda = a/b the greedy order sorts on b*P_e - a*C_e, a positive
+    multiple of p_e - lambda*c_e.  The point, the objective and
+    lambda* = a*D_c / (b*D_p) become Fractions at the end.
+    """
     if budget < 0:
         raise PreconditionError("negative residual budget")
     domain = tuple(sorted(m.ground))
-    items = [e for e in domain if profits[e] > 0]
-    cost = lambda s: sum((costs[e] for e in s), ZERO)
-    profit = lambda s: sum((profits[e] for e in s), ZERO)
-    reduced = lambda s, lam: sum((profits[e] - lam * costs[e] for e in s), ZERO)
+    dp = lcm(*(profits[e].denominator for e in domain))
+    dc = lcm(budget.denominator, *(costs[e].denominator for e in domain))
+    P = dict(zip(domain, _scaled((profits[e] for e in domain), dp)))
+    C = dict(zip(domain, _scaled((costs[e] for e in domain), dc)))
+    B = budget.numerator * (dc // budget.denominator)
+    items = [e for e in domain if P[e] > 0]
+    cost = lambda s: sum(C[e] for e in s)
+    profit = lambda s: sum(P[e] for e in s)
 
     # The greedy set just right of lambda = 0: equal profits are ordered by
     # cost, so it is the cheapest set of maximum profit.
-    heavy = greedy(m, sorted(items, key=lambda e: (-profits[e], costs[e], e)))
-    if cost(heavy) <= budget:
-        lam, light, theta = ZERO, heavy, ZERO
+    heavy = greedy(m, sorted(items, key=lambda e: (-P[e], C[e], e)))
+    if cost(heavy) <= B:
+        a, b, light, theta = 0, 1, heavy, ZERO
     else:
         # Newton steps: ``heavy`` stays over budget and ``light``, first the
         # greedy set for lambda -> infinity, affordable.  When the greedy set
         # where their lines meet lies on that point, lambda minimizes the
         # dual, and no smaller lambda does: the line of ``heavy`` falls.
-        zero_cost = sorted((e for e in items if costs[e] == 0), key=lambda e: (-profits[e], e))
+        # lambda = a/b, and w[e] is b * D_p * (p_e - lambda*c_e).
+        zero_cost = sorted((e for e in items if C[e] == 0), key=lambda e: (-P[e], e))
         light = greedy(m, zero_cost)
         while True:
-            lam = (profit(heavy) - profit(light)) / (cost(heavy) - cost(light))
-            w = {e: profits[e] - lam * costs[e] for e in items}
+            a, b = profit(heavy) - profit(light), cost(heavy) - cost(light)
+            w = {e: b * P[e] - a * C[e] for e in items}
             probe = greedy(m, sorted((e for e in items if w[e] > 0), key=lambda e: (-w[e], e)))
-            if reduced(probe, lam) == reduced(heavy, lam):
+            if sum(w[e] for e in probe) == sum(w[e] for e in heavy):
                 break
-            if cost(probe) > budget:
+            if cost(probe) > B:
                 heavy = probe
             else:
                 light = probe
 
-        left = sorted((e for e in items if w[e] >= 0), key=lambda e: (-w[e], -costs[e], e))
+        left = sorted((e for e in items if w[e] >= 0), key=lambda e: (-w[e], -C[e], e))
         heavy = None
-        for seq in _walk(left, w, costs):
+        for seq in _walk(left, w, C):
             light = greedy(m, seq)
-            if heavy is not None and cost(heavy) > budget >= cost(light):
+            if heavy is not None and cost(heavy) > B >= cost(light):
                 break
             heavy = light
         else:
             raise InternalInvariantError("greedy walk never crossed the budget")
-        theta = (budget - cost(light)) / (cost(heavy) - cost(light))
+        theta = Fraction(B - cost(light), cost(heavy) - cost(light))
 
-    values: dict[int, Fraction] = {}
-    for e in heavy:
-        values[e] = theta
+    # x times u, the denominator of theta, so every entry is an integer.
+    t, u = theta.numerator, theta.denominator
+    x = dict.fromkeys(heavy, t)
     for e in light:
-        values[e] = values.get(e, ZERO) + (1 - theta)
-    values = {e: v for e, v in values.items() if v != 0}
-    point = FractionalPoint(domain, values)
-    objective = sum((profits[e] * v for e, v in values.items()), ZERO)
+        x[e] = x.get(e, 0) + u - t
+    x = {e: v for e, v in x.items() if v != 0}
+    value = sum(P[e] * v for e, v in x.items())  # u * D_p * p.x
 
-    # Primal = dual: x is feasible and p.x equals the Lagrangian bound at lam.
-    dual = lam * budget + reduced(light, lam)
-    if reduced(heavy, lam) != reduced(light, lam) or objective != dual:
+    # Primal = dual: x is feasible and p.x equals the Lagrangian bound at
+    # lambda, lambda*budget + the greedy value; times b * D_p that bound is
+    # a*B + (b*P(light) - a*C(light)).
+    reduced = lambda s: b * profit(s) - a * cost(s)
+    if reduced(heavy) != reduced(light) or b * value != u * (a * B + reduced(light)):
         raise InternalInvariantError("parametric greedy: primal value differs from dual bound")
-    if sum((costs[e] * v for e, v in values.items()), ZERO) > budget:
+    if sum(C[e] * v for e, v in x.items()) > u * B:
         raise InternalInvariantError("parametric greedy: point exceeds the budget")
-    fractional = tuple(e for e in domain if 0 < point[e] < 1)
+    fractional = tuple(e for e in domain if 0 < x.get(e, 0) < u)
     LP_STATS.record(len(fractional))
     if len(fractional) > 2:
         raise InternalInvariantError(
             f"basic LP solution has {len(fractional)} fractional entries (limit 2)"
         )
-    return LpOutcome(point, objective, fractional, lam)
+    point = FractionalPoint(domain, {e: Fraction(v, u) for e, v in x.items()})
+    return LpOutcome(point, Fraction(value, u * dp), fractional, Fraction(a * dc, b * dp))
 
 
 def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset:
@@ -189,28 +239,44 @@ def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> M
     return restrict(contract(m, f) if f else m, variables - f)
 
 
-def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOutcome:
+def solve_lp(
+    inst: BmiInstance, f: Iterable[int], variables: frozenset, view: IntegerView | None = None
+) -> LpOutcome:
     """Exact basic optimum of the budget-constrained polytope LP given fixed,
-    independent F, over the elements of ``variables`` outside F."""
+    independent F, over the elements of ``variables`` outside F.
+
+    The LP is solved on ``view``, the instance's ``IntegerView`` (built
+    here if not given); scaling leaves the point as it is, and the
+    objective and the multiplier are scaled back.
+    """
     fs = frozenset(f)
-    if inst.cost(fs) > inst.budget:
+    if view is None:
+        view = IntegerView(inst)
+    spent = view.cost(fs)
+    if spent > view.budget:
         raise PreconditionError("F exceeds the budget")
     residual = residual_matroid(inst, fs, variables)
-    return solve_polytope_lp(
-        residual,
-        {e: inst.profits[e] for e in residual.ground},
-        {e: inst.costs[e] for e in residual.ground},
-        inst.budget - inst.cost(fs),
+    outcome = solve_polytope_lp(residual, view.profits, view.costs, view.budget - spent)
+    return LpOutcome(
+        outcome.point,
+        outcome.objective / view.dp,
+        outcome.fractional_support,
+        outcome.multiplier * view.dc / view.dp,
     )
 
 
-def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> frozenset:
-    """The integral part of the LP vertex joined with F; asserted feasible."""
+def round_integral(
+    inst: BmiInstance, outcome: LpOutcome, f: Iterable[int], view: IntegerView | None = None
+) -> frozenset:
+    """The integral part of the LP vertex joined with F; asserted feasible.
+    ``view`` is the instance's ``IntegerView``, built here if not given."""
     fs = frozenset(f)
     chosen = fs | {e for e in outcome.point.domain if outcome.point[e] == 1}
     if not inst.active_matroid().is_independent(chosen):
         raise InternalInvariantError("rounded LP solution is dependent")
-    if inst.cost(chosen) > inst.budget:
+    if view is None:
+        view = IntegerView(inst)
+    if view.cost(chosen) > view.budget:
         raise InternalInvariantError("rounded LP solution exceeds the budget")
     return chosen
 
@@ -225,10 +291,11 @@ def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
     """
     if not inst.active:
         return ZERO, ZERO
-    outcome = solve_lp(inst, frozenset(), inst.active)
-    integral = round_integral(inst, outcome, frozenset())
-    best_singleton = max(inst.profits[e] for e in inst.active)
-    lower = max(inst.profit(integral), best_singleton)
+    view = IntegerView(inst)
+    outcome = solve_lp(inst, frozenset(), inst.active, view)
+    integral = round_integral(inst, outcome, frozenset(), view)
+    best_singleton = max(view.profits[e] for e in inst.active)
+    lower = Fraction(max(view.profit(integral), best_singleton), view.dp)
     upper = outcome.objective
     if 3 * lower < upper:
         raise InternalInvariantError("bootstrap gap exceeded the factor-3 bound")

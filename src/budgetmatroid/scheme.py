@@ -18,10 +18,8 @@ from math import floor, inf, log
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance, format_rational
-from .lp import LpOutcome, lp_upper_bound, lp_variables, round_integral, solve_lp
+from .lp import IntegerView, LpOutcome, lp_upper_bound, lp_variables, round_integral, solve_lp
 from .matroid import counting_view, min_weight_basis, restrict, truncate
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -159,17 +157,20 @@ def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> Representativ
 
 
 class RunSession:
-    """One scheme run's LP memo and counted oracle handle.
+    """One scheme run's LP memo, counted oracle handle and integer view.
 
     The LP outcome depends only on (F, variable set), so results are reused
     across guesses of the optimum scale.  ``matroid`` counts the independence
-    tests of the enumeration in ``oracle_counter``.
+    tests of the enumeration in ``oracle_counter``.  ``view`` is the
+    instance's ``IntegerView``, in which the run sums and compares costs and
+    profits.
     """
 
     def __init__(self, inst: BmiInstance, eps: EpsParam):
         self.inst = inst
         self.eps = eps
         self.matroid, self.oracle_counter = counting_view(inst.active_matroid())
+        self.view = IntegerView(inst)
         self.memo: dict = {}
 
     def solve(self, f: frozenset, variables: frozenset) -> LpOutcome:
@@ -177,7 +178,7 @@ class RunSession:
         key = (f, variables - f)
         outcome = self.memo.get(key)
         if outcome is None:
-            outcome = self.memo[key] = solve_lp(self.inst, f, variables)
+            outcome = self.memo[key] = solve_lp(self.inst, f, variables, self.view)
         return outcome
 
 
@@ -216,27 +217,29 @@ def _enumerate(
     The enumeration is a depth-first search that extends F only by elements
     above max(F) and cuts a branch at the first set that is over budget or
     dependent: both properties are inherited by supersets, so no set of the
-    family is missed.
+    family is missed.  Costs and profits are summed and compared in the
+    session's integer view.
     """
     r_sorted = sorted(rep)
     indep = session.matroid.indep_fn
+    view = session.view
     enum_count = 0
     best_set: frozenset | None = None
-    best_profit = ZERO
+    best_profit = 0
     # (F, cost(F), index in r_sorted of the first element that may extend F)
-    stack = [(frozenset(), ZERO, 0)]
+    stack = [(frozenset(), 0, 0)]
     while stack:
         fs, cost, start = stack.pop()
         enum_count += 1
-        candidate = round_integral(inst, session.solve(fs, variables), fs)
-        profit = inst.profit(candidate)
+        candidate = round_integral(inst, session.solve(fs, variables), fs, view)
+        profit = view.profit(candidate)
         if best_set is None or _better(profit, candidate, best_profit, best_set):
             best_set, best_profit = candidate, profit
         if len(fs) == eps.k:
             continue
         for i in range(start, len(r_sorted)):
-            ext_cost = cost + inst.costs[r_sorted[i]]
-            if ext_cost > inst.budget:
+            ext_cost = cost + view.costs[r_sorted[i]]
+            if ext_cost > view.budget:
                 continue
             ext = fs | {r_sorted[i]}
             if indep(ext):
@@ -285,7 +288,7 @@ def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
     grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
 
     best_set: frozenset = frozenset()
-    best_profit = ZERO
+    best_profit = 0
     best_alpha = None
     enum_counts = {}
     seen = set()
@@ -295,13 +298,13 @@ def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
             continue
         seen.add(guess)
         sol, enum_counts[alpha] = _enumerate(inst, eps, session, *guess)
-        profit = inst.profit(sol)
+        profit = session.view.profit(sol)
         if best_alpha is None or _better(profit, sol, best_profit, best_set):
             best_set, best_profit, best_alpha = sol, profit, alpha
 
     return RunReport(
         solution=tuple(sorted(best_set)),
-        profit=best_profit,
+        profit=Fraction(best_profit, session.view.dp),
         eps_target=eps_target,
         eps_internal=eps.eps,
         alpha_grid=grid,

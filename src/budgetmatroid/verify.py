@@ -1,5 +1,5 @@
-"""Verification-only code: exhaustive checkers, exchange helpers and the
-reference LP value.
+"""Verification-only code: exhaustive checkers, exchange helpers, the
+reference LP value and the rational linear-independence test.
 
 Nothing on the solve path imports this module.  The matroid helpers
 (axiom checker, exchange witnesses, disjoint union) decide matroid
@@ -10,7 +10,9 @@ verification oracle knows.  The parametric-greedy ``lp.solve_polytope_lp``
 is tested against ``solve_polytope_lp_reference``, which lists the
 independent sets of a small matroid: the LP optimum lies on a vertex or an
 edge of the matroid polytope, so it is the best affordable set or the best
-budget-tight mix of two independent sets.
+budget-tight mix of two independent sets.  The fraction-free
+``families.columns_independent`` is tested against
+``columns_independent_reference``, Gaussian elimination over Fractions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InternalInvariantError, PreconditionError, ScaleCapError
 from .instance import BmiInstance
@@ -117,6 +119,35 @@ def solve_polytope_lp_reference(
                 theta = (budget - c_j) / (c_i - c_j)
                 best = max(best, theta * p_i + (1 - theta) * p_j)
     return best
+
+
+def columns_independent_reference(cols: Sequence[Sequence[Fraction]]) -> bool:
+    """Gaussian elimination over rationals; True iff the columns are linearly
+    independent.  ``families.columns_independent`` is tested against it."""
+    if not cols:
+        return True
+    dim = len(cols[0])
+    if len(cols) > dim:
+        return False
+    mat = [list(col) for col in cols]
+    used_rows: set[int] = set()
+    for vec in mat:
+        pivot_row = None
+        for r in range(dim):
+            if r not in used_rows and vec[r] != 0:
+                pivot_row = r
+                break
+        if pivot_row is None:
+            return False
+        used_rows.add(pivot_row)
+        inv = 1 / vec[pivot_row]
+        for other in mat:
+            if other is vec or other[pivot_row] == 0:
+                continue
+            factor = other[pivot_row] * inv
+            for r in range(dim):
+                other[r] -= factor * vec[r]
+    return True
 
 
 def extend_to_independent(m: Matroid, a: Iterable[int], b: Iterable[int]) -> frozenset:

@@ -5,7 +5,39 @@ import pytest
 
 from budgetmatroid import FamilySpec, ValidationError, check_axioms, construct, rank
 from budgetmatroid.families import check_basis_exchange, column_rank, columns_independent
+from budgetmatroid.verify import columns_independent_reference
 from helpers import FAMILIES, all_bases, random_matroid
+
+# Denominators of the random column entries, by kind.
+COLUMN_DENOMINATORS = {
+    "integer": (1,),
+    "non-integer": (2, 3, 7),
+    "mixed": (1, 2, 3, 5, 10**12 + 39, 10**15 + 37),
+}
+
+
+def random_columns(rng, kind):
+    """Up to dim + 1 columns of dimension 1-5: random ones, zero columns,
+    columns parallel to an earlier one and sums of two earlier ones."""
+    dens = COLUMN_DENOMINATORS[kind]
+    entry = lambda: F(rng.randint(-3, 3), rng.choice(dens))
+    dim = rng.randint(1, 5)
+    cols = []
+    for _ in range(rng.randint(1, dim + 1)):
+        shape = rng.choice(("random", "random", "zero", "parallel", "sum"))
+        if shape == "zero":
+            col = (F(0),) * dim
+        elif shape == "parallel" and cols:
+            base, scale = rng.choice(cols), entry() or F(1)
+            col = tuple(scale * x for x in base)
+        elif shape == "sum" and len(cols) >= 2:
+            u, v = rng.sample(cols, 2)
+            a, b = entry(), entry()
+            col = tuple(a * x + b * y for x, y in zip(u, v))
+        else:
+            col = tuple(entry() for _ in range(dim))
+        cols.append(col)
+    return cols
 
 
 class TestConstruct:
@@ -53,6 +85,37 @@ class TestLinearAlgebra:
         # (1, 3) is exactly 3x (1/3, 1): dependent only under exact arithmetic.
         assert columns_independent([(F(1, 3), F(2)), (F(1), F(6, 1) + F(1))])
         assert not columns_independent([(F(1, 3), F(1)), (F(1), F(3))])
+
+    @pytest.mark.parametrize("kind", sorted(COLUMN_DENOMINATORS))
+    def test_matches_rational_reference(self, kind):
+        rng = random.Random(f"columns-{kind}")
+        answers = set()
+        for _ in range(400):
+            cols = random_columns(rng, kind)
+            for size in range(len(cols) + 1):
+                sub = cols[:size]
+                expected = columns_independent_reference(sub)
+                assert columns_independent(sub) == expected, sub
+                answers.add((expected, size > len(cols[0])))
+        # Both answers occur, and so do more columns than rows.
+        assert answers >= {(True, False), (False, False), (False, True)}
+
+    def test_zero_parallel_and_surplus_columns(self):
+        assert not columns_independent([(F(0), F(0))])
+        assert not columns_independent([(F(1, 2), F(-3)), (F(-1, 6), F(1))])
+        assert not columns_independent([(F(1),), (F(2),)])
+        assert columns_independent([(F(0), F(1, 10**30 + 1)), (F(1, 3), F(0))])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_linear_oracle_matches_reference(self, seed):
+        # The oracle scales each column to integers once, at construction.
+        rng = random.Random(700 + seed)
+        cols = random_columns(rng, rng.choice(sorted(COLUMN_DENOMINATORS)))
+        m = construct(FamilySpec("linear", columns=tuple(cols)), len(cols))
+        for mask in range(1 << len(cols)):
+            s = frozenset(e for e in range(len(cols)) if mask >> e & 1)
+            expected = columns_independent_reference([cols[e] for e in sorted(s)])
+            assert m.is_independent(s) == expected
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matroid_rank_equals_matrix_rank(self, seed):

@@ -272,6 +272,39 @@ class TestAgainstReference:
         assert outcome.fractional_support == ()
 
 
+class TestScaling:
+    """The solve runs on costs and profits scaled to integers; results are
+    the same as on the rationals."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_large_coprime_denominators(self, seed):
+        # Denominators 10^40 + k: the common denominators have hundreds of digits.
+        rng = random.Random(1300 + seed)
+        m = random_matroid(rng, rng.randint(1, 6 if seed % 4 else LP_REFERENCE_CAP))
+        big = lambda: 10**40 + rng.randrange(1, 10**6)
+        profits = {e: F(rng.randint(0, 5) * 10**40 + rng.randint(0, 9), big()) for e in m.ground}
+        costs = {e: F(rng.randint(0, 5) * 10**40 + rng.randint(0, 9), big()) for e in m.ground}
+        budget = F(rng.randint(1, 12) * 10**40 + 1, big())
+        check_against_reference(m, profits, costs, budget)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_rational_rescaling(self, seed):
+        # Costs and budget times q, profits times r: the same vertex, the
+        # objective times r and the multiplier times r/q.
+        m, profits, costs, budget = dense_case(seed)
+        rng = random.Random(1400 + seed)
+        q = F(rng.randint(1, 10**12), rng.randint(1, 10**12))
+        r = F(rng.randint(1, 10**12), rng.randint(1, 10**12))
+        a = solve_polytope_lp(m, profits, costs, budget)
+        b = solve_polytope_lp(
+            m, {e: r * p for e, p in profits.items()}, {e: q * c for e, c in costs.items()}, q * budget
+        )
+        assert b.point == a.point
+        assert b.fractional_support == a.fractional_support
+        assert b.objective == r * a.objective
+        assert b.multiplier == r / q * a.multiplier
+
+
 class TestPairReference:
     """The reference on LPs solved by hand."""
 
@@ -328,6 +361,21 @@ class TestSolveLpAndRounding:
         # element 0 is contracted: rank 2 leaves room for only one more.
         assert m.is_independent({1})
         assert not m.is_independent({1, 3})
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_rational_solve(self, family):
+        # solve_lp solves on the integer view and scales back; the outcome is
+        # the one solve_polytope_lp gives on the instance's rationals.
+        for seed in range(4):
+            inst = generate_instance(GenSpec(family, 8, seed))
+            m = inst.active_matroid()
+            f = frozenset({min(m.ground, key=lambda e: (inst.costs[e], e))})
+            for fs in (frozenset(), f):
+                residual = residual_matroid(inst, fs, inst.active)
+                expected = solve_polytope_lp(
+                    residual, inst.profits, inst.costs, inst.budget - inst.cost(fs)
+                )
+                assert solve_lp(inst, fs, inst.active) == expected
 
     def test_round_integral_feasible(self):
         inst = self._instance()

@@ -365,6 +365,28 @@ class TestApproximate:
             assert b.profit == 7 * a.profit
 
 
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rational_rescaling_invariance(self, family):
+        # Costs and budget times 7/3, profits times 5/11: the integer view
+        # of the copy has other common denominators, and nothing else moves.
+        q, r = F(7, 3), F(5, 11)
+        for n in (6, 9):
+            for seed in range(2):
+                inst = generate_instance(GenSpec(family, n, seed))
+                scaled = make_instance(
+                    q * inst.budget,
+                    [q * c for c in inst.costs],
+                    [r * p for p in inst.profits],
+                    inst.matroid_spec,
+                )
+                a = approximate(inst, F(1, 3))
+                b = approximate(scaled, F(1, 3))
+                assert b.solution == a.solution
+                assert list(b.enum_counts.values()) == list(a.enum_counts.values())
+                assert b.enum_counts == {r * alpha: c for alpha, c in a.enum_counts.items()}
+                assert b.profit == r * a.profit
+
+
 class TestGuessDedup:
     """approximate against run_for_alpha on every point of its guess grid."""
 
