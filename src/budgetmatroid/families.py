@@ -2,17 +2,19 @@
 
 Supported kinds: uniform, partition, graphic, linear (exact rationals),
 explicit (listed maximal independent sets).  Element ids are indices into
-the instance ground set; for graphic matroids element i is edge i.
+the instance ground set; for graphic matroids element i is edge i.  Each
+family's oracle is a small callable object that also carries an incremental
+greedy ``scan`` (see ``matroid``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from math import gcd, lcm
+from typing import Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import PreconditionError, ValidationError
 from .matroid import Matroid
 
 KINDS = ("uniform", "partition", "graphic", "linear", "explicit")
@@ -38,51 +40,45 @@ def _integer_column(col: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple([x.numerator * (d // x.denominator) for x in col])
 
 
-def _integer_columns_independent(cols: Sequence[Sequence[int]]) -> bool:
-    """Fraction-free elimination (Bareiss, Math. Comp. 1968) on integer columns.
+def _reduce_into(basis: list, col: Sequence[int]) -> bool:
+    """Reduce the integer column against ``basis`` and append it if it is
+    outside their span.
 
-    Each column in turn takes its first nonzero entry as pivot and clears
-    that row from the later columns.  Each update is a 2x2 cross product
-    divided exactly by the previous pivot, so every entry stays an integer
-    minor of the input.  A column that is zero when its turn comes lies in
-    the span of the earlier ones.
+    ``basis`` holds (pivot row, primitive integer vector) pairs in the
+    order they were added; each vector is zero at the pivot rows of the
+    earlier ones.  Clearing the pivot rows in that order by integer cross
+    multiplication keeps them cleared, and a nonzero remainder is outside
+    the span: any nonzero combination of the basis is nonzero at the pivot
+    row of its first vector.
     """
-    if not cols:
-        return True
-    dim = len(cols[0])
-    if len(cols) > dim:
-        return False
-    mat = [list(col) for col in cols]
-    prev = 1
-    for i, vec in enumerate(mat):
-        row = next((r for r in range(dim) if vec[r] != 0), None)
-        if row is None:
-            return False
-        pivot = vec[row]
-        for other in mat[i + 1 :]:
-            factor = other[row]
-            for r in range(dim):
-                other[r] = (pivot * other[r] - factor * vec[r]) // prev
-        prev = pivot
-    return True
+    vec = col
+    for row, piv in basis:
+        factor = vec[row]
+        if factor:
+            p = piv[row]
+            vec = [p * x - factor * y for x, y in zip(vec, piv)]
+    for row, x in enumerate(vec):
+        if x:
+            g = gcd(*vec)
+            basis.append((row, vec if g == 1 else [x // g for x in vec]))
+            return True
+    return False
 
 
 def columns_independent(cols: Sequence[Sequence[Fraction]]) -> bool:
     """True iff the rational columns are linearly independent.
 
-    Each column is scaled to integers, which keeps its span, and the
-    integer columns go through fraction-free elimination.
+    Each column is scaled to integers, which keeps its span, and reduced
+    against the ones before it.
     """
-    return _integer_columns_independent([_integer_column(col) for col in cols])
+    basis: list = []
+    return all(_reduce_into(basis, _integer_column(col)) for col in cols)
 
 
 def column_rank(cols: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a rational column collection, by greedy exact elimination."""
-    picked: list[Sequence[Fraction]] = []
-    for col in cols:
-        if columns_independent(picked + [col]):
-            picked.append(col)
-    return len(picked)
+    basis: list = []
+    return sum(_reduce_into(basis, _integer_column(col)) for col in cols)
 
 
 def _validate_uniform(spec: FamilySpec, n: int) -> None:
@@ -199,59 +195,192 @@ def validate_spec(spec: FamilySpec, n: int) -> None:
     _VALIDATORS[spec.kind](spec, n)
 
 
+class _Uniform:
+    """Sets of at most ``rank`` elements; the scan counts the room left."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        self.rank = rank
+
+    def __call__(self, s: frozenset) -> bool:
+        return len(s) <= self.rank
+
+    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+        room = self.rank - len(base)
+        if room < 0:
+            raise PreconditionError("scan base is dependent")
+        kept = set(base)
+        for e in order:
+            if not room:
+                break
+            if e not in kept:
+                kept.add(e)
+                room -= 1
+        return frozenset(kept)
+
+
+class _Partition:
+    """At most ``cap`` elements of each block; the scan keeps the room left
+    in each block."""
+
+    __slots__ = ("pairs", "block_of")
+
+    def __init__(self, pairs: tuple[tuple[frozenset, int], ...]):
+        self.pairs = pairs
+        self.block_of = None  # element -> block index, built at the first scan
+
+    def __call__(self, s: frozenset) -> bool:
+        return all(len(s & block) <= cap for block, cap in self.pairs)
+
+    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+        block_of = self.block_of
+        if block_of is None:
+            block_of = self.block_of = {
+                e: i for i, (block, _) in enumerate(self.pairs) for e in block
+            }
+        room = [cap for _, cap in self.pairs]
+        for e in base:
+            i = block_of[e]
+            if not room[i]:
+                raise PreconditionError("scan base is dependent")
+            room[i] -= 1
+        kept = set(base)
+        for e in order:
+            i = block_of[e]
+            if room[i] and e not in kept:
+                kept.add(e)
+                room[i] -= 1
+        return frozenset(kept)
+
+
+def _join(parent: dict, u: int, v: int) -> bool:
+    """Merge the union-find trees of u and v, or return False if they already
+    share one.  Roots are absent from ``parent``; each root search points
+    the nodes it passes at their grandparents (path splitting)."""
+    while u in parent:
+        up = parent[u]
+        parent[u] = parent.get(up, up)
+        u = up
+    while v in parent:
+        vp = parent[v]
+        parent[v] = parent.get(vp, vp)
+        v = vp
+    if u == v:
+        return False
+    parent[u] = v
+    return True
+
+
+class _Graphic:
+    """Acyclic edge sets; loops are dependent singletons.  The scan keeps one
+    union-find, seeded with the base, across the order."""
+
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: tuple[tuple[int, int], ...]):
+        self.edges = edges
+
+    def __call__(self, s: frozenset) -> bool:
+        parent: dict[int, int] = {}
+        edges = self.edges
+        for e in s:
+            u, v = edges[e]
+            if not _join(parent, u, v):
+                return False
+        return True
+
+    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+        parent: dict[int, int] = {}
+        edges = self.edges
+        for e in base:
+            u, v = edges[e]
+            if not _join(parent, u, v):
+                raise PreconditionError("scan base is dependent")
+        kept = set(base)
+        for e in order:
+            if e not in kept:
+                u, v = edges[e]
+                if _join(parent, u, v):
+                    kept.add(e)
+        return frozenset(kept)
+
+
+class _Linear:
+    """Linearly independent columns, each scaled to integers once.  The scan
+    keeps an incrementally reduced integer basis across the order."""
+
+    __slots__ = ("cols",)
+
+    def __init__(self, cols: tuple[tuple[int, ...], ...]):
+        self.cols = cols
+
+    def __call__(self, s: frozenset) -> bool:
+        cols = self.cols
+        if cols and len(s) > len(cols[0]):
+            return False
+        basis: list = []
+        for e in s:
+            if not _reduce_into(basis, cols[e]):
+                return False
+        return True
+
+    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+        cols = self.cols
+        basis: list = []
+        if not all(_reduce_into(basis, cols[e]) for e in sorted(base)):
+            raise PreconditionError("scan base is dependent")
+        dim = len(cols[0]) if cols else 0
+        kept = set(base)
+        for e in order:
+            if len(basis) == dim:
+                break
+            if e not in kept and _reduce_into(basis, cols[e]):
+                kept.add(e)
+        return frozenset(kept)
+
+
+class _Explicit:
+    """Subsets of the listed maximal sets.  The scan keeps the listed sets
+    that still contain the kept set."""
+
+    __slots__ = ("sets",)
+
+    def __init__(self, sets: tuple[frozenset, ...]):
+        self.sets = sets
+
+    def __call__(self, s: frozenset) -> bool:
+        if not s:
+            return True
+        return any(s <= mx for mx in self.sets)
+
+    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+        live = [mx for mx in self.sets if base <= mx]
+        if base and not live:
+            raise PreconditionError("scan base is dependent")
+        kept = set(base)
+        for e in order:
+            if e not in kept:
+                narrowed = [mx for mx in live if e in mx]
+                if narrowed:
+                    kept.add(e)
+                    live = narrowed
+        return frozenset(kept)
+
+
 def construct(spec: FamilySpec, n: int) -> Matroid:
     """Build the independence oracle for a validated family spec over n elements."""
     validate_spec(spec, n)
-    ground = frozenset(range(n))
     if spec.kind == "uniform":
-        r = spec.rank
-
-        def indep(s, _r=r):
-            return len(s) <= _r
-
+        indep = _Uniform(spec.rank)
     elif spec.kind == "partition":
-        pairs = tuple(
-            (frozenset(block), cap) for block, cap in zip(spec.blocks, spec.capacities)
+        indep = _Partition(
+            tuple((frozenset(block), cap) for block, cap in zip(spec.blocks, spec.capacities))
         )
-
-        def indep(s, _pairs=pairs):
-            return all(len(s & block) <= cap for block, cap in _pairs)
-
     elif spec.kind == "graphic":
-        edges = spec.edges
-
-        def indep(s, _edges=edges):
-            # Acyclicity via union-find; loops are dependent singletons.
-            parent: dict[int, int] = {}
-
-            def find(x):
-                root = x
-                while parent.get(root, root) != root:
-                    root = parent[root]
-                while parent.get(x, x) != x:
-                    parent[x], x = root, parent[x]
-                return root
-
-            for e in s:
-                u, v = _edges[e]
-                ru, rv = find(u), find(v)
-                if ru == rv:
-                    return False
-                parent[ru] = rv
-            return True
-
+        indep = _Graphic(spec.edges)
     elif spec.kind == "linear":
-        cols = tuple(_integer_column(col) for col in spec.columns)
-
-        def indep(s, _cols=cols):
-            return _integer_columns_independent([_cols[e] for e in sorted(s)])
-
+        indep = _Linear(tuple(_integer_column(col) for col in spec.columns))
     else:  # explicit
-        sets = tuple(frozenset(ms) for ms in spec.maximal_sets)
-
-        def indep(s, _sets=sets):
-            if not s:
-                return True
-            return any(s <= mx for mx in _sets)
-
-    return Matroid(ground, indep, label=spec.kind)
+        indep = _Explicit(tuple(frozenset(ms) for ms in spec.maximal_sets))
+    return Matroid(frozenset(range(n)), indep, label=spec.kind)

@@ -11,7 +11,10 @@ fractional combinatorial optimization"), in the line-intersection form of
 Eisner and Severance (JACM 1976), finds the optimal multiplier lambda*: it
 intersects the lines of an over-budget and an affordable greedy set, runs
 greedy at the intersection and stops when that greedy set's line passes
-through it, one greedy pass per step.  Walking from the greedy order just
+through it, one greedy pass per step, and raises if it takes more steps
+than there are distinct greedy sets.  Each greedy pass is the matroid
+oracle's incremental scan when it has one (see ``matroid.greedy``).
+Walking from the greedy order just
 left of lambda* to the one just right of it, one tie or zero weight at a
 time, changes the greedy set by one addition, removal or swap per step; the
 two sets on either side of the budget give a budget-tight convex
@@ -22,10 +25,12 @@ bound.
 The solve runs on integers: profits are scaled by the lcm of their
 denominators and costs and budget by the lcm of theirs, lambda is a pair of
 integers, and every weight, sum and comparison is exact integer arithmetic.
-Only theta, lambda*, the point and the objective are made Fractions, once
-at the end of a solve.  ``IntegerView`` holds an instance scaled this way;
-``solve_lp`` passes it to ``solve_polytope_lp`` and scales the objective
-and the multiplier back.
+The Newton loop carries the cost and profit sums of its two sets.  The
+outcome is integer-backed too: ``LpOutcome`` keeps x*u (u the denominator
+of theta) and the objective and lambda* as integer pairs, and builds their
+Fractions only when they are read.  ``IntegerView`` holds an instance
+scaled this way; ``solve_lp`` passes it to ``solve_polytope_lp`` and scales
+the objective and the multiplier back by integer multiplication.
 
 The tests compare solves on up to 9 elements with
 ``verify.solve_polytope_lp_reference``.  A vertex of the feasible region
@@ -38,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
@@ -79,12 +84,45 @@ class FractionalPoint:
         return tuple(e for e in self.domain if self.values.get(e, ZERO) > 0)
 
 
+def _ratio(num: int, den: int) -> tuple[int, int]:
+    """num/den in lowest terms, for den > 0."""
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 @dataclass(frozen=True)
 class LpOutcome:
-    point: FractionalPoint
-    objective: Fraction
+    """A basic optimum of the budgeted polytope LP, kept in integers.
+
+    ``xu`` maps each element with x_e > 0 to x_e * u, where u is the
+    denominator of the mixing weight theta, so every entry is an integer
+    and x_e = 1 exactly when it equals u.  The objective and the optimal
+    multiplier lambda* of the budget row are (numerator, denominator)
+    pairs in lowest terms.  Every stored value is canonical, so two
+    outcomes are equal exactly when their points, objectives, fractional
+    supports and multipliers are.  ``point``, ``objective`` and
+    ``multiplier`` build the Fractions on access.
+    """
+
+    domain: tuple[int, ...]
+    xu: Mapping[int, int] = field(repr=False)
+    u: int
     fractional_support: tuple[int, ...]
-    multiplier: Fraction  # optimal dual multiplier lambda* of the budget row
+    objective_pair: tuple[int, int]
+    multiplier_pair: tuple[int, int]
+
+    @property
+    def point(self) -> FractionalPoint:
+        u = self.u
+        return FractionalPoint(self.domain, {e: Fraction(v, u) for e, v in self.xu.items()})
+
+    @property
+    def objective(self) -> Fraction:
+        return Fraction(*self.objective_pair)
+
+    @property
+    def multiplier(self) -> Fraction:
+        return Fraction(*self.multiplier_pair)
 
 
 def _walk(seq: list[int], w: Mapping[int, int], costs) -> Iterable[list[int]]:
@@ -149,8 +187,9 @@ def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
     scaled by the lcm D_p of their denominators, costs and budget by the
     lcm D_c of theirs, and the solve runs on those integers: at
     lambda = a/b the greedy order sorts on b*P_e - a*C_e, a positive
-    multiple of p_e - lambda*c_e.  The point, the objective and
-    lambda* = a*D_c / (b*D_p) become Fractions at the end.
+    multiple of p_e - lambda*c_e.  The outcome keeps the point as the
+    integers x*u, the objective as u*D_p*p.x over u*D_p and lambda* as
+    a*D_c over b*D_p, all in lowest terms.
     """
     if budget < 0:
         raise PreconditionError("negative residual budget")
@@ -165,42 +204,65 @@ def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
     profit = lambda s: sum(P[e] for e in s)
 
     # The greedy set just right of lambda = 0: equal profits are ordered by
-    # cost, so it is the cheapest set of maximum profit.
+    # cost, so it is the cheapest set of maximum profit.  The cost and
+    # profit sums of ``heavy`` and ``light`` travel with them.
     heavy = greedy(m, sorted(items, key=lambda e: (-P[e], C[e], e)))
-    if cost(heavy) <= B:
-        a, b, light, theta = 0, 1, heavy, ZERO
+    hc, hp = cost(heavy), profit(heavy)
+    if hc <= B:
+        a, b, light, lc, lp = 0, 1, heavy, hc, hp
+        t, u = 0, 1
     else:
         # Newton steps: ``heavy`` stays over budget and ``light``, first the
         # greedy set for lambda -> infinity, affordable.  When the greedy set
         # where their lines meet lies on that point, lambda minimizes the
         # dual, and no smaller lambda does: the line of ``heavy`` falls.
         # lambda = a/b, and w[e] is b * D_p * (p_e - lambda*c_e).
+        #
+        # Step bound: every set found is greedy at some lambda, so its line
+        # supports the dual there; the earlier heavy sets touch it left of
+        # the current heavy's point and the earlier light sets right of the
+        # current light's.  So at the lambda where heavy's and light's lines
+        # meet, every line found so far lies on or below them, and a probe
+        # that does not stop the loop lies strictly above: no set repeats.
+        # The greedy order, hence the greedy set, changes only where two of
+        # the n weight lines cross or one crosses zero, at most n(n+1)/2
+        # points; with the open intervals between them that leaves at most
+        # n^2 + n + 1 distinct greedy sets.  More steps mean wrong weights.
         zero_cost = sorted((e for e in items if C[e] == 0), key=lambda e: (-P[e], e))
         light = greedy(m, zero_cost)
-        while True:
-            a, b = profit(heavy) - profit(light), cost(heavy) - cost(light)
+        lc, lp = 0, profit(light)
+        n = len(items)
+        for _ in range(n * n + n + 1):
+            a, b = hp - lp, hc - lc
             w = {e: b * P[e] - a * C[e] for e in items}
             probe = greedy(m, sorted((e for e in items if w[e] > 0), key=lambda e: (-w[e], e)))
-            if sum(w[e] for e in probe) == sum(w[e] for e in heavy):
+            if sum(w[e] for e in probe) == b * hp - a * hc:
                 break
-            if cost(probe) > B:
-                heavy = probe
+            pc = cost(probe)
+            if pc > B:
+                heavy, hc, hp = probe, pc, profit(probe)
             else:
-                light = probe
+                light, lc, lp = probe, pc, profit(probe)
+        else:
+            raise InternalInvariantError(
+                f"Newton steps for lambda* exceeded {n * n + n + 1} on {n} items"
+            )
 
         left = sorted((e for e in items if w[e] >= 0), key=lambda e: (-w[e], -C[e], e))
         heavy = None
         for seq in _walk(left, w, C):
             light = greedy(m, seq)
-            if heavy is not None and cost(heavy) > B >= cost(light):
+            lc = cost(light)
+            if heavy is not None and hc > B >= lc:
                 break
-            heavy = light
+            heavy, hc = light, lc
         else:
             raise InternalInvariantError("greedy walk never crossed the budget")
-        theta = Fraction(B - cost(light), cost(heavy) - cost(light))
+        hp, lp = profit(heavy), profit(light)
+        # theta = t/u = (B - c(light)) / (c(heavy) - c(light)) in lowest terms.
+        t, u = _ratio(B - lc, hc - lc)
 
     # x times u, the denominator of theta, so every entry is an integer.
-    t, u = theta.numerator, theta.denominator
     x = dict.fromkeys(heavy, t)
     for e in light:
         x[e] = x.get(e, 0) + u - t
@@ -210,8 +272,8 @@ def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
     # Primal = dual: x is feasible and p.x equals the Lagrangian bound at
     # lambda, lambda*budget + the greedy value; times b * D_p that bound is
     # a*B + (b*P(light) - a*C(light)).
-    reduced = lambda s: b * profit(s) - a * cost(s)
-    if reduced(heavy) != reduced(light) or b * value != u * (a * B + reduced(light)):
+    reduced_light = b * lp - a * lc
+    if b * hp - a * hc != reduced_light or b * value != u * (a * B + reduced_light):
         raise InternalInvariantError("parametric greedy: primal value differs from dual bound")
     if sum(C[e] * v for e, v in x.items()) > u * B:
         raise InternalInvariantError("parametric greedy: point exceeds the budget")
@@ -221,8 +283,7 @@ def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
         raise InternalInvariantError(
             f"basic LP solution has {len(fractional)} fractional entries (limit 2)"
         )
-    point = FractionalPoint(domain, {e: Fraction(v, u) for e, v in x.items()})
-    return LpOutcome(point, Fraction(value, u * dp), fractional, Fraction(a * dc, b * dp))
+    return LpOutcome(domain, x, u, fractional, _ratio(value, u * dp), _ratio(a * dc, b * dp))
 
 
 def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset:
@@ -257,11 +318,15 @@ def solve_lp(
         raise PreconditionError("F exceeds the budget")
     residual = residual_matroid(inst, fs, variables)
     outcome = solve_polytope_lp(residual, view.profits, view.costs, view.budget - spent)
+    num, den = outcome.objective_pair
+    lam_num, lam_den = outcome.multiplier_pair
     return LpOutcome(
-        outcome.point,
-        outcome.objective / view.dp,
+        outcome.domain,
+        outcome.xu,
+        outcome.u,
         outcome.fractional_support,
-        outcome.multiplier * view.dc / view.dp,
+        _ratio(num, den * view.dp),
+        _ratio(lam_num * view.dc, lam_den * view.dp),
     )
 
 
@@ -270,8 +335,8 @@ def round_integral(
 ) -> frozenset:
     """The integral part of the LP vertex joined with F; asserted feasible.
     ``view`` is the instance's ``IntegerView``, built here if not given."""
-    fs = frozenset(f)
-    chosen = fs | {e for e in outcome.point.domain if outcome.point[e] == 1}
+    u = outcome.u
+    chosen = frozenset(f).union([e for e, v in outcome.xu.items() if v == u])
     if not inst.active_matroid().is_independent(chosen):
         raise InternalInvariantError("rounded LP solution is dependent")
     if view is None:
@@ -281,17 +346,21 @@ def round_integral(
     return chosen
 
 
-def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
+def lp_upper_bound(
+    inst: BmiInstance, view: IntegerView | None = None
+) -> tuple[Fraction, Fraction]:
     """Bootstrap bounds (upper, lower) with lower >= upper / 3.
 
     One uncapped LP solve over all active elements: upper is the LP optimum
     (>= OPT); lower keeps the better of the integral part and the best
     singleton.  At most two fractional entries, each worth at most one
-    singleton profit, give the factor 3.
+    singleton profit, give the factor 3.  ``view`` is the instance's
+    ``IntegerView``, built here if not given.
     """
     if not inst.active:
         return ZERO, ZERO
-    view = IntegerView(inst)
+    if view is None:
+        view = IntegerView(inst)
     outcome = solve_lp(inst, frozenset(), inst.active, view)
     integral = round_integral(inst, outcome, frozenset(), view)
     best_singleton = max(view.profits[e] for e in inst.active)

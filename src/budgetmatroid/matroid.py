@@ -2,9 +2,17 @@
 
 A matroid is represented by its ground set and a pure independence test.
 All derived handles (restriction, contraction, truncation) answer through
-closures over their parents, so the oracle semantics are exactly the
-set-theoretic definitions.  Handles are immutable.  Helpers used only to
-verify matroids (axiom checker, exchange witnesses, disjoint union) live in
+their parents, so the oracle semantics are exactly the set-theoretic
+definitions.  Handles are immutable.
+
+An oracle may also carry an incremental greedy ``scan(base, order)``:
+given an independent ``base``, it returns ``base`` plus the elements of
+``order`` that the greedy loop keeps on top of it, with state kept across
+the scan instead of one independence test per element.  The family
+oracles carry one, ``greedy`` uses it when present, restriction keeps it,
+contraction maps it to ``base | F`` and truncation caps it at q kept
+elements.  ``counting_view`` drops it.  Helpers used only to verify
+matroids (axiom checker, exchange witnesses, disjoint union) live in
 ``verify``.
 
 Every routine that scans elements does so in ascending element id, which
@@ -25,7 +33,8 @@ class Matroid:
     """Independence-oracle view of a matroid.
 
     ``indep_fn`` must be a pure deterministic function of the subset; it is
-    only ever called with subsets of ``ground``.
+    only ever called with subsets of ``ground``.  It may carry a ``scan``
+    method (see the module docstring).
     """
 
     ground: frozenset
@@ -47,8 +56,14 @@ def greedy(m: Matroid, order: Iterable[int]) -> frozenset:
 
     ``order`` lists elements of ``m.ground``.  Scanned by non-increasing
     weight, the result is a maximum-weight independent set, and any prefix
-    of ``order`` yields the result's intersection with that prefix.
+    of ``order`` yields the result's intersection with that prefix.  The
+    oracle's incremental ``scan`` computes the set when it has one;
+    otherwise the loop below tests one set per element.  That loop is the
+    reference the scans are tested against.
     """
+    scan = getattr(m.indep_fn, "scan", None)
+    if scan is not None:
+        return scan(frozenset(), order)
     kept: frozenset = frozenset()
     for e in order:
         ext = kept | {e}
@@ -95,29 +110,46 @@ def contract(m: Matroid, f: Iterable[int]) -> Matroid:
     if not m.is_independent(fs):
         raise PreconditionError("contraction set must be independent")
     parent = m.indep_fn
-    return Matroid(
-        m.ground - fs,
-        lambda s, _fs=fs, _p=parent: _p(s | _fs),
-        label=f"contract({m.label})",
-    )
+
+    def indep(s):
+        return parent(s | fs)
+
+    if hasattr(parent, "scan"):
+        indep.scan = lambda base, order: parent.scan(base | fs, order) - fs
+    return Matroid(m.ground - fs, indep, label=f"contract({m.label})")
 
 
 def truncate(m: Matroid, q: int) -> Matroid:
     if q < 0:
         raise PreconditionError("truncation level must be non-negative")
     parent = m.indep_fn
-    return Matroid(
-        m.ground,
-        lambda s, _q=q, _p=parent: len(s) <= _q and _p(s),
-        label=f"truncate({m.label},{q})",
-    )
+
+    def indep(s):
+        return len(s) <= q and parent(s)
+
+    if hasattr(parent, "scan"):
+
+        def scan(base, order):
+            # The truncated greedy follows the parent's until it holds q
+            # elements and keeps nothing after: the parent's first additions.
+            order = list(order)
+            kept = parent.scan(base, order)
+            if len(kept) <= q:
+                return kept
+            if len(base) > q:
+                raise PreconditionError("scan base exceeds the truncation level")
+            return base.union([e for e in order if e in kept and e not in base][: q - len(base)])
+
+        indep.scan = scan
+    return Matroid(m.ground, indep, label=f"truncate({m.label},{q})")
 
 
 def counting_view(m: Matroid) -> tuple[Matroid, list[int]]:
     """Wrap a handle so independence-oracle calls are counted.
 
     Returns the wrapped handle and a one-cell counter list.  Counting is the
-    only mutation, and the count is reporting-only.
+    only mutation, and the count is reporting-only.  The wrapper carries no
+    ``scan``, so ``greedy`` on it tests, and counts, one set per element.
     """
     counter = [0]
     inner = m.indep_fn

@@ -284,7 +284,7 @@ def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
     session = RunSession(inst, eps)
-    upper, lower = lp_upper_bound(inst)
+    upper, lower = lp_upper_bound(inst, session.view)
     grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
 
     best_set: frozenset = frozenset()

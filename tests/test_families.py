@@ -1,9 +1,17 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from budgetmatroid import FamilySpec, ValidationError, check_axioms, construct, rank
+from budgetmatroid import (
+    FamilySpec,
+    PreconditionError,
+    ValidationError,
+    check_axioms,
+    construct,
+    rank,
+)
 from budgetmatroid.families import check_basis_exchange, column_rank, columns_independent
 from budgetmatroid.verify import columns_independent_reference
 from helpers import FAMILIES, all_bases, random_matroid
@@ -190,3 +198,107 @@ class TestBasisExchange:
             assert not is_matroid
         else:
             assert is_matroid
+
+
+def loop_scan(indep, base, order):
+    """The generic greedy loop from ``base``: one independence test per element."""
+    kept = frozenset(base)
+    for e in order:
+        if indep(kept | {e}):
+            kept = kept | {e}
+    return kept
+
+
+def random_independent(rng, m):
+    """A random subset of the greedy set of a random order: independent."""
+    order = sorted(m.ground)
+    rng.shuffle(order)
+    greedy_set = loop_scan(m.indep_fn, (), order)
+    return frozenset(e for e in greedy_set if rng.random() < 0.5)
+
+
+def random_order(rng, m):
+    """A random permutation of a random part of the ground set."""
+    order = [e for e in m.ground if rng.random() < 0.8]
+    rng.shuffle(order)
+    return order
+
+
+def assert_scan_matches_loop(m, base, order):
+    assert m.indep_fn.scan(base, order) == loop_scan(m.indep_fn, base, order), (base, order)
+
+
+DEGENERATE = {
+    "graphic loops and parallel edges": FamilySpec(
+        "graphic", num_vertices=3, edges=((0, 0), (0, 1), (1, 0), (0, 1), (1, 2), (2, 2), (2, 0))
+    ),
+    "linear zero and parallel non-integer columns": FamilySpec(
+        "linear",
+        columns=(
+            (F(0), F(0), F(0)),
+            (F(1, 2), F(-1, 3), F(0)),
+            (F(3, 2), F(-1), F(0)),
+            (F(0), F(0), F(0)),
+            (F(2, 7), F(1, 5), F(1, 3)),
+            (F(-1, 7), F(-1, 10), F(-1, 6)),
+            (F(1, 2), F(-1, 3), F(1, 3)),
+        ),
+    ),
+    "uniform rank 0": FamilySpec("uniform", rank=0),
+    "partition with capacity-0 blocks": FamilySpec(
+        "partition", blocks=((0, 3), (1, 4, 5), (2, 6)), capacities=(0, 2, 0)
+    ),
+    "explicit, only the empty basis": FamilySpec("explicit", maximal_sets=((),)),
+    "explicit, no listed set": FamilySpec("explicit", maximal_sets=()),
+}
+
+
+class TestScans:
+    """Each family's incremental scan against the generic greedy loop."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_loop_on_random_orders_and_bases(self, family):
+        rng = random.Random(f"scan-{family}")
+        for _ in range(150):
+            m = random_matroid(rng, rng.randint(0, 9), kind=family)
+            for _ in range(4):
+                assert_scan_matches_loop(m, frozenset(), random_order(rng, m))
+                assert_scan_matches_loop(m, random_independent(rng, m), random_order(rng, m))
+
+    @pytest.mark.parametrize("kind", sorted(COLUMN_DENOMINATORS))
+    def test_linear_scan_on_random_columns(self, kind):
+        # Zero, parallel and sum-of-two columns with non-integer entries.
+        rng = random.Random(f"scan-columns-{kind}")
+        for _ in range(200):
+            cols = random_columns(rng, kind)
+            m = construct(FamilySpec("linear", columns=tuple(cols)), len(cols))
+            for _ in range(3):
+                assert_scan_matches_loop(m, random_independent(rng, m), random_order(rng, m))
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_degenerate_families(self, case):
+        spec = DEGENERATE[case]
+        n = 7
+        m = construct(spec, n)
+        rng = random.Random(case)
+        bases = [
+            frozenset(e for e in range(n) if mask >> e & 1)
+            for mask in range(1 << n)
+            if m.indep_fn(frozenset(e for e in range(n) if mask >> e & 1))
+        ]
+        for base in bases:
+            assert_scan_matches_loop(m, base, list(range(n)))
+            for _ in range(3):
+                assert_scan_matches_loop(m, base, random_order(rng, m))
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_dependent_base_rejected(self, case):
+        m = construct(DEGENERATE[case], 7)
+        dependent = next(
+            frozenset(c)
+            for size in range(1, 8)
+            for c in itertools.combinations(range(7), size)
+            if not m.indep_fn(frozenset(c))
+        )
+        with pytest.raises(PreconditionError):
+            m.indep_fn.scan(dependent, [])

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from budgetmatroid import (
     FamilySpec,
+    InternalInvariantError,
     PreconditionError,
     ScaleCapError,
     construct,
@@ -14,10 +15,12 @@ from budgetmatroid import (
     make_instance,
     rank,
 )
+from budgetmatroid import lp
 from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import (
     LP_STATS,
     FractionalPoint,
+    IntegerView,
     lp_upper_bound,
     lp_variables,
     residual_matroid,
@@ -130,6 +133,20 @@ class TestSolvePolytopeLp:
         solve_polytope_lp(free(1), {0: F(1)}, {0: F(1)}, F(1))
         assert LP_STATS.solves == before + 1
         assert LP_STATS.max_fractional <= 2
+
+    def test_newton_steps_are_bounded(self, monkeypatch):
+        # A greedy that never settles: heavy {0}, light {}, then probes
+        # alternating {1} and {0}.  Both cost 2 > budget 1, and their
+        # profit/cost ratios differ, so no probe's line passes through the
+        # point where heavy's and light's lines meet.  The solve must raise
+        # once it has taken more steps than there are greedy sets (2 items:
+        # 2^2 + 2 + 1 = 7) instead of looping forever.
+        sets = itertools.chain(
+            [frozenset({0}), frozenset()], itertools.cycle([frozenset({1}), frozenset({0})])
+        )
+        monkeypatch.setattr(lp, "greedy", lambda m, order: next(sets))
+        with pytest.raises(InternalInvariantError, match="Newton steps"):
+            solve_polytope_lp(free(2), {0: F(3), 1: F(1)}, {0: F(2), 1: F(2)}, F(1))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_dense_formulation(self, seed):
@@ -395,3 +412,4 @@ class TestUpperBound:
             opt = brute_force_opt(inst).profit
             assert lower <= opt <= upper
             assert 3 * lower >= upper
+            assert lp_upper_bound(inst, IntegerView(inst)) == (upper, lower)

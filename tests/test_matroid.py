@@ -9,6 +9,7 @@ from budgetmatroid import (
     InternalInvariantError,
     PreconditionError,
     ScaleCapError,
+    Matroid,
     check_axioms,
     construct,
     contract,
@@ -20,7 +21,8 @@ from budgetmatroid import (
     truncate,
     union,
 )
-from helpers import all_bases, exhaustive_rank, random_matroid
+from budgetmatroid.matroid import counting_view, greedy
+from helpers import FAMILIES, all_bases, exhaustive_rank, random_matroid
 
 
 def uniform(r, n):
@@ -217,3 +219,87 @@ class TestCheckAxioms:
         bad = construct(FamilySpec("explicit", maximal_sets=((0, 1), (2,))), 3)
         with pytest.raises(InternalInvariantError):
             extend_to_independent(bad, frozenset({0, 1}), frozenset({2}))
+
+
+def loop_greedy(indep, base, order):
+    """The generic greedy loop from ``base``: one independence test per element."""
+    kept = frozenset(base)
+    for e in order:
+        if indep(kept | {e}):
+            kept = kept | {e}
+    return kept
+
+
+def random_derived(rng, m):
+    """A random chain of restrictions, contractions and truncations of m."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.choice(("restrict", "contract", "truncate"))
+        if op == "restrict":
+            m = restrict(m, {e for e in m.ground if rng.random() < 0.8})
+        elif op == "contract":
+            order = sorted(m.ground)
+            rng.shuffle(order)
+            fixed = loop_greedy(m.indep_fn, (), order)
+            m = contract(m, {e for e in fixed if rng.random() < 0.5})
+        else:
+            m = truncate(m, rng.randint(0, len(m.ground)))
+    return m
+
+
+class TestScansThroughDerivedHandles:
+    """greedy and the scans of restricted, contracted and truncated handles
+    against the generic loop on the same handle's oracle."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_loop(self, family):
+        rng = random.Random(f"derived-{family}")
+        for _ in range(120):
+            m = random_derived(rng, random_matroid(rng, rng.randint(1, 9), kind=family))
+            assert hasattr(m.indep_fn, "scan")
+            for _ in range(3):
+                order = [e for e in m.ground if rng.random() < 0.8]
+                rng.shuffle(order)
+                assert greedy(m, order) == loop_greedy(m.indep_fn, (), order)
+                shuffled = sorted(m.ground)
+                rng.shuffle(shuffled)
+                base = {e for e in loop_greedy(m.indep_fn, (), shuffled) if rng.random() < 0.5}
+                base = frozenset(base)
+                assert m.indep_fn.scan(base, order) == loop_greedy(m.indep_fn, base, order)
+
+    def test_oracle_without_scan(self):
+        # A plain function oracle: greedy and the derived handles fall back to
+        # the generic loop, with one oracle call per tested set.
+        rng = random.Random(5)
+        for _ in range(60):
+            inner = random_matroid(rng, rng.randint(1, 8))
+            calls = []
+            plain = Matroid(inner.ground, lambda s: calls.append(s) or inner.indep_fn(s))
+            m = random_derived(rng, plain)
+            assert not hasattr(m.indep_fn, "scan")
+            order = sorted(m.ground)
+            rng.shuffle(order)
+            calls.clear()
+            result = greedy(m, order)
+            fallback_calls = len(calls)
+            calls.clear()
+            assert result == loop_greedy(m.indep_fn, (), order)
+            assert fallback_calls == len(calls)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_counting_view_counts_each_tested_set(self, family):
+        rng = random.Random(f"count-{family}")
+        for _ in range(40):
+            m = random_matroid(rng, rng.randint(1, 9), kind=family)
+            counted, counter = counting_view(m)
+            order = sorted(m.ground)
+            rng.shuffle(order)
+            assert greedy(counted, order) == greedy(m, order)
+            assert counter[0] == len(order)
+            fixed = frozenset(order[:1])
+            if m.indep_fn(fixed):
+                before = counter[0]
+                contracted = contract(counted, fixed)
+                assert counter[0] == before + 1  # the precondition test
+                rest = [e for e in order if e not in fixed]
+                assert greedy(contracted, rest) == greedy(contract(m, fixed), rest)
+                assert counter[0] == before + 1 + len(rest)

@@ -364,6 +364,20 @@ class TestApproximate:
             assert b.solution == a.solution
             assert b.profit == 7 * a.profit
 
+    def test_one_integer_view_per_run(self, monkeypatch):
+        # The bootstrap LP solves on the session's view; no run builds a second.
+        built = []
+
+        class CountedView(budgetmatroid.lp.IntegerView):
+            def __init__(self, inst):
+                built.append(inst)
+                super().__init__(inst)
+
+        monkeypatch.setattr(budgetmatroid.lp, "IntegerView", CountedView)
+        monkeypatch.setattr(budgetmatroid.scheme, "IntegerView", CountedView)
+        inst = generate_instance(GenSpec("graphic", 8, 0))
+        approximate(inst, F(1, 3))
+        assert built == [inst]
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rational_rescaling_invariance(self, family):
