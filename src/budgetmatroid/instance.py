@@ -12,6 +12,8 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from typing import Iterable
 
 from .errors import ValidationError
@@ -114,6 +116,42 @@ class BmiInstance:
 
     def profit(self, elements: Iterable[int]) -> Fraction:
         return sum((self.profits[e] for e in elements), Fraction(0))
+
+    @cached_property
+    def view(self) -> IntegerView:
+        """The instance's ``IntegerView``, built at first use and kept."""
+        return IntegerView(self)
+
+
+def _scaled(values, d: int) -> list[int]:
+    """The rationals ``values`` times ``d``, a common multiple of their denominators."""
+    return [v.numerator * (d // v.denominator) for v in values]
+
+
+class IntegerView:
+    """An instance's profits times ``dp``, the lcm of their denominators, and
+    its costs and budget times ``dc``, the lcm of theirs.
+
+    Positive scaling keeps every comparison of sums, so the solve path
+    compares costs, profits and LP weights as integers.  Read it as
+    ``BmiInstance.view``: the instance builds it at the first solve, not at
+    parse time, and keeps it.
+    """
+
+    __slots__ = ("profits", "costs", "budget", "dp", "dc")
+
+    def __init__(self, inst: BmiInstance):
+        self.dp = lcm(*(p.denominator for p in inst.profits))
+        self.dc = lcm(inst.budget.denominator, *(c.denominator for c in inst.costs))
+        self.profits = tuple(_scaled(inst.profits, self.dp))
+        self.costs = tuple(_scaled(inst.costs, self.dc))
+        self.budget = inst.budget.numerator * (self.dc // inst.budget.denominator)
+
+    def cost(self, elements: Iterable[int]) -> int:
+        return sum(self.costs[e] for e in elements)
+
+    def profit(self, elements: Iterable[int]) -> int:
+        return sum(self.profits[e] for e in elements)
 
 
 def make_instance(

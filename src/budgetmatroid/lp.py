@@ -28,9 +28,10 @@ integers, and every weight, sum and comparison is exact integer arithmetic.
 The Newton loop carries the cost and profit sums of its two sets.  The
 outcome is integer-backed too: ``LpOutcome`` keeps x*u (u the denominator
 of theta) and the objective and lambda* as integer pairs, and builds their
-Fractions only when they are read.  ``IntegerView`` holds an instance
-scaled this way; ``solve_lp`` passes it to ``solve_polytope_lp`` and scales
-the objective and the multiplier back by integer multiplication.
+Fractions only when they are read.  ``solve_lp`` passes the instance's
+``IntegerView`` (``BmiInstance.view``, the instance scaled this way) to
+``solve_polytope_lp`` and scales the objective and the multiplier back by
+integer multiplication.
 
 The tests compare solves on up to 9 elements with
 ``verify.solve_polytope_lp_reference``.  A vertex of the feasible region
@@ -47,7 +48,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
-from .instance import BmiInstance
+from .instance import BmiInstance, IntegerView, _scaled
 from .matroid import Matroid, contract, greedy, restrict
 
 ZERO = Fraction(0)
@@ -147,36 +148,6 @@ def _walk(seq: list[int], w: Mapping[int, int], costs) -> Iterable[list[int]]:
                 seq[i], seq[i + 1] = seq[i + 1], seq[i]
                 swapped = True
                 yield seq
-
-
-def _scaled(values, d: int) -> list[int]:
-    """The rationals ``values`` times ``d``, a common multiple of their denominators."""
-    return [v.numerator * (d // v.denominator) for v in values]
-
-
-class IntegerView:
-    """An instance's profits times ``dp``, the lcm of their denominators, and
-    its costs and budget times ``dc``, the lcm of theirs.
-
-    Positive scaling keeps every comparison of sums, so the solve path
-    compares costs, profits and LP weights as integers.  A run builds the
-    view once; it is not kept on the instance.
-    """
-
-    __slots__ = ("profits", "costs", "budget", "dp", "dc")
-
-    def __init__(self, inst: BmiInstance):
-        self.dp = lcm(*(p.denominator for p in inst.profits))
-        self.dc = lcm(inst.budget.denominator, *(c.denominator for c in inst.costs))
-        self.profits = tuple(_scaled(inst.profits, self.dp))
-        self.costs = tuple(_scaled(inst.costs, self.dc))
-        self.budget = inst.budget.numerator * (self.dc // inst.budget.denominator)
-
-    def cost(self, elements: Iterable[int]) -> int:
-        return sum(self.costs[e] for e in elements)
-
-    def profit(self, elements: Iterable[int]) -> int:
-        return sum(self.profits[e] for e in elements)
 
 
 def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
@@ -300,19 +271,15 @@ def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> M
     return restrict(contract(m, f) if f else m, variables - f)
 
 
-def solve_lp(
-    inst: BmiInstance, f: Iterable[int], variables: frozenset, view: IntegerView | None = None
-) -> LpOutcome:
+def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOutcome:
     """Exact basic optimum of the budget-constrained polytope LP given fixed,
     independent F, over the elements of ``variables`` outside F.
 
-    The LP is solved on ``view``, the instance's ``IntegerView`` (built
-    here if not given); scaling leaves the point as it is, and the
-    objective and the multiplier are scaled back.
+    The LP is solved on the instance's ``IntegerView``; scaling leaves the
+    point as it is, and the objective and the multiplier are scaled back.
     """
     fs = frozenset(f)
-    if view is None:
-        view = IntegerView(inst)
+    view = inst.view
     spent = view.cost(fs)
     if spent > view.budget:
         raise PreconditionError("F exceeds the budget")
@@ -330,39 +297,30 @@ def solve_lp(
     )
 
 
-def round_integral(
-    inst: BmiInstance, outcome: LpOutcome, f: Iterable[int], view: IntegerView | None = None
-) -> frozenset:
-    """The integral part of the LP vertex joined with F; asserted feasible.
-    ``view`` is the instance's ``IntegerView``, built here if not given."""
+def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> frozenset:
+    """The integral part of the LP vertex joined with F; asserted feasible."""
     u = outcome.u
     chosen = frozenset(f).union([e for e, v in outcome.xu.items() if v == u])
     if not inst.active_matroid().is_independent(chosen):
         raise InternalInvariantError("rounded LP solution is dependent")
-    if view is None:
-        view = IntegerView(inst)
-    if view.cost(chosen) > view.budget:
+    if inst.view.cost(chosen) > inst.view.budget:
         raise InternalInvariantError("rounded LP solution exceeds the budget")
     return chosen
 
 
-def lp_upper_bound(
-    inst: BmiInstance, view: IntegerView | None = None
-) -> tuple[Fraction, Fraction]:
+def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
     """Bootstrap bounds (upper, lower) with lower >= upper / 3.
 
     One uncapped LP solve over all active elements: upper is the LP optimum
     (>= OPT); lower keeps the better of the integral part and the best
     singleton.  At most two fractional entries, each worth at most one
-    singleton profit, give the factor 3.  ``view`` is the instance's
-    ``IntegerView``, built here if not given.
+    singleton profit, give the factor 3.
     """
     if not inst.active:
         return ZERO, ZERO
-    if view is None:
-        view = IntegerView(inst)
-    outcome = solve_lp(inst, frozenset(), inst.active, view)
-    integral = round_integral(inst, outcome, frozenset(), view)
+    view = inst.view
+    outcome = solve_lp(inst, frozenset(), inst.active)
+    integral = round_integral(inst, outcome, frozenset())
     best_singleton = max(view.profits[e] for e in inst.active)
     lower = Fraction(max(view.profit(integral), best_singleton), view.dp)
     upper = outcome.objective

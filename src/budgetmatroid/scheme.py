@@ -2,9 +2,9 @@
 per-guess enumeration of F within the representative set, and the top-level
 wrapper with geometric guessing of the optimum scale.
 
-The solve path is: bootstrap LP -> guess grid -> per distinct guess (same R,
-same LP variables), enumerate independent, affordable F within R -> residual
-LP for each F -> round.
+The solve path is: bootstrap LP -> guess grid -> ``run_for_alpha`` per guess,
+once per distinct R and LP variables: enumerate independent, affordable F
+within R -> residual LP for each F and its rounding, once per distinct LP.
 Checkers for the properties the scheme relies on live in ``verify``.
 """
 
@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import floor, inf, log
+from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance, format_rational
-from .lp import IntegerView, LpOutcome, lp_upper_bound, lp_variables, round_integral, solve_lp
+from .lp import LpOutcome, lp_upper_bound, lp_variables, round_integral, solve_lp
 from .matroid import counting_view, min_weight_basis, restrict, truncate
 
 
@@ -157,29 +158,36 @@ def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> Representativ
 
 
 class RunSession:
-    """One scheme run's LP memo, counted oracle handle and integer view.
+    """One scheme run's LP memo, recorded guesses and counted oracle handle.
 
-    The LP outcome depends only on (F, variable set), so results are reused
-    across guesses of the optimum scale.  ``matroid`` counts the independence
-    tests of the enumeration in ``oracle_counter``.  ``view`` is the
-    instance's ``IntegerView``, in which the run sums and compares costs and
-    profits.
+    The rounded LP candidate depends only on (F, variable set), so each
+    residual LP is solved and rounded once per run: ``memo`` maps
+    (F, variables - F) to the candidate and its profit in the instance's
+    ``IntegerView``.  ``runs`` maps each distinct guess (R, LP variables)
+    to the ``GuessRun`` of its first alpha.  ``matroid`` counts the
+    independence tests of the enumeration in ``oracle_counter``.
     """
 
     def __init__(self, inst: BmiInstance, eps: EpsParam):
         self.inst = inst
         self.eps = eps
         self.matroid, self.oracle_counter = counting_view(inst.active_matroid())
-        self.view = IntegerView(inst)
         self.memo: dict = {}
+        self.runs: dict = {}
 
     def solve(self, f: frozenset, variables: frozenset) -> LpOutcome:
         """The LP outcome for F over the guess's ``lp_variables``."""
-        key = (f, variables - f)
-        outcome = self.memo.get(key)
-        if outcome is None:
-            outcome = self.memo[key] = solve_lp(self.inst, f, variables, self.view)
-        return outcome
+        return solve_lp(self.inst, f, variables)
+
+
+class GuessRun(NamedTuple):
+    """A guess's first alpha, best rounded solution, that solution's profit
+    in the instance's ``IntegerView`` and the number of F enumerated."""
+
+    alpha: Fraction | None
+    solution: frozenset
+    profit: int
+    enum_count: int
 
 
 def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
@@ -196,33 +204,33 @@ def run_for_alpha(
     session: RunSession | None = None,
 ) -> tuple[frozenset, int]:
     """One pass of the enumeration scheme for a fixed guess alpha:
-    (best rounded solution, number of F enumerated)."""
+    (best rounded solution, number of F enumerated).
+
+    Every independent, affordable F within the representative set R with
+    |F| <= 1/eps is extended by the residual LP over the guess's LP
+    variables and rounded.  The enumeration is a depth-first search that
+    extends F only by elements above max(F) and cuts a branch at the first
+    set that is over budget or dependent: both properties are inherited by
+    supersets, so no set of the family is missed.  Costs and profits are
+    summed and compared in the instance's integer view.  The run reads only
+    R and the LP variables, so the session, made for the same eps, records
+    it under the first alpha that gives both, and a later guess that
+    repeats them returns the recorded run.
+    """
     if session is None:
         session = RunSession(inst, eps)
+    if session.eps != eps:
+        raise PreconditionError("the session was made for another eps")
     rep = find_rep(inst, eps, alpha).elements
-    return _enumerate(inst, eps, session, rep, lp_variables(inst, eps.eps, alpha))
+    variables = lp_variables(inst, eps.eps, alpha)
+    run = session.runs.get((rep, variables))
+    if run is not None:
+        return run.solution, run.enum_count
 
-
-def _enumerate(
-    inst: BmiInstance,
-    eps: EpsParam,
-    session: RunSession,
-    rep: frozenset,
-    variables: frozenset,
-) -> tuple[frozenset, int]:
-    """Best rounded solution over every independent, affordable F within the
-    representative set ``rep`` with |F| <= 1/eps, each extended by the LP
-    over ``variables``; also returns the number of F enumerated.
-
-    The enumeration is a depth-first search that extends F only by elements
-    above max(F) and cuts a branch at the first set that is over budget or
-    dependent: both properties are inherited by supersets, so no set of the
-    family is missed.  Costs and profits are summed and compared in the
-    session's integer view.
-    """
     r_sorted = sorted(rep)
     indep = session.matroid.indep_fn
-    view = session.view
+    view = inst.view
+    memo = session.memo
     enum_count = 0
     best_set: frozenset | None = None
     best_profit = 0
@@ -231,8 +239,12 @@ def _enumerate(
     while stack:
         fs, cost, start = stack.pop()
         enum_count += 1
-        candidate = round_integral(inst, session.solve(fs, variables), fs, view)
-        profit = view.profit(candidate)
+        key = (fs, variables - fs)
+        rounded = memo.get(key)
+        if rounded is None:
+            candidate = round_integral(inst, session.solve(fs, variables), fs)
+            rounded = memo[key] = (candidate, view.profit(candidate))
+        candidate, profit = rounded
         if best_set is None or _better(profit, candidate, best_profit, best_set):
             best_set, best_profit = candidate, profit
         if len(fs) == eps.k:
@@ -249,6 +261,7 @@ def _enumerate(
         raise InternalInvariantError(
             f"enumeration count {enum_count} exceeds (|R|+1)^(1/eps) = {bound}"
         )
+    session.runs[rep, variables] = GuessRun(alpha, best_set, best_profit, enum_count)
     return best_set, enum_count
 
 
@@ -273,43 +286,34 @@ def alpha_grid(lower: Fraction, upper: Fraction, eps: EpsParam) -> tuple[Fractio
 
 def approximate(inst: BmiInstance, eps_target: Fraction) -> RunReport:
     """Full scheme: guess the optimum scale geometrically, run the
-    enumeration once per distinct guess, return the best.
+    enumeration for every guess, return the best.
 
-    The enumeration for a guess reads only its representative set R and its
-    LP variable set, so guesses that share both are identical and only the
-    smallest of them runs.  A zero LP bound leaves the grid empty and the
-    answer empty.
+    Every grid point goes through ``run_for_alpha`` on one session, which
+    runs each distinct guess once; the report's enumeration counts and its
+    answer come from the session's recorded runs, in grid order.  A zero LP
+    bound leaves the grid empty and the answer empty.
     """
     eps_target = Fraction(eps_target)
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
     session = RunSession(inst, eps)
-    upper, lower = lp_upper_bound(inst, session.view)
+    upper, lower = lp_upper_bound(inst)
     grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
-
-    best_set: frozenset = frozenset()
-    best_profit = 0
-    best_alpha = None
-    enum_counts = {}
-    seen = set()
     for alpha in grid:
-        guess = (find_rep(inst, eps, alpha).elements, lp_variables(inst, eps.eps, alpha))
-        if guess in seen:
-            continue
-        seen.add(guess)
-        sol, enum_counts[alpha] = _enumerate(inst, eps, session, *guess)
-        profit = session.view.profit(sol)
-        if best_alpha is None or _better(profit, sol, best_profit, best_set):
-            best_set, best_profit, best_alpha = sol, profit, alpha
+        run_for_alpha(inst, eps, alpha, session)
 
+    best = GuessRun(None, frozenset(), 0, 0)
+    for run in session.runs.values():
+        if best.alpha is None or _better(run.profit, run.solution, best.profit, best.solution):
+            best = run
     return RunReport(
-        solution=tuple(sorted(best_set)),
-        profit=Fraction(best_profit, session.view.dp),
+        solution=tuple(sorted(best.solution)),
+        profit=Fraction(best.profit, inst.view.dp),
         eps_target=eps_target,
         eps_internal=eps.eps,
         alpha_grid=grid,
-        alpha_best=best_alpha,
-        enum_counts=enum_counts,
+        alpha_best=best.alpha,
+        enum_counts={run.alpha: run.enum_count for run in session.runs.values()},
         lp_calls=len(session.memo),
         oracle_calls=session.oracle_counter[0],
         wall_ms=(time.perf_counter() - start) * 1000,

@@ -412,4 +412,3 @@ class TestUpperBound:
             opt = brute_force_opt(inst).profit
             assert lower <= opt <= upper
             assert 3 * lower >= upper
-            assert lp_upper_bound(inst, IntegerView(inst)) == (upper, lower)

@@ -19,7 +19,9 @@ from budgetmatroid import (
     find_rep,
     lp_upper_bound,
     make_instance,
+    parse_instance,
     run_for_alpha,
+    serialize_instance,
 )
 from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import lp_variables
@@ -162,6 +164,14 @@ class TestProfitClasses:
             profit_class(inst, EpsParam(3), F(0), 0)
         with pytest.raises(PreconditionError):
             run_for_alpha(inst, EpsParam(3), F(0))
+
+    def test_session_of_another_eps_is_refused(self):
+        # A session's recorded runs hold for its own eps only.
+        inst = small_instance()
+        session = RunSession(inst, EpsParam(3))
+        run_for_alpha(inst, EpsParam(3), F(5), session)
+        with pytest.raises(PreconditionError):
+            run_for_alpha(inst, EpsParam(4), F(5), session)
 
     def test_partition_covers_classed_elements(self):
         inst = small_instance()
@@ -365,19 +375,52 @@ class TestApproximate:
             assert b.profit == 7 * a.profit
 
     def test_one_integer_view_per_run(self, monkeypatch):
-        # The bootstrap LP solves on the session's view; no run builds a second.
+        # The bootstrap LP solves on the instance's view; no run builds a second.
         built = []
 
-        class CountedView(budgetmatroid.lp.IntegerView):
+        class CountedView(budgetmatroid.instance.IntegerView):
             def __init__(self, inst):
                 built.append(inst)
                 super().__init__(inst)
 
-        monkeypatch.setattr(budgetmatroid.lp, "IntegerView", CountedView)
-        monkeypatch.setattr(budgetmatroid.scheme, "IntegerView", CountedView)
+        monkeypatch.setattr(budgetmatroid.instance, "IntegerView", CountedView)
         inst = generate_instance(GenSpec("graphic", 8, 0))
         approximate(inst, F(1, 3))
         assert built == [inst]
+
+    def test_view_is_lazy_and_kept(self, monkeypatch):
+        # Parsing builds no view; the first solve builds the one every later
+        # solve on the instance reads.
+        built = []
+
+        class CountedView(budgetmatroid.instance.IntegerView):
+            def __init__(self, inst):
+                built.append(inst)
+                super().__init__(inst)
+
+        monkeypatch.setattr(budgetmatroid.instance, "IntegerView", CountedView)
+        made = generate_instance(GenSpec("partition", 8, 1))
+        inst = parse_instance(serialize_instance(made))
+        assert "view" not in made.__dict__ and "view" not in inst.__dict__
+        approximate(inst, F(1, 2))
+        approximate(inst, F(1, 3))
+        lp_upper_bound(inst)
+        assert built == [inst]
+        assert "view" not in made.__dict__
+
+    def test_one_solve_and_one_rounding_per_distinct_lp(self, monkeypatch):
+        # Two guesses of this run share an (F, variables - F) key: the
+        # enumeration visits more F than there are distinct LPs.
+        calls = {"solve_lp": 0, "round_integral": 0}
+        for name in calls:
+            def counted(*args, _fn=getattr(budgetmatroid.scheme, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(budgetmatroid.scheme, name, counted)
+        report = approximate(generate_instance(GenSpec("uniform", 5, 0)), F(1, 2))
+        assert sum(report.enum_counts.values()) > report.lp_calls
+        assert calls == {"solve_lp": report.lp_calls, "round_integral": report.lp_calls}
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_rational_rescaling_invariance(self, family):
@@ -537,7 +580,7 @@ def imported_modules(tree) -> set:
     return names
 
 
-@pytest.mark.parametrize("module", ["lp", "scheme"])
+@pytest.mark.parametrize("module", ["lp", "scheme", "instance", "matroid", "families"])
 def test_solve_path_imports_no_verification_code(module):
     source = Path(budgetmatroid.__file__).with_name(f"{module}.py").read_text()
     assert not imported_modules(ast.parse(source)) & {"verify", "simplex", "oracle", "itertools"}
