@@ -48,6 +48,8 @@ def cmd_solve(args) -> int:
         report.ratio = _ratio(report.profit, report.exact_profit)
     print(f"solution: {list(report.solution)}")
     print(f"profit:   {format_rational(report.profit)}")
+    print(f"bound:    {format_rational(report.upper_bound)}")
+    print(f"of bound: {format_rational(report.certified_ratio)}")
     if report.exact_profit is not None:
         print(f"optimum:  {format_rational(report.exact_profit)}")
         print(f"ratio:    {format_rational(report.ratio)}")
@@ -104,7 +106,7 @@ def cmd_verify(args) -> int:
         return report.ok, report.violation
 
     def scheme_run():
-        report = approximate(inst, eps_target)
+        report = approximate(inst, eps_target, certify=False)
         return True, f"profit {format_rational(report.profit)}"
 
     def representative():

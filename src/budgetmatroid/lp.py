@@ -308,22 +308,30 @@ def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> f
     return chosen
 
 
-def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
-    """Bootstrap bounds (upper, lower) with lower >= upper / 3.
+def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, tuple[frozenset, ...]]:
+    """Bootstrap bounds and candidates (upper, lower, candidates), lower >= upper / 3.
 
     One uncapped LP solve over all active elements: upper is the LP optimum
-    (>= OPT); lower keeps the better of the integral part and the best
-    singleton.  At most two fractional entries, each worth at most one
-    singleton profit, give the factor 3.
+    (>= OPT).  The candidates are the integral part of the LP and the best
+    singleton, the lowest id among equal profits; every active singleton is
+    affordable, as parsing rejects a cost above the budget.  lower is the
+    larger of their profits.  At most two fractional entries, each worth at
+    most one singleton profit, give the factor 3.
     """
     if not inst.active:
-        return ZERO, ZERO
+        return ZERO, ZERO, ()
     view = inst.view
     outcome = solve_lp(inst, frozenset(), inst.active)
+    top = max(sorted(inst.active), key=view.profits.__getitem__)
     integral = round_integral(inst, outcome, frozenset())
-    best_singleton = max(view.profits[e] for e in inst.active)
-    lower = Fraction(max(view.profit(integral), best_singleton), view.dp)
+    lower = Fraction(max(view.profit(integral), view.profits[top]), view.dp)
     upper = outcome.objective
     if 3 * lower < upper:
         raise InternalInvariantError("bootstrap gap exceeded the factor-3 bound")
+    return upper, lower, (integral, frozenset((top,)))
+
+
+def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
+    """Bootstrap bounds (upper, lower) with lower >= upper / 3; see ``bootstrap``."""
+    upper, lower, _ = bootstrap(inst)
     return upper, lower

@@ -93,11 +93,11 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
     Tests every combination of at most 1/eps elements of the representative
     set, by size and then lexicographically, for budget and independence
     through the session's counted oracle, and sends each one that passes to
-    ``session.solve``.
+    ``session.lp.solve``.
     """
     r_sorted = sorted(find_rep(inst, eps, alpha).elements)
     variables = lp_variables(inst, eps.eps, alpha)
-    m = session.matroid
+    m = session.lp.matroid
     enum_count = 0
     best_set: frozenset = frozenset()
     best_profit = Fraction(0)
@@ -110,7 +110,7 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
             if not m.indep_fn(fs):
                 continue
             enum_count += 1
-            candidate = round_integral(inst, session.solve(fs, variables), fs)
+            candidate = round_integral(inst, session.lp.solve(fs, variables), fs)
             profit = inst.profit(candidate)
             if not have_candidate or _better(profit, candidate, best_profit, best_set):
                 best_set, best_profit = candidate, profit

@@ -60,15 +60,17 @@ def test_criterion_01_approximation_guarantee():
             inst = random_instance(rng, family, skewed_size(rng))
             opt = brute_force_opt(inst).profit
             for eps in (F(1, 2), F(1, 3)):
-                profit = approximate(inst, eps).profit
-                runs += 1
-                if profit < (1 - eps) * opt:
-                    failures += 1
+                for certify in (True, False):
+                    profit = approximate(inst, eps, certify=certify).profit
+                    runs += 1
+                    if profit < (1 - eps) * opt:
+                        failures += 1
     report(
         1,
         "approximation guarantee >= (1-eps)*OPT",
         failures == 0,
-        f"{runs} runs over {len(families)} families, eps in {{1/2, 1/3}}, {failures} failures",
+        f"{runs} runs over {len(families)} families, eps in {{1/2, 1/3}}, "
+        f"certified and paper paths, {failures} failures",
     )
 
 
@@ -335,20 +337,21 @@ def test_criterion_10_determinism():
         inst = random_instance(
             rng, rng.choice(("uniform", "partition", "graphic", "linear")), rng.randint(2, 9)
         )
-        reference = None
-        for _ in range(4):
-            doc = approximate(inst, F(1, 3)).to_dict()
-            doc.pop("wall_ms")
-            if reference is None:
-                reference = doc
-            elif doc != reference:
-                failures += 1
-        cases += 1
+        for certify in (True, False):
+            reference = None
+            for _ in range(4):
+                doc = approximate(inst, F(1, 3), certify=certify).to_dict()
+                doc.pop("wall_ms")
+                if reference is None:
+                    reference = doc
+                elif doc != reference:
+                    failures += 1
+            cases += 1
     report(
         10,
         "byte-identical reports across repeats (modulo timing)",
         failures == 0,
-        f"{cases} instances x 4 runs, {failures} mismatches",
+        f"{cases} instance-path pairs x 4 runs, {failures} mismatches",
     )
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -177,7 +178,10 @@ class TestBench:
         assert list(rows[0].keys()) == BENCH_COLUMNS
         for row in rows:
             assert row["eps"] == "1/3"
-            assert int(row["lp_calls"]) >= 1
+            # A run certified by the bootstrap LP enumerates nothing and
+            # solves no residual LP.
+            assert (int(row["lp_calls"]) == 0) == (int(row["enum_count"]) == 0)
+            assert Fraction(row["ratio"]) >= Fraction(2, 3)
 
     def test_bench_wall_ms_excludes_brute_force(self, tmp_path, monkeypatch):
         real = cli.brute_force_opt

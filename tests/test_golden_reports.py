@@ -2,8 +2,10 @@
 
 The corpus is five families x n in {6, 8} x generator seeds 0-1: for each
 instance the bootstrap bounds of ``lp_upper_bound`` and, at eps 1/2 and
-1/3, ``RunReport.to_dict()`` of ``approximate`` without ``wall_ms``.  Any
-change to a solution, a count or a bound fails the test.  A change that
+1/3, ``RunReport.to_dict()`` without ``wall_ms`` of ``approximate`` on
+both paths: the paper's scheme (``certify=False``, keys "approximate
+eps=...") and the default certified ladder (keys "approximate certified
+eps=...").  Any change to a solution, a count or a bound fails the test.  A change that
 alters reports on purpose regenerates the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -36,9 +38,10 @@ def reports(family: str, n: int, seed: int) -> dict:
     inst = generate_instance(GenSpec(family, n, seed))
     out = {"lp_upper_bound": [format_rational(x) for x in lp_upper_bound(inst)]}
     for eps in EPSILONS:
-        report = approximate(inst, eps).to_dict()
-        del report["wall_ms"]
-        out[f"approximate eps={format_rational(eps)}"] = report
+        for certify, label in ((False, "approximate"), (True, "approximate certified")):
+            report = approximate(inst, eps, certify=certify).to_dict()
+            del report["wall_ms"]
+            out[f"{label} eps={format_rational(eps)}"] = report
     return out
 
 

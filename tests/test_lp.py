@@ -412,3 +412,23 @@ class TestUpperBound:
             opt = brute_force_opt(inst).profit
             assert lower <= opt <= upper
             assert 3 * lower >= upper
+
+    def test_bootstrap_candidates(self):
+        # lp_upper_bound's bounds, and the candidates behind lower: the
+        # rounded bootstrap LP and the best singleton, lowest id on ties.
+        rng = random.Random(78)
+        for _ in range(30):
+            inst = random_instance(rng, rng.choice(("uniform", "partition", "linear")), rng.randint(0, 8))
+            upper, lower, candidates = lp.bootstrap(inst)
+            assert (upper, lower) == lp_upper_bound(inst)
+            if not inst.active:
+                assert candidates == ()
+                continue
+            integral, singleton = candidates
+            assert integral == round_integral(inst, solve_lp(inst, (), inst.active), ())
+            top = max(inst.profits[e] for e in inst.active)
+            assert singleton == {min(e for e in inst.active if inst.profits[e] == top)}
+            assert lower == max(inst.profit(integral), top)
+            for candidate in candidates:
+                assert inst.active_matroid().is_independent(candidate)
+                assert inst.cost(candidate) <= inst.budget

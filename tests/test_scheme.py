@@ -1,4 +1,5 @@
 import ast
+import functools
 import itertools
 import random
 import tracemalloc
@@ -24,10 +25,10 @@ from budgetmatroid import (
     serialize_instance,
 )
 from budgetmatroid.generate import GenSpec, generate_instance
-from budgetmatroid.lp import lp_variables
+from budgetmatroid.lp import LP_STATS, lp_variables
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.scheme import RunSession, _better, alpha_grid, class_partition, profit_class
+from budgetmatroid.scheme import LpMemo, RunSession, _better, alpha_grid, class_partition, profit_class
 from budgetmatroid.verify import (
     is_replacement,
     is_substitution,
@@ -90,7 +91,7 @@ class TestEpsParam:
         )
         tracemalloc.start()
         try:
-            approximate(inst, F(1, 200))
+            approximate(inst, F(1, 200), certify=False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -261,11 +262,11 @@ class TestRunForAlpha:
             assert inst.profit(sol) >= (1 - 7 * eps.eps) * opt
 
 
-class RecordingSession(RunSession):
-    """A session that records every F sent to the LP."""
+class RecordingMemo(LpMemo):
+    """An LP memo that records every F sent to the LP."""
 
-    def __init__(self, inst, eps):
-        super().__init__(inst, eps)
+    def __init__(self, inst):
+        super().__init__(inst)
         self.seen = []
 
     def solve(self, f, variables):
@@ -274,9 +275,9 @@ class RecordingSession(RunSession):
 
 
 def check_dfs_against_reference(inst, eps, alpha):
-    dfs, ref = RecordingSession(inst, eps), RecordingSession(inst, eps)
-    sol, enum_count = run_for_alpha(inst, eps, alpha, dfs)
-    ref_sol, ref_count = reference_run_for_alpha(inst, eps, alpha, ref)
+    dfs, ref = RecordingMemo(inst), RecordingMemo(inst)
+    sol, enum_count = run_for_alpha(inst, eps, alpha, RunSession(inst, eps, dfs))
+    ref_sol, ref_count = reference_run_for_alpha(inst, eps, alpha, RunSession(inst, eps, ref))
     assert sorted(map(sorted, dfs.seen)) == sorted(map(sorted, ref.seen))
     assert enum_count == ref_count
     assert sol == ref_sol
@@ -418,7 +419,7 @@ class TestApproximate:
                 return _fn(*args)
 
             monkeypatch.setattr(budgetmatroid.scheme, name, counted)
-        report = approximate(generate_instance(GenSpec("uniform", 5, 0)), F(1, 2))
+        report = approximate(generate_instance(GenSpec("uniform", 5, 0)), F(1, 2), certify=False)
         assert sum(report.enum_counts.values()) > report.lp_calls
         assert calls == {"solve_lp": report.lp_calls, "round_integral": report.lp_calls}
 
@@ -438,6 +439,10 @@ class TestApproximate:
                 )
                 a = approximate(inst, F(1, 3))
                 b = approximate(scaled, F(1, 3))
+                assert b.solution == a.solution
+                assert b.profit == r * a.profit
+                a = approximate(inst, F(1, 3), certify=False)
+                b = approximate(scaled, F(1, 3), certify=False)
                 assert b.solution == a.solution
                 assert list(b.enum_counts.values()) == list(a.enum_counts.values())
                 assert b.enum_counts == {r * alpha: c for alpha, c in a.enum_counts.items()}
@@ -459,7 +464,7 @@ class TestGuessDedup:
 def check_against_every_guess(inst, eps_target):
     """Guesses with the same R and LP variables give the same run; approximate
     runs the first of each and returns the best run over the whole grid."""
-    report = approximate(inst, eps_target)
+    report = approximate(inst, eps_target, certify=False)
     eps = EpsParam.from_target(eps_target)
     session = RunSession(inst, eps)
     first_of_guess, runs = {}, {}
@@ -478,6 +483,102 @@ def check_against_every_guess(inst, eps_target):
     else:
         assert report.solution == tuple(sorted(best[0]))
         assert (report.profit, report.alpha_best) == best[1:]
+
+
+GAP_CORPUS = [(n, seed) for n in (8, 10) for seed in range(4)]
+GAP_EPS = (F(1, 3), F(1, 10))
+
+
+def full_ladder(eps_target):
+    """Every rung the ladder may run: 3 * 2^i below the paper's k, then it."""
+    paper_k = EpsParam.from_target(eps_target).k
+    return tuple(3 * 2**i for i in range(paper_k.bit_length()) if 3 * 2**i < paper_k) + (paper_k,)
+
+
+@functools.lru_cache(maxsize=None)
+def gap_run(family, n, seed, eps_target):
+    """(instance, OPT, default report) for a gap-shape instance."""
+    inst = generate_instance(GenSpec(family, n, seed, shape="gap"))
+    return inst, brute_force_opt(inst).profit, approximate(inst, eps_target)
+
+
+class TestCertifiedLadder:
+    """The default path: bootstrap certificate, then the eps ladder."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_gap_instances(self, family):
+        for n, seed in GAP_CORPUS:
+            for eps in GAP_EPS:
+                inst, opt, report = gap_run(family, n, seed, eps)
+                rungs = full_ladder(eps)
+                assert report.profit >= (1 - eps) * opt
+                assert inst.profit(report.solution) == report.profit
+                assert report.certified_ratio * report.upper_bound == report.profit
+                assert report.ladder == rungs[: len(report.ladder)]
+                if report.ladder[-1:] != rungs[-1:]:
+                    # Returned before the paper's rung: certified.
+                    assert report.certified_ratio >= 1 - eps
+                if opt < (1 - eps) * report.upper_bound:
+                    # A real LP gap: no rung can certify.
+                    assert report.ladder == rungs
+                    assert report.profit >= approximate(inst, eps, certify=False).profit
+
+    def test_gap_corpus_reaches_every_exit(self):
+        exits = set()
+        for family in FAMILIES:
+            for n, seed in GAP_CORPUS:
+                for eps in GAP_EPS:
+                    inst, opt, report = gap_run(family, n, seed, eps)
+                    if not report.ladder:
+                        exits.add("bootstrap")
+                    elif report.ladder[-1] < full_ladder(eps)[-1]:
+                        exits.add("below the paper's rung")
+                    elif opt < (1 - eps) * report.upper_bound:
+                        exits.add("real gap")
+        assert exits == {"bootstrap", "below the paper's rung", "real gap"}
+
+    def test_rungs_share_one_lp_memo(self, monkeypatch):
+        # A real-gap run climbs every rung; each distinct residual LP is
+        # solved once over the whole ladder, though the rungs meet the same
+        # LPs again.
+        calls = []
+        solve = budgetmatroid.scheme.solve_lp
+        monkeypatch.setattr(budgetmatroid.scheme, "solve_lp", lambda *a: calls.append(a) or solve(*a))
+        inst = generate_instance(GenSpec("uniform", 10, 3, shape="gap"))
+        report = approximate(inst, F(1, 10))
+        assert report.ladder == full_ladder(F(1, 10))
+        assert len(calls) == report.lp_calls
+        upper, lower = lp_upper_bound(inst)
+        per_rung = 0
+        for k in report.ladder:
+            session = RunSession(inst, EpsParam(k))
+            for alpha in alpha_grid(lower, upper, session.eps):
+                run_for_alpha(inst, session.eps, alpha, session)
+            per_rung += len(session.lp.memo)
+        assert per_rung > report.lp_calls
+
+    def test_certified_at_bootstrap_solves_one_lp(self):
+        for spec in (GenSpec("graphic", 10, 7), GenSpec("uniform", 10, 2, shape="gap")):
+            inst = generate_instance(spec)
+            before = LP_STATS.solves
+            report = approximate(inst, F(1, 3))
+            assert LP_STATS.solves - before == 1
+            assert report.ladder == () and report.enum_counts == {} and report.lp_calls == 0
+            assert report.alpha_best is None and report.certified_ratio >= F(2, 3)
+
+    def test_paper_path_runs_the_paper_rung(self):
+        inst = generate_instance(GenSpec("graphic", 10, 7))
+        report = approximate(inst, F(1, 3), certify=False)
+        assert report.ladder == (21,) and sum(report.enum_counts.values()) > 0
+        assert report.upper_bound == lp_upper_bound(inst)[0]
+        assert report.certified_ratio == report.profit / report.upper_bound
+
+    def test_zero_bound(self):
+        inst = make_instance(F(2), [F(1), F(1)], [F(0), F(0)], FamilySpec("uniform", rank=2))
+        for certify in (True, False):
+            report = approximate(inst, F(1, 3), certify=certify)
+            assert report.upper_bound == 0 and report.certified_ratio == 1
+            assert report.solution == ()
 
 
 class TestCheckers:
