@@ -2,11 +2,7 @@
 
 Generator id "mt19937-v1": a seeded ``random.Random`` with a fixed call
 sequence, so identical (spec, seed) pairs produce byte-identical serialized
-instances.  In the default shape costs and profits are drawn from uniform
-rational grids.  The "gap" shape keeps the family's random structure and
-sets the budget to 100: a third of the elements cost just over a third or
-a half of it with profit about equal to cost, and the rest cost 1-8 with
-profit at 60-90 % of cost, so the LP bound can stay well above the optimum.
+instances.  Costs and profits are drawn from uniform rational grids.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from .matroid import Matroid
 GENERATOR_VERSION = "mt19937-v1"
 
 _DENOMINATORS = (1, 2, 3, 4)
-SHAPES = ("default", "gap")
 _EXPLICIT_GEN_CAP = 10
 
 
@@ -34,7 +29,6 @@ class GenSpec:
     seed: int
     cost_max: int = 20
     profit_max: int = 40
-    shape: str = "default"
 
 
 def _random_family(rng: random.Random, family: str, n: int) -> FamilySpec:
@@ -94,33 +88,13 @@ def _maximal_independent_sets(m: Matroid) -> list[frozenset]:
     )
 
 
-def _gap_weights(rng: random.Random, n: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Costs and profits of the gap shape under budget 100."""
-    heavy = set(rng.sample(range(n), n // 3))
-    costs, profits = [], []
-    for e in range(n):
-        if e in heavy:
-            cost = rng.choice((34, 51)) + rng.randint(0, 2)
-            costs.append(Fraction(cost))
-            profits.append(Fraction(cost + rng.randint(-2, 2)))
-        else:
-            cost = rng.randint(1, 8)
-            costs.append(Fraction(cost))
-            profits.append(Fraction(cost * rng.randint(60, 90), 100))
-    return costs, profits
-
-
 def generate_instance(spec: GenSpec) -> BmiInstance:
     if spec.family not in KINDS:
         raise ValidationError(f"unknown family {spec.family!r}", "family")
     if spec.n < 0:
         raise ValidationError("n must be >= 0", "n")
-    if spec.shape not in SHAPES:
-        raise ValidationError(f"unknown shape {spec.shape!r}", "shape")
     rng = random.Random(spec.seed)
     family = _random_family(rng, spec.family, spec.n)
-    if spec.shape == "gap":
-        return make_instance(Fraction(100), *_gap_weights(rng, spec.n), family)
     costs = [
         Fraction(rng.randint(1, spec.cost_max), rng.choice(_DENOMINATORS))
         for _ in range(spec.n)

@@ -2,11 +2,11 @@
 per-guess enumeration of F within the representative set, and the top-level
 wrapper with geometric guessing of the optimum scale.
 
-The solve path is: bootstrap LP -> certify, or climb the eps ladder: for each
-rung, guess grid -> ``run_for_alpha`` per guess, once per distinct R and LP
-variables: enumerate independent, affordable F within R -> residual LP for
-each F and its rounding, once per distinct LP over the whole run.  Checkers
-for the properties the scheme relies on live in ``verify``.
+The solve path is: bootstrap LP -> certified early exit, or guess grid ->
+``run_for_alpha`` per guess, once per distinct R and LP variables: enumerate
+independent, affordable F within R -> residual LP for each F and its
+rounding, once per distinct LP.  Checkers for the properties the scheme
+relies on live in ``verify``.
 """
 
 from __future__ import annotations
@@ -100,7 +100,6 @@ class RunReport:
     dropped: tuple[int, ...]
     upper_bound: Fraction
     certified_ratio: Fraction
-    ladder: tuple[int, ...]
     exact_profit: Fraction | None = None
     ratio: Fraction | None = None
 
@@ -120,7 +119,6 @@ class RunReport:
             "dropped": list(self.dropped),
             "upper_bound": format_rational(self.upper_bound),
             "certified_ratio": format_rational(self.certified_ratio),
-            "ladder": list(self.ladder),
             "exact_profit": optional(self.exact_profit),
             "ratio": optional(self.ratio),
         }
@@ -164,37 +162,27 @@ def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> Representativ
     return RepresentativeSet(elements, slices)
 
 
-class LpMemo:
-    """The eps-free part of a scheme run: its LP memo and counted oracle handle.
+class RunSession:
+    """One scheme run's LP memo, recorded guesses and counted oracle handle.
 
     The rounded LP candidate depends only on (F, variable set), so each
-    residual LP is solved and rounded once per run, whatever the eps of the
-    guess that meets it: ``memo`` maps (F, variables - F) to the candidate
-    and its profit in the instance's ``IntegerView``.  ``matroid`` counts
-    the independence tests of the enumeration in ``oracle_counter``.
+    residual LP is solved and rounded once per run: ``memo`` maps
+    (F, variables - F) to the candidate and its profit in the instance's
+    ``IntegerView``.  ``runs`` maps each distinct guess (R, LP variables)
+    to the ``GuessRun`` of its first alpha.  ``matroid`` counts the
+    independence tests of the enumeration in ``oracle_counter``.
     """
 
-    def __init__(self, inst: BmiInstance):
+    def __init__(self, inst: BmiInstance, eps: EpsParam):
         self.inst = inst
+        self.eps = eps
         self.matroid, self.oracle_counter = counting_view(inst.active_matroid())
         self.memo: dict = {}
+        self.runs: dict = {}
 
     def solve(self, f: frozenset, variables: frozenset) -> LpOutcome:
         """The LP outcome for F over the guess's ``lp_variables``."""
         return solve_lp(self.inst, f, variables)
-
-
-class RunSession:
-    """One eps's record of guesses over an LP memo, its own or a shared one.
-
-    ``runs`` maps each distinct guess (R, LP variables) to the ``GuessRun``
-    of its first alpha; a recorded run holds for ``eps`` only.
-    """
-
-    def __init__(self, inst: BmiInstance, eps: EpsParam, lp: LpMemo | None = None):
-        self.eps = eps
-        self.lp = LpMemo(inst) if lp is None else lp
-        self.runs: dict = {}
 
 
 class GuessRun(NamedTuple):
@@ -245,10 +233,9 @@ def run_for_alpha(
         return run.solution, run.enum_count
 
     r_sorted = sorted(rep)
-    lp = session.lp
-    indep = lp.matroid.indep_fn
+    indep = session.matroid.indep_fn
     view = inst.view
-    memo = lp.memo
+    memo = session.memo
     enum_count = 0
     best_set: frozenset | None = None
     best_profit = 0
@@ -260,7 +247,7 @@ def run_for_alpha(
         key = (fs, variables - fs)
         rounded = memo.get(key)
         if rounded is None:
-            candidate = round_integral(inst, lp.solve(fs, variables), fs)
+            candidate = round_integral(inst, session.solve(fs, variables), fs)
             rounded = memo[key] = (candidate, view.profit(candidate))
         candidate, profit = rounded
         if best_set is None or _better(profit, candidate, best_profit, best_set):
@@ -302,79 +289,68 @@ def alpha_grid(lower: Fraction, upper: Fraction, eps: EpsParam) -> tuple[Fractio
     return tuple(grid)
 
 
-def _ladder(k_paper: int):
-    """Rung parameters k = 3, 6, 12, ... below k_paper, then k_paper."""
-    k = 3
-    while k < k_paper:
-        yield k
-        k *= 2
-    yield k_paper
+def _certificate(
+    inst: BmiInstance, eps_target: Fraction, upper: Fraction, candidates
+) -> GuessRun | None:
+    """The better bootstrap candidate if its profit is at least
+    (1 - eps_target) * upper, else None."""
+    view = inst.view
+    best = GuessRun(None, frozenset(), 0, 0)
+    for candidate in candidates:
+        profit = view.profit(candidate)
+        if _better(profit, candidate, best.profit, best.solution):
+            best = GuessRun(None, candidate, profit, 0)
+    if Fraction(best.profit, view.dp) >= (1 - eps_target) * upper:
+        return best
+    return None
 
 
 def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -> RunReport:
-    """The scheme with a certified early exit: a solution whose profit is at
-    least (1 - eps_target) times the bootstrap LP bound U >= OPT meets the
-    guarantee, so the run returns it as soon as it has one.
+    """Full scheme with a certified early exit: guess the optimum scale
+    geometrically, run the enumeration for every guess, return the best.
 
-    The empty set and the bootstrap's candidates, the rounded LP and the
-    best singleton, come first.  Then the ladder runs the enumeration
-    scheme at internal k = 3, 6, 12, ... below the paper's
-    k = ceil(7/eps_target) and at the paper's k last, and stops after the
-    first rung whose best so far certifies.  Every rung geometrically
-    guesses the optimum scale and runs each grid point through
-    ``run_for_alpha``; the rungs share one LP memo.  Without a certificate
-    the answer is the best over all rungs, which is never worse than the
-    paper's scheme alone.  ``certify=False`` runs just the paper's scheme,
-    as the paper states it.  The report's grid is the union of the rungs'
-    grids, and its enumeration counts are summed over the rungs, per first
-    alpha of each guess.  A zero LP bound leaves every grid empty.
+    The bootstrap LP bound U is at least OPT, so a solution with profit at
+    least (1 - eps_target) * U meets the guarantee, whatever produced it.
+    The run first tests the better of the bootstrap's candidates, the
+    rounded LP and the best singleton, and returns it with an empty grid
+    when it reaches that bound.  Otherwise, and always with
+    ``certify=False``, the paper's scheme runs, and its report is the same
+    on both paths.
+
+    Every grid point goes through ``run_for_alpha`` on one session, which
+    runs each distinct guess once; the report's enumeration counts and its
+    answer come from the session's recorded runs, in grid order.  A zero LP
+    bound leaves the grid empty and the answer empty.
     """
     eps_target = Fraction(eps_target)
-    paper = EpsParam.from_target(eps_target)
+    eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
+    session = RunSession(inst, eps)
     upper, lower, candidates = bootstrap(inst)
-    view = inst.view
-    target = (1 - eps_target) * upper
-    lp = LpMemo(inst)
-
-    best = None
-    if certify:
-        best = GuessRun(None, frozenset(), 0, 0)
-        for candidate in candidates:
-            profit = view.profit(candidate)
-            if _better(profit, candidate, best.profit, best.solution):
-                best = GuessRun(None, candidate, profit, 0)
-    ladder, grid, enum_counts = [], set(), {}
-    for k in _ladder(paper.k) if certify else (paper.k,):
-        if certify and Fraction(best.profit, view.dp) >= target:
-            break
-        eps = EpsParam(k)
-        session = RunSession(inst, eps, lp)
-        rung_grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
-        for alpha in rung_grid:
+    best = _certificate(inst, eps_target, upper, candidates) if certify else None
+    grid = ()
+    if best is None:
+        grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
+        for alpha in grid:
             run_for_alpha(inst, eps, alpha, session)
-        ladder.append(k)
-        grid.update(rung_grid)
+        best = GuessRun(None, frozenset(), 0, 0)
         for run in session.runs.values():
-            enum_counts[run.alpha] = enum_counts.get(run.alpha, 0) + run.enum_count
-            if best is None or _better(run.profit, run.solution, best.profit, best.solution):
+            if best.alpha is None or _better(run.profit, run.solution, best.profit, best.solution):
                 best = run
 
-    best = best or GuessRun(None, frozenset(), 0, 0)
-    profit = Fraction(best.profit, view.dp)
+    profit = Fraction(best.profit, inst.view.dp)
     return RunReport(
         solution=tuple(sorted(best.solution)),
         profit=profit,
         eps_target=eps_target,
-        eps_internal=paper.eps,
-        alpha_grid=tuple(sorted(grid)),
+        eps_internal=eps.eps,
+        alpha_grid=grid,
         alpha_best=best.alpha,
-        enum_counts=enum_counts,
-        lp_calls=len(lp.memo),
-        oracle_calls=lp.oracle_counter[0],
+        enum_counts={run.alpha: run.enum_count for run in session.runs.values()},
+        lp_calls=len(session.memo),
+        oracle_calls=session.oracle_counter[0],
         wall_ms=(time.perf_counter() - start) * 1000,
         dropped=inst.dropped,
         upper_bound=upper,
         certified_ratio=profit / upper if upper > 0 else Fraction(1),
-        ladder=tuple(ladder),
     )

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from budgetmatroid.families import construct
 from budgetmatroid.generate import GenSpec, _random_family, generate_instance
+from budgetmatroid.instance import make_instance
 from budgetmatroid.lp import lp_variables, round_integral
 from budgetmatroid.matroid import Matroid
 from budgetmatroid.scheme import _better, find_rep
@@ -71,6 +72,30 @@ def random_instance(rng: random.Random, family: str, n: int, **kwargs):
     return generate_instance(GenSpec(family, n, seed=rng.randrange(1 << 30), **kwargs))
 
 
+def gap_instance(family: str, n: int, seed: int):
+    """A gap-heavy instance under budget 100 on the generator's random family.
+
+    A third of the elements cost just over a third or a half of the budget
+    (34-36 or 51-53) with profit within 2 of cost; the rest cost 1-8 with
+    profit at 60-90 % of cost.  Few heavy elements fit together, so the LP
+    bound can stay well above the optimum.
+    """
+    rng = random.Random(seed)
+    spec = _random_family(rng, family, n)
+    heavy = set(rng.sample(range(n), n // 3))
+    costs, profits = [], []
+    for e in range(n):
+        if e in heavy:
+            cost = rng.choice((34, 51)) + rng.randint(0, 2)
+            costs.append(Fraction(cost))
+            profits.append(Fraction(cost + rng.randint(-2, 2)))
+        else:
+            cost = rng.randint(1, 8)
+            costs.append(Fraction(cost))
+            profits.append(Fraction(cost * rng.randint(60, 90), 100))
+    return make_instance(Fraction(100), costs, profits, spec)
+
+
 def skewed_size(rng: random.Random, max_n: int = 14) -> int:
     """Sizes biased small so exhaustive oracles stay cheap."""
     weights = {n: max(1, 16 - n * (1 if n <= 9 else 3)) for n in range(3, max_n + 1)}
@@ -93,11 +118,11 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
     Tests every combination of at most 1/eps elements of the representative
     set, by size and then lexicographically, for budget and independence
     through the session's counted oracle, and sends each one that passes to
-    ``session.lp.solve``.
+    ``session.solve``.
     """
     r_sorted = sorted(find_rep(inst, eps, alpha).elements)
     variables = lp_variables(inst, eps.eps, alpha)
-    m = session.lp.matroid
+    m = session.matroid
     enum_count = 0
     best_set: frozenset = frozenset()
     best_profit = Fraction(0)
@@ -110,7 +135,7 @@ def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
             if not m.indep_fn(fs):
                 continue
             enum_count += 1
-            candidate = round_integral(inst, session.lp.solve(fs, variables), fs)
+            candidate = round_integral(inst, session.solve(fs, variables), fs)
             profit = inst.profit(candidate)
             if not have_candidate or _better(profit, candidate, best_profit, best_set):
                 best_set, best_profit = candidate, profit

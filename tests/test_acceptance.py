@@ -319,13 +319,14 @@ def test_criterion_09_knapsack_regression():
         cases += 1
         if dp != brute_force_opt(inst).profit:
             failures += 1
-        if approximate(inst, F(1, 3)).profit < F(2, 3) * dp:
-            failures += 1
+        for certify in (True, False):
+            if approximate(inst, F(1, 3), certify=certify).profit < F(2, 3) * dp:
+                failures += 1
     report(
         9,
         "knapsack DP equals brute force; scheme within 2/3 of it",
         failures == 0,
-        f"{cases} free-matroid instances, {failures} failures",
+        f"{cases} free-matroid instances, certified and paper paths, {failures} failures",
     )
 
 

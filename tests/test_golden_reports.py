@@ -4,9 +4,10 @@ The corpus is five families x n in {6, 8} x generator seeds 0-1: for each
 instance the bootstrap bounds of ``lp_upper_bound`` and, at eps 1/2 and
 1/3, ``RunReport.to_dict()`` without ``wall_ms`` of ``approximate`` on
 both paths: the paper's scheme (``certify=False``, keys "approximate
-eps=...") and the default certified ladder (keys "approximate certified
-eps=...").  Any change to a solution, a count or a bound fails the test.  A change that
-alters reports on purpose regenerates the file with
+eps=...") and the default path with its certified early exit (keys
+"approximate certified eps=...").  Any change to a solution, a count or a
+bound fails the test.  A change that alters reports on purpose regenerates
+the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 

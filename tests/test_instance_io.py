@@ -358,30 +358,6 @@ class TestGenerator:
         inst = generate_instance(GenSpec("uniform", 0, seed=5))
         assert inst.n == 0 and inst.budget == 1
 
-    def test_unknown_shape_rejected(self):
-        with pytest.raises(ValidationError):
-            generate_instance(GenSpec("uniform", 4, seed=1, shape="wide"))
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_gap_shape(self, family):
-        for n in (0, 3, 9):
-            for seed in range(3):
-                spec = GenSpec(family, n, seed, shape="gap")
-                inst = generate_instance(spec)
-                assert serialize_instance(generate_instance(spec)) == serialize_instance(inst)
-                # The family comes first in the call sequence, as in the default shape.
-                assert inst.matroid_spec == generate_instance(GenSpec(family, n, seed)).matroid_spec
-                assert inst.budget == 100
-                heavy = [e for e in range(n) if inst.costs[e] > 8]
-                assert len(heavy) == n // 3
-                for e in range(n):
-                    c, p = inst.costs[e], inst.profits[e]
-                    if e in heavy:
-                        assert 34 <= c <= 36 or 51 <= c <= 53
-                        assert abs(p - c) <= 2
-                    else:
-                        assert 1 <= c <= 8 and F(3, 5) * c <= p <= F(9, 10) * c
-
 
 class TestMakeInstance:
     def test_length_mismatch(self):

@@ -28,7 +28,7 @@ from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import LP_STATS, lp_variables
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.scheme import LpMemo, RunSession, _better, alpha_grid, class_partition, profit_class
+from budgetmatroid.scheme import RunSession, _better, alpha_grid, class_partition, profit_class
 from budgetmatroid.verify import (
     is_replacement,
     is_substitution,
@@ -36,7 +36,7 @@ from budgetmatroid.verify import (
     union,
     verify_representative,
 )
-from helpers import FAMILIES, random_instance, reference_run_for_alpha
+from helpers import FAMILIES, gap_instance, random_instance, reference_run_for_alpha
 
 
 def r_max_reference(k):
@@ -262,11 +262,11 @@ class TestRunForAlpha:
             assert inst.profit(sol) >= (1 - 7 * eps.eps) * opt
 
 
-class RecordingMemo(LpMemo):
-    """An LP memo that records every F sent to the LP."""
+class RecordingSession(RunSession):
+    """A session that records every F sent to the LP."""
 
-    def __init__(self, inst):
-        super().__init__(inst)
+    def __init__(self, inst, eps):
+        super().__init__(inst, eps)
         self.seen = []
 
     def solve(self, f, variables):
@@ -275,9 +275,9 @@ class RecordingMemo(LpMemo):
 
 
 def check_dfs_against_reference(inst, eps, alpha):
-    dfs, ref = RecordingMemo(inst), RecordingMemo(inst)
-    sol, enum_count = run_for_alpha(inst, eps, alpha, RunSession(inst, eps, dfs))
-    ref_sol, ref_count = reference_run_for_alpha(inst, eps, alpha, RunSession(inst, eps, ref))
+    dfs, ref = RecordingSession(inst, eps), RecordingSession(inst, eps)
+    sol, enum_count = run_for_alpha(inst, eps, alpha, dfs)
+    ref_sol, ref_count = reference_run_for_alpha(inst, eps, alpha, ref)
     assert sorted(map(sorted, dfs.seen)) == sorted(map(sorted, ref.seen))
     assert enum_count == ref_count
     assert sol == ref_sol
@@ -489,87 +489,66 @@ GAP_CORPUS = [(n, seed) for n in (8, 10) for seed in range(4)]
 GAP_EPS = (F(1, 3), F(1, 10))
 
 
-def full_ladder(eps_target):
-    """Every rung the ladder may run: 3 * 2^i below the paper's k, then it."""
-    paper_k = EpsParam.from_target(eps_target).k
-    return tuple(3 * 2**i for i in range(paper_k.bit_length()) if 3 * 2**i < paper_k) + (paper_k,)
+def without_time(report):
+    doc = report.to_dict()
+    del doc["wall_ms"]
+    return doc
 
 
 @functools.lru_cache(maxsize=None)
 def gap_run(family, n, seed, eps_target):
-    """(instance, OPT, default report) for a gap-shape instance."""
-    inst = generate_instance(GenSpec(family, n, seed, shape="gap"))
+    """(instance, OPT, default report) for a gap-heavy instance."""
+    inst = gap_instance(family, n, seed)
     return inst, brute_force_opt(inst).profit, approximate(inst, eps_target)
 
 
-class TestCertifiedLadder:
-    """The default path: bootstrap certificate, then the eps ladder."""
+class TestCertifiedExit:
+    """The default path: the bootstrap certificate, else the paper's scheme."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gap_instances(self, family):
         for n, seed in GAP_CORPUS:
             for eps in GAP_EPS:
                 inst, opt, report = gap_run(family, n, seed, eps)
-                rungs = full_ladder(eps)
                 assert report.profit >= (1 - eps) * opt
                 assert inst.profit(report.solution) == report.profit
                 assert report.certified_ratio * report.upper_bound == report.profit
-                assert report.ladder == rungs[: len(report.ladder)]
-                if report.ladder[-1:] != rungs[-1:]:
-                    # Returned before the paper's rung: certified.
+                if report.alpha_grid:
+                    # No certificate: the paper's scheme, report for report.
+                    assert without_time(report) == without_time(
+                        approximate(inst, eps, certify=False)
+                    )
+                else:
                     assert report.certified_ratio >= 1 - eps
+                    assert report.enum_counts == {} and report.lp_calls == 0
                 if opt < (1 - eps) * report.upper_bound:
-                    # A real LP gap: no rung can certify.
-                    assert report.ladder == rungs
-                    assert report.profit >= approximate(inst, eps, certify=False).profit
+                    # A real LP gap: nothing can certify.
+                    assert report.alpha_grid
 
-    def test_gap_corpus_reaches_every_exit(self):
+    def test_gap_corpus_reaches_both_exits(self):
         exits = set()
         for family in FAMILIES:
             for n, seed in GAP_CORPUS:
                 for eps in GAP_EPS:
                     inst, opt, report = gap_run(family, n, seed, eps)
-                    if not report.ladder:
+                    if not report.alpha_grid:
                         exits.add("bootstrap")
-                    elif report.ladder[-1] < full_ladder(eps)[-1]:
-                        exits.add("below the paper's rung")
                     elif opt < (1 - eps) * report.upper_bound:
                         exits.add("real gap")
-        assert exits == {"bootstrap", "below the paper's rung", "real gap"}
-
-    def test_rungs_share_one_lp_memo(self, monkeypatch):
-        # A real-gap run climbs every rung; each distinct residual LP is
-        # solved once over the whole ladder, though the rungs meet the same
-        # LPs again.
-        calls = []
-        solve = budgetmatroid.scheme.solve_lp
-        monkeypatch.setattr(budgetmatroid.scheme, "solve_lp", lambda *a: calls.append(a) or solve(*a))
-        inst = generate_instance(GenSpec("uniform", 10, 3, shape="gap"))
-        report = approximate(inst, F(1, 10))
-        assert report.ladder == full_ladder(F(1, 10))
-        assert len(calls) == report.lp_calls
-        upper, lower = lp_upper_bound(inst)
-        per_rung = 0
-        for k in report.ladder:
-            session = RunSession(inst, EpsParam(k))
-            for alpha in alpha_grid(lower, upper, session.eps):
-                run_for_alpha(inst, session.eps, alpha, session)
-            per_rung += len(session.lp.memo)
-        assert per_rung > report.lp_calls
+        assert exits == {"bootstrap", "real gap"}
 
     def test_certified_at_bootstrap_solves_one_lp(self):
-        for spec in (GenSpec("graphic", 10, 7), GenSpec("uniform", 10, 2, shape="gap")):
-            inst = generate_instance(spec)
+        for inst in (generate_instance(GenSpec("graphic", 10, 7)), gap_instance("uniform", 10, 2)):
             before = LP_STATS.solves
             report = approximate(inst, F(1, 3))
             assert LP_STATS.solves - before == 1
-            assert report.ladder == () and report.enum_counts == {} and report.lp_calls == 0
+            assert report.alpha_grid == () and report.enum_counts == {} and report.lp_calls == 0
             assert report.alpha_best is None and report.certified_ratio >= F(2, 3)
 
-    def test_paper_path_runs_the_paper_rung(self):
+    def test_paper_path_fields(self):
         inst = generate_instance(GenSpec("graphic", 10, 7))
         report = approximate(inst, F(1, 3), certify=False)
-        assert report.ladder == (21,) and sum(report.enum_counts.values()) > 0
+        assert sum(report.enum_counts.values()) > 0
         assert report.upper_bound == lp_upper_bound(inst)[0]
         assert report.certified_ratio == report.profit / report.upper_bound
 
