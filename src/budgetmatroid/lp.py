@@ -22,18 +22,18 @@ combination that is a vertex with at most two fractional entries.  Every
 solve checks primal = dual in exact arithmetic and the two-fractional
 bound.
 
-The solve runs on integers: profits are scaled by the lcm of their
-denominators and costs and budget by the lcm of theirs, lambda is a pair of
-integers, and every weight, sum and comparison is exact integer arithmetic.
-The Newton loop carries the cost and profit sums of its two sets.  The
-outcome is integer-backed too: ``LpOutcome`` keeps x*u (u the denominator
-of theta) and the objective and lambda* as integer pairs, and builds their
-Fractions only when they are read.  ``solve_lp`` passes the instance's
-``IntegerView`` (``BmiInstance.view``, the instance scaled this way) to
-``solve_polytope_lp`` and scales the objective and the multiplier back by
-integer multiplication.
+The solve runs on integers.  The integer core ``solve_polytope_lp`` takes
+profits times D_p and costs and budget times D_c, all integers; lambda is
+a pair of integers, and every weight, sum and comparison is exact integer
+arithmetic.  The Newton loop carries the cost and profit sums of its two
+sets.  The outcome is integer-backed too: ``LpOutcome`` keeps x*u (u the
+denominator of theta) and the objective and lambda*, unscaled, as integer
+pairs, and builds their Fractions only when they are read.  ``solve_lp``
+calls the core once per LP on the instance's ``IntegerView``
+(``BmiInstance.view``); the rational entry ``solve_rational_lp`` takes the
+lcms of the denominators as D_p and D_c, scales and calls the core.
 
-The tests compare solves on up to 9 elements with
+The tests compare ``solve_rational_lp`` on up to 9 elements with
 ``verify.solve_polytope_lp_reference``.  A vertex of the feasible region
 lies on a vertex or an edge of P_M, and an edge joins two independent sets,
 so the reference takes the best affordable set or budget-tight mix of two
@@ -150,26 +150,20 @@ def _walk(seq: list[int], w: Mapping[int, int], costs) -> Iterable[list[int]]:
                 yield seq
 
 
-def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
-    """Exact basic optimum of max{p.x : c.x <= budget, x in P_M, x >= 0}.
+def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
+    """Exact basic optimum of max{p.x : c.x <= budget, x in P_M, x >= 0} on integers.
 
-    ``profits`` and ``costs``, mappings or sequences indexed by element,
-    give each element of ``m.ground`` a rational or an int.  Profits are
-    scaled by the lcm D_p of their denominators, costs and budget by the
-    lcm D_c of theirs, and the solve runs on those integers: at
-    lambda = a/b the greedy order sorts on b*P_e - a*C_e, a positive
-    multiple of p_e - lambda*c_e.  The outcome keeps the point as the
-    integers x*u, the objective as u*D_p*p.x over u*D_p and lambda* as
-    a*D_c over b*D_p, all in lowest terms.
+    The integer core.  ``P`` and ``C``, mappings or sequences indexed by
+    element, give each element of ``m.ground`` its profit times ``dp`` and
+    its cost times ``dc``, all integers, and ``B`` is the budget times
+    ``dc``.  At lambda = a/b the greedy order sorts on b*P_e - a*C_e, a
+    positive multiple of p_e - lambda*c_e.  ``dp`` and ``dc`` only scale
+    the outcome: it keeps the point as the integers x*u, the objective as
+    u*dp*p.x over u*dp and lambda* as a*dc over b*dp, all in lowest terms.
     """
-    if budget < 0:
+    if B < 0:
         raise PreconditionError("negative residual budget")
     domain = tuple(sorted(m.ground))
-    dp = lcm(*(profits[e].denominator for e in domain))
-    dc = lcm(budget.denominator, *(costs[e].denominator for e in domain))
-    P = dict(zip(domain, _scaled((profits[e] for e in domain), dp)))
-    C = dict(zip(domain, _scaled((costs[e] for e in domain), dc)))
-    B = budget.numerator * (dc // budget.denominator)
     items = [e for e in domain if P[e] > 0]
     cost = lambda s: sum(C[e] for e in s)
     profit = lambda s: sum(P[e] for e in s)
@@ -257,6 +251,18 @@ def solve_polytope_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
     return LpOutcome(domain, x, u, fractional, _ratio(value, u * dp), _ratio(a * dc, b * dp))
 
 
+def solve_rational_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
+    """``solve_polytope_lp`` on rational profits, costs and budget, scaled
+    by D_p, the lcm of the profits' denominators over ``m.ground``, and by
+    D_c, the lcm of the costs' and the budget's."""
+    domain = tuple(sorted(m.ground))
+    dp = lcm(*(profits[e].denominator for e in domain))
+    dc = lcm(budget.denominator, *(costs[e].denominator for e in domain))
+    P = dict(zip(domain, _scaled((profits[e] for e in domain), dp)))
+    C = dict(zip(domain, _scaled((costs[e] for e in domain), dc)))
+    return solve_polytope_lp(m, P, C, budget.numerator * (dc // budget.denominator), dp, dc)
+
+
 def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset:
     """Active elements cheap enough in profit to be LP variables: p(e) <= 2 eps alpha."""
     return frozenset(e for e in inst.active if inst.profits[e] <= 2 * eps * alpha)
@@ -266,8 +272,10 @@ def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> M
     """The contracted-and-restricted matroid whose polytope the LP uses;
     ``variables`` is the guess's ``lp_variables``."""
     m = inst.active_matroid()
-    # Contracting nothing is the identity; skipping it spares the bootstrap
-    # LP and every F = {} solve a wrapper on each oracle call.
+    if not f and variables == inst.active:
+        return m  # the bootstrap LP: nothing to contract or restrict
+    # Contracting nothing is the identity; skipping it spares every F = {}
+    # solve a wrapper on each oracle call.
     return restrict(contract(m, f) if f else m, variables - f)
 
 
@@ -275,8 +283,8 @@ def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOut
     """Exact basic optimum of the budget-constrained polytope LP given fixed,
     independent F, over the elements of ``variables`` outside F.
 
-    The LP is solved on the instance's ``IntegerView``; scaling leaves the
-    point as it is, and the objective and the multiplier are scaled back.
+    One call of the integer core on the instance's ``IntegerView``, whose
+    ``dp`` and ``dc`` give the outcome in the instance's own units.
     """
     fs = frozenset(f)
     view = inst.view
@@ -284,16 +292,8 @@ def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOut
     if spent > view.budget:
         raise PreconditionError("F exceeds the budget")
     residual = residual_matroid(inst, fs, variables)
-    outcome = solve_polytope_lp(residual, view.profits, view.costs, view.budget - spent)
-    num, den = outcome.objective_pair
-    lam_num, lam_den = outcome.multiplier_pair
-    return LpOutcome(
-        outcome.domain,
-        outcome.xu,
-        outcome.u,
-        outcome.fractional_support,
-        _ratio(num, den * view.dp),
-        _ratio(lam_num * view.dc, lam_den * view.dp),
+    return solve_polytope_lp(
+        residual, view.profits, view.costs, view.budget - spent, view.dp, view.dc
     )
 
 

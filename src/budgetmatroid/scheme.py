@@ -293,14 +293,17 @@ def _certificate(
     inst: BmiInstance, eps_target: Fraction, upper: Fraction, candidates
 ) -> GuessRun | None:
     """The better bootstrap candidate if its profit is at least
-    (1 - eps_target) * upper, else None."""
+    (1 - eps_target) * upper, else None.  The profit is in the
+    ``IntegerView`` and stands for profit/dp, so the test cross-multiplies
+    with eps_target = d/e and the positive denominators of upper and dp."""
     view = inst.view
     best = GuessRun(None, frozenset(), 0, 0)
     for candidate in candidates:
         profit = view.profit(candidate)
         if _better(profit, candidate, best.profit, best.solution):
             best = GuessRun(None, candidate, profit, 0)
-    if Fraction(best.profit, view.dp) >= (1 - eps_target) * upper:
+    d, e = eps_target.numerator, eps_target.denominator
+    if best.profit * e * upper.denominator >= (e - d) * upper.numerator * view.dp:
         return best
     return None
 

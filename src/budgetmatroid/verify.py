@@ -6,11 +6,12 @@ Nothing on the solve path imports this module.  The matroid helpers
 properties directly from the oracle; the scheme checkers (replacement,
 substitution, representative set) take the exact optimum as an argument
 because the profitable-element threshold depends on it, which only a
-verification oracle knows.  The parametric-greedy ``lp.solve_polytope_lp``
-is tested against ``solve_polytope_lp_reference``, which lists the
-independent sets of a small matroid: the LP optimum lies on a vertex or an
-edge of the matroid polytope, so it is the best affordable set or the best
-budget-tight mix of two independent sets.  The fraction-free
+verification oracle knows.  The parametric-greedy LP, through its rational
+entry ``lp.solve_rational_lp``, is tested against
+``solve_polytope_lp_reference``, which lists the independent sets of a
+small matroid: the LP optimum lies on a vertex or an edge of the matroid
+polytope, so it is the best affordable set or the best budget-tight mix of
+two independent sets.  The fraction-free
 ``families.columns_independent`` is tested against
 ``columns_independent_reference``, Gaussian elimination over Fractions.
 """

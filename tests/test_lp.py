@@ -10,10 +10,12 @@ from budgetmatroid import (
     InternalInvariantError,
     PreconditionError,
     ScaleCapError,
+    approximate,
     construct,
     contract,
     make_instance,
     rank,
+    restrict,
 )
 from budgetmatroid import lp
 from budgetmatroid.generate import GenSpec, generate_instance
@@ -26,13 +28,14 @@ from budgetmatroid.lp import (
     residual_matroid,
     round_integral,
     solve_lp,
-    solve_polytope_lp,
+    solve_rational_lp,
 )
 from budgetmatroid.oracle import brute_force_opt
 from budgetmatroid.verify import LP_REFERENCE_CAP, separate, solve_polytope_lp_reference
 from helpers import (
     FAMILIES,
     all_independent_sets,
+    gap_instance,
     random_instance,
     random_matroid,
     random_rational,
@@ -106,31 +109,31 @@ class TestSolvePolytopeLp:
         # One high-profit element whose cost exceeds the budget: the LP takes
         # half of it instead of the cheap whole element.
         m = free(2)
-        outcome = solve_polytope_lp(m, {0: F(3), 1: F(1)}, {0: F(2), 1: F(1)}, F(1))
+        outcome = solve_rational_lp(m, {0: F(3), 1: F(1)}, {0: F(2), 1: F(1)}, F(1))
         assert outcome.point[0] == F(1, 2) and outcome.point[1] == 0
         assert outcome.objective == F(3, 2)
         assert outcome.fractional_support == (0,)
 
     def test_zero_budget_forces_zero(self):
-        outcome = solve_polytope_lp(free(2), {0: F(5), 1: F(5)}, {0: F(1), 1: F(1)}, F(0))
+        outcome = solve_rational_lp(free(2), {0: F(5), 1: F(5)}, {0: F(1), 1: F(1)}, F(0))
         assert outcome.objective == 0
         assert outcome.point.support() == ()
 
     def test_empty_variable_set(self):
         m = construct(FamilySpec("uniform", rank=0), 0)
-        outcome = solve_polytope_lp(m, {}, {}, F(1))
+        outcome = solve_rational_lp(m, {}, {}, F(1))
         assert outcome.objective == 0
 
     def test_rank_constraint_binds(self):
         # Two free-profit elements but rank 1: mass is capped by the matroid,
         # not the budget.
         m = construct(FamilySpec("uniform", rank=1), 2)
-        outcome = solve_polytope_lp(m, {0: F(2), 1: F(2)}, {0: F(1), 1: F(1)}, F(10))
+        outcome = solve_rational_lp(m, {0: F(2), 1: F(2)}, {0: F(1), 1: F(1)}, F(10))
         assert outcome.objective == F(2)
 
     def test_stats_recorded(self):
         before = LP_STATS.solves
-        solve_polytope_lp(free(1), {0: F(1)}, {0: F(1)}, F(1))
+        solve_rational_lp(free(1), {0: F(1)}, {0: F(1)}, F(1))
         assert LP_STATS.solves == before + 1
         assert LP_STATS.max_fractional <= 2
 
@@ -146,13 +149,13 @@ class TestSolvePolytopeLp:
         )
         monkeypatch.setattr(lp, "greedy", lambda m, order: next(sets))
         with pytest.raises(InternalInvariantError, match="Newton steps"):
-            solve_polytope_lp(free(2), {0: F(3), 1: F(1)}, {0: F(2), 1: F(2)}, F(1))
+            solve_rational_lp(free(2), {0: F(3), 1: F(1)}, {0: F(2), 1: F(2)}, F(1))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_dense_formulation(self, seed):
         m, profits, costs, budget = dense_case(seed)
         elems = sorted(m.ground)
-        outcome = solve_polytope_lp(m, profits, costs, budget)
+        outcome = solve_rational_lp(m, profits, costs, budget)
         x = outcome.point
         # Dense formulation: the budget row, the box, and every rank
         # constraint written out explicitly, checked row by row.
@@ -174,7 +177,7 @@ def check_against_reference(m, profits, costs, budget):
     Lagrangian bound, maximized over every independent set, equals the
     objective.
     """
-    outcome = solve_polytope_lp(m, profits, costs, budget)
+    outcome = solve_rational_lp(m, profits, costs, budget)
     x = outcome.point
     if len(m.ground) <= LP_REFERENCE_CAP:
         assert outcome.objective == solve_polytope_lp_reference(m, profits, costs, budget)
@@ -198,7 +201,7 @@ def solve_listed(m, items, budget):
 
 
 class TestAgainstReference:
-    """solve_polytope_lp against the reference and its optimality certificate."""
+    """solve_rational_lp against the reference and its optimality certificate."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_dense_formulation_cases(self, seed):
@@ -312,8 +315,8 @@ class TestScaling:
         rng = random.Random(1400 + seed)
         q = F(rng.randint(1, 10**12), rng.randint(1, 10**12))
         r = F(rng.randint(1, 10**12), rng.randint(1, 10**12))
-        a = solve_polytope_lp(m, profits, costs, budget)
-        b = solve_polytope_lp(
+        a = solve_rational_lp(m, profits, costs, budget)
+        b = solve_rational_lp(
             m, {e: r * p for e, p in profits.items()}, {e: q * c for e, c in costs.items()}, q * budget
         )
         assert b.point == a.point
@@ -382,17 +385,86 @@ class TestSolveLpAndRounding:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_the_rational_solve(self, family):
         # solve_lp solves on the integer view and scales back; the outcome is
-        # the one solve_polytope_lp gives on the instance's rationals.
+        # the one solve_rational_lp gives on the instance's rationals.
         for seed in range(4):
             inst = generate_instance(GenSpec(family, 8, seed))
             m = inst.active_matroid()
             f = frozenset({min(m.ground, key=lambda e: (inst.costs[e], e))})
             for fs in (frozenset(), f):
                 residual = residual_matroid(inst, fs, inst.active)
-                expected = solve_polytope_lp(
+                expected = solve_rational_lp(
                     residual, inst.profits, inst.costs, inst.budget - inst.cost(fs)
                 )
                 assert solve_lp(inst, fs, inst.active) == expected
+
+    def _matches_the_rational_solve(self, inst, fs, variables):
+        # The residual matroid built here, not by residual_matroid, so that a
+        # wrong shortcut there shows.
+        residual = restrict(contract(inst.active_matroid(), fs), variables - fs)
+        expected = solve_rational_lp(
+            residual, inst.profits, inst.costs, inst.budget - inst.cost(fs)
+        )
+        assert solve_lp(inst, fs, variables) == expected
+        return expected
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_rational_solve_on_gap_instances(self, family):
+        # Seed 0 has lambda* > 0 on every family, so the Newton steps and the
+        # walk run; the profit scale dp is above 1.
+        for seed in range(3):
+            inst = gap_instance(family, 10, seed)
+            outcome = self._matches_the_rational_solve(inst, frozenset(), inst.active)
+            assert seed or (outcome.multiplier > 0 and inst.view.dp > 1)
+
+    def test_matches_the_rational_solve_with_dropped_elements(self):
+        # Edges 1 and 5 are loops: the active set is not the ground set, so
+        # the bootstrap LP still restricts to the active elements.
+        inst = make_instance(
+            F(5),
+            [F(3), F(1), F(2), F(4), F(2), F(1), F(3)],
+            [F(5, 2), F(9), F(7, 3), F(4), F(3), F(9), F(2)],
+            FamilySpec(
+                "graphic",
+                num_vertices=4,
+                edges=((0, 1), (1, 1), (1, 2), (2, 3), (0, 2), (3, 3), (0, 3)),
+            ),
+        )
+        assert inst.dropped == (1, 5)
+        assert residual_matroid(inst, frozenset(), inst.active).ground == inst.active
+        outcome = self._matches_the_rational_solve(inst, frozenset(), inst.active)
+        assert outcome.multiplier > 0 and set(outcome.point.support()) <= inst.active
+        self._matches_the_rational_solve(inst, frozenset({4}), inst.active)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_rational_solve_on_a_variable_subset(self, family):
+        eps = F(1, 3)
+        for seed in range(3):
+            for inst in (generate_instance(GenSpec(family, 8, seed)), gap_instance(family, 9, seed)):
+                # The threshold 2*eps*alpha is the median profit.
+                median = sorted(inst.profits[e] for e in inst.active)[len(inst.active) // 2]
+                variables = lp_variables(inst, eps, median / (2 * eps))
+                assert variables and variables < inst.active
+                self._matches_the_rational_solve(inst, frozenset(), variables)
+                f = frozenset({min(variables, key=lambda e: (inst.costs[e], e))})
+                self._matches_the_rational_solve(inst, f, variables)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_the_rational_solve_with_two_fixed(self, family):
+        # The first independent, affordable pair of each instance that has one.
+        cases = 0
+        for seed in range(4):
+            for inst in (generate_instance(GenSpec(family, 8, seed)), gap_instance(family, 9, seed)):
+                m = inst.active_matroid()
+                pairs = (
+                    frozenset(pair)
+                    for pair in itertools.combinations(sorted(m.ground), 2)
+                    if m.is_independent(pair) and inst.cost(pair) <= inst.budget
+                )
+                f = next(pairs, None)
+                if f is not None:
+                    self._matches_the_rational_solve(inst, f, inst.active)
+                    cases += 1
+        assert cases >= 4
 
     def test_round_integral_feasible(self):
         inst = self._instance()
@@ -401,6 +473,33 @@ class TestSolveLpAndRounding:
         assert 1 in chosen
         assert inst.cost(chosen) <= inst.budget
         assert inst.active_matroid().is_independent(chosen)
+
+
+class TestCoreSeam:
+    """Every LP of the solve path is one call of the integer core, and the
+    rational entry is never on it.  The benchmark's trace counts the same
+    calls by wrapping ``lp.solve_polytope_lp``."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_solve_path_calls_the_core_once_per_lp(self, family, monkeypatch):
+        calls = [0]
+        core = lp.solve_polytope_lp
+
+        def counted(*args):
+            calls[0] += 1
+            return core(*args)
+
+        def refused(*args):
+            raise AssertionError("the rational entry is not on the solve path")
+
+        monkeypatch.setattr(lp, "solve_polytope_lp", counted)
+        monkeypatch.setattr(lp, "solve_rational_lp", refused)
+        inst = gap_instance(family, 8, 0)
+        before = LP_STATS.solves
+        report = approximate(inst, F(1, 2), certify=False)
+        lp_upper_bound(inst)
+        assert report.lp_calls > 0
+        assert calls[0] == LP_STATS.solves - before == report.lp_calls + 2
 
 
 class TestUpperBound:

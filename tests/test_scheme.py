@@ -28,7 +28,15 @@ from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import LP_STATS, lp_variables
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.scheme import RunSession, _better, alpha_grid, class_partition, profit_class
+from budgetmatroid.scheme import (
+    GuessRun,
+    RunSession,
+    _better,
+    _certificate,
+    alpha_grid,
+    class_partition,
+    profit_class,
+)
 from budgetmatroid.verify import (
     is_replacement,
     is_substitution,
@@ -558,6 +566,23 @@ class TestCertifiedExit:
             report = approximate(inst, F(1, 3), certify=certify)
             assert report.upper_bound == 0 and report.certified_ratio == 1
             assert report.solution == ()
+
+    def test_certificate_boundary(self):
+        # Profits 5/6, 2/3 and 1/3 scale by dp = 6 to 5, 4 and 2.  With
+        # eps = 2/7 and U = 7/6, (1 - eps) * U = 5/6: profit 5 meets it
+        # exactly, and profit 4, one scaled unit less, does not.
+        inst = make_instance(
+            F(3), [F(1), F(2), F(1, 2)], [F(5, 6), F(2, 3), F(1, 3)], FamilySpec("uniform", rank=2)
+        )
+        assert inst.view.dp == 6
+        eps, upper = F(2, 7), F(7, 6)
+        best = _certificate(inst, eps, upper, (frozenset({1}), frozenset({0})))
+        assert best is not None and best.solution == {0} and best.profit == 5
+        assert _certificate(inst, eps, upper, (frozenset({1}),)) is None
+        assert _certificate(inst, eps, upper, (frozenset({1, 2}),)) is not None
+        # A zero bound certifies any candidate, even none.
+        assert _certificate(inst, eps, F(0), ()) == GuessRun(None, frozenset(), 0, 0)
+        assert _certificate(inst, eps, F(0), (frozenset({2}),)).profit == 2
 
 
 class TestCheckers:
