@@ -65,22 +65,6 @@ def _reduce_into(basis: list, col: Sequence[int]) -> bool:
     return False
 
 
-def columns_independent(cols: Sequence[Sequence[Fraction]]) -> bool:
-    """True iff the rational columns are linearly independent.
-
-    Each column is scaled to integers, which keeps its span, and reduced
-    against the ones before it.
-    """
-    basis: list = []
-    return all(_reduce_into(basis, _integer_column(col)) for col in cols)
-
-
-def column_rank(cols: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a rational column collection, by greedy exact elimination."""
-    basis: list = []
-    return sum(_reduce_into(basis, _integer_column(col)) for col in cols)
-
-
 def _validate_uniform(spec: FamilySpec, n: int) -> None:
     if spec.rank is None or spec.rank < 0:
         raise ValidationError("uniform matroid needs a non-negative rank", "matroid.rank")

@@ -19,6 +19,8 @@ from .matroid import Matroid
 GENERATOR_VERSION = "mt19937-v1"
 
 _DENOMINATORS = (1, 2, 3, 4)
+_COST_MAX = 20
+_PROFIT_MAX = 40
 _EXPLICIT_GEN_CAP = 10
 
 
@@ -27,8 +29,6 @@ class GenSpec:
     family: str
     n: int
     seed: int
-    cost_max: int = 20
-    profit_max: int = 40
 
 
 def _random_family(rng: random.Random, family: str, n: int) -> FamilySpec:
@@ -96,11 +96,11 @@ def generate_instance(spec: GenSpec) -> BmiInstance:
     rng = random.Random(spec.seed)
     family = _random_family(rng, spec.family, spec.n)
     costs = [
-        Fraction(rng.randint(1, spec.cost_max), rng.choice(_DENOMINATORS))
+        Fraction(rng.randint(1, _COST_MAX), rng.choice(_DENOMINATORS))
         for _ in range(spec.n)
     ]
     profits = [
-        Fraction(rng.randint(0, spec.profit_max), rng.choice(_DENOMINATORS))
+        Fraction(rng.randint(0, _PROFIT_MAX), rng.choice(_DENOMINATORS))
         for _ in range(spec.n)
     ]
     if spec.n == 0:

@@ -308,27 +308,37 @@ def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> f
     return chosen
 
 
-def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, tuple[frozenset, ...]]:
-    """Bootstrap bounds and candidates (upper, lower, candidates), lower >= upper / 3.
+def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
+    """True if (profit_a, sol_a) beats (profit_b, sol_b) under the fixed tie-break."""
+    if profit_a != profit_b:
+        return profit_a > profit_b
+    return tuple(sorted(sol_a)) < tuple(sorted(sol_b))
+
+
+def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, frozenset]:
+    """Bootstrap bounds and winner (upper, lower, best), lower >= upper / 3.
 
     One uncapped LP solve over all active elements: upper is the LP optimum
-    (>= OPT).  The candidates are the integral part of the LP and the best
-    singleton, the lowest id among equal profits; every active singleton is
-    affordable, as parsing rejects a cost above the budget.  lower is the
-    larger of their profits.  At most two fractional entries, each worth at
-    most one singleton profit, give the factor 3.
+    (>= OPT).  best is the better, under ``_better``, of the integral part
+    of the LP and the best singleton, the lowest id among equal profits;
+    every active singleton is affordable, as parsing rejects a cost above
+    the budget.  lower is best's profit.  At most two fractional entries,
+    each worth at most one singleton profit, give the factor 3, checked on
+    the integers of the ``IntegerView`` and the LP's objective pair.
     """
     if not inst.active:
-        return ZERO, ZERO, ()
+        return ZERO, ZERO, frozenset()
     view = inst.view
     outcome = solve_lp(inst, frozenset(), inst.active)
     top = max(sorted(inst.active), key=view.profits.__getitem__)
-    integral = round_integral(inst, outcome, frozenset())
-    lower = Fraction(max(view.profit(integral), view.profits[top]), view.dp)
-    upper = outcome.objective
-    if 3 * lower < upper:
+    best = round_integral(inst, outcome, frozenset())
+    profit = view.profit(best)
+    if _better(view.profits[top], (top,), profit, best):
+        best, profit = frozenset((top,)), view.profits[top]
+    num, den = outcome.objective_pair
+    if 3 * profit * den < num * view.dp:
         raise InternalInvariantError("bootstrap gap exceeded the factor-3 bound")
-    return upper, lower, (integral, frozenset((top,)))
+    return outcome.objective, Fraction(profit, view.dp), best
 
 
 def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:

@@ -11,9 +11,10 @@ given an independent ``base``, it returns ``base`` plus the elements of
 the scan instead of one independence test per element.  The family
 oracles carry one, ``greedy`` uses it when present, restriction keeps it,
 contraction maps it to ``base | F`` and truncation caps it at q kept
-elements.  ``counting_view`` drops it.  Helpers used only to verify
-matroids (axiom checker, exchange witnesses, disjoint union) live in
-``verify``.
+elements.  A handle carries no counter: the scheme counts the
+independence tests of its enumeration where it makes them.  Helpers used
+only to verify matroids (axiom checker, exchange witnesses, disjoint
+union) live in ``verify``.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.
@@ -143,19 +144,3 @@ def truncate(m: Matroid, q: int) -> Matroid:
         indep.scan = scan
     return Matroid(m.ground, indep, label=f"truncate({m.label},{q})")
 
-
-def counting_view(m: Matroid) -> tuple[Matroid, list[int]]:
-    """Wrap a handle so independence-oracle calls are counted.
-
-    Returns the wrapped handle and a one-cell counter list.  Counting is the
-    only mutation, and the count is reporting-only.  The wrapper carries no
-    ``scan``, so ``greedy`` on it tests, and counts, one set per element.
-    """
-    counter = [0]
-    inner = m.indep_fn
-
-    def counted(s, _inner=inner, _c=counter):
-        _c[0] += 1
-        return _inner(s)
-
-    return Matroid(m.ground, counted, label=m.label), counter

@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance, format_rational
-from .lp import LpOutcome, bootstrap, lp_variables, round_integral, solve_lp
-from .matroid import counting_view, min_weight_basis, restrict, truncate
+from .lp import _better, bootstrap, lp_variables, round_integral, solve_lp
+from .matroid import min_weight_basis, restrict, truncate
 
 
 @dataclass(frozen=True)
@@ -163,26 +163,22 @@ def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> Representativ
 
 
 class RunSession:
-    """One scheme run's LP memo, recorded guesses and counted oracle handle.
+    """One scheme run's LP memo, recorded guesses and oracle count.
 
     The rounded LP candidate depends only on (F, variable set), so each
     residual LP is solved and rounded once per run: ``memo`` maps
     (F, variables - F) to the candidate and its profit in the instance's
     ``IntegerView``.  ``runs`` maps each distinct guess (R, LP variables)
-    to the ``GuessRun`` of its first alpha.  ``matroid`` counts the
-    independence tests of the enumeration in ``oracle_counter``.
+    to the ``GuessRun`` of its first alpha.  ``oracle_calls`` is the number
+    of independence tests the enumeration made.
     """
 
     def __init__(self, inst: BmiInstance, eps: EpsParam):
         self.inst = inst
         self.eps = eps
-        self.matroid, self.oracle_counter = counting_view(inst.active_matroid())
         self.memo: dict = {}
         self.runs: dict = {}
-
-    def solve(self, f: frozenset, variables: frozenset) -> LpOutcome:
-        """The LP outcome for F over the guess's ``lp_variables``."""
-        return solve_lp(self.inst, f, variables)
+        self.oracle_calls = 0
 
 
 class GuessRun(NamedTuple):
@@ -193,13 +189,6 @@ class GuessRun(NamedTuple):
     solution: frozenset
     profit: int
     enum_count: int
-
-
-def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
-    """True if (profit_a, sol_a) beats (profit_b, sol_b) under the fixed tie-break."""
-    if profit_a != profit_b:
-        return profit_a > profit_b
-    return tuple(sorted(sol_a)) < tuple(sorted(sol_b))
 
 
 def run_for_alpha(
@@ -217,13 +206,17 @@ def run_for_alpha(
     extends F only by elements above max(F) and cuts a branch at the first
     set that is over budget or dependent: both properties are inherited by
     supersets, so no set of the family is missed.  Costs and profits are
-    summed and compared in the instance's integer view.  The run reads only
-    R and the LP variables, so the session, made for the same eps, records
-    it under the first alpha that gives both, and a later guess that
-    repeats them returns the recorded run.
+    summed and compared in the instance's integer view, and each
+    independence test of the instance's oracle adds one to the session's
+    ``oracle_calls``.  The run reads only R and the LP variables, so the
+    session, made for the same instance and eps, records it under the first
+    alpha that gives both, and a later guess that repeats them returns the
+    recorded run.
     """
     if session is None:
         session = RunSession(inst, eps)
+    if session.inst is not inst:
+        raise PreconditionError("the session was made for another instance")
     if session.eps != eps:
         raise PreconditionError("the session was made for another eps")
     rep = find_rep(inst, eps, alpha).elements
@@ -233,10 +226,10 @@ def run_for_alpha(
         return run.solution, run.enum_count
 
     r_sorted = sorted(rep)
-    indep = session.matroid.indep_fn
+    indep = inst.active_matroid().indep_fn
     view = inst.view
     memo = session.memo
-    enum_count = 0
+    enum_count = tests = 0
     best_set: frozenset | None = None
     best_profit = 0
     # (F, cost(F), index in r_sorted of the first element that may extend F)
@@ -247,7 +240,7 @@ def run_for_alpha(
         key = (fs, variables - fs)
         rounded = memo.get(key)
         if rounded is None:
-            candidate = round_integral(inst, session.solve(fs, variables), fs)
+            candidate = round_integral(inst, solve_lp(inst, fs, variables), fs)
             rounded = memo[key] = (candidate, view.profit(candidate))
         candidate, profit = rounded
         if best_set is None or _better(profit, candidate, best_profit, best_set):
@@ -259,8 +252,10 @@ def run_for_alpha(
             if ext_cost > view.budget:
                 continue
             ext = fs | {r_sorted[i]}
+            tests += 1
             if indep(ext):
                 stack.append((ext, ext_cost, i + 1))
+    session.oracle_calls += tests
     bound = (len(r_sorted) + 1) ** eps.k
     if enum_count > bound:
         raise InternalInvariantError(
@@ -289,23 +284,12 @@ def alpha_grid(lower: Fraction, upper: Fraction, eps: EpsParam) -> tuple[Fractio
     return tuple(grid)
 
 
-def _certificate(
-    inst: BmiInstance, eps_target: Fraction, upper: Fraction, candidates
-) -> GuessRun | None:
-    """The better bootstrap candidate if its profit is at least
-    (1 - eps_target) * upper, else None.  The profit is in the
-    ``IntegerView`` and stands for profit/dp, so the test cross-multiplies
+def _certificate(inst: BmiInstance, eps_target: Fraction, upper: Fraction, profit: int) -> bool:
+    """True if profit is at least (1 - eps_target) * upper.  The profit is in
+    the ``IntegerView`` and stands for profit/dp, so the test cross-multiplies
     with eps_target = d/e and the positive denominators of upper and dp."""
-    view = inst.view
-    best = GuessRun(None, frozenset(), 0, 0)
-    for candidate in candidates:
-        profit = view.profit(candidate)
-        if _better(profit, candidate, best.profit, best.solution):
-            best = GuessRun(None, candidate, profit, 0)
     d, e = eps_target.numerator, eps_target.denominator
-    if best.profit * e * upper.denominator >= (e - d) * upper.numerator * view.dp:
-        return best
-    return None
+    return profit * e * upper.denominator >= (e - d) * upper.numerator * inst.view.dp
 
 
 def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -> RunReport:
@@ -314,9 +298,9 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
 
     The bootstrap LP bound U is at least OPT, so a solution with profit at
     least (1 - eps_target) * U meets the guarantee, whatever produced it.
-    The run first tests the better of the bootstrap's candidates, the
-    rounded LP and the best singleton, and returns it with an empty grid
-    when it reaches that bound.  Otherwise, and always with
+    The run first tests the bootstrap's winner, the better of the rounded
+    LP and the best singleton, and returns it with an empty grid when it
+    reaches that bound.  Otherwise, and always with
     ``certify=False``, the paper's scheme runs, and its report is the same
     on both paths.
 
@@ -329,10 +313,10 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
     session = RunSession(inst, eps)
-    upper, lower, candidates = bootstrap(inst)
-    best = _certificate(inst, eps_target, upper, candidates) if certify else None
+    upper, lower, winner = bootstrap(inst)
+    best = GuessRun(None, winner, inst.view.profit(winner), 0)
     grid = ()
-    if best is None:
+    if not (certify and _certificate(inst, eps_target, upper, best.profit)):
         grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
         for alpha in grid:
             run_for_alpha(inst, eps, alpha, session)
@@ -351,7 +335,7 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
         alpha_best=best.alpha,
         enum_counts={run.alpha: run.enum_count for run in session.runs.values()},
         lp_calls=len(session.memo),
-        oracle_calls=session.oracle_counter[0],
+        oracle_calls=session.oracle_calls,
         wall_ms=(time.perf_counter() - start) * 1000,
         dropped=inst.dropped,
         upper_bound=upper,

@@ -11,8 +11,8 @@ entry ``lp.solve_rational_lp``, is tested against
 ``solve_polytope_lp_reference``, which lists the independent sets of a
 small matroid: the LP optimum lies on a vertex or an edge of the matroid
 polytope, so it is the best affordable set or the best budget-tight mix of
-two independent sets.  The fraction-free
-``families.columns_independent`` is tested against
+two independent sets.  The fraction-free linear oracle that
+``families.construct`` builds is tested against
 ``columns_independent_reference``, Gaussian elimination over Fractions.
 """
 
@@ -124,7 +124,7 @@ def solve_polytope_lp_reference(
 
 def columns_independent_reference(cols: Sequence[Sequence[Fraction]]) -> bool:
     """Gaussian elimination over rationals; True iff the columns are linearly
-    independent.  ``families.columns_independent`` is tested against it."""
+    independent.  The linear family's oracle is tested against it."""
     if not cols:
         return True
     dim = len(cols[0])

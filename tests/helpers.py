@@ -15,7 +15,7 @@ from fractions import Fraction
 from budgetmatroid.families import construct
 from budgetmatroid.generate import GenSpec, _random_family, generate_instance
 from budgetmatroid.instance import make_instance
-from budgetmatroid.lp import lp_variables, round_integral
+from budgetmatroid.lp import lp_variables, round_integral, solve_lp
 from budgetmatroid.matroid import Matroid
 from budgetmatroid.scheme import _better, find_rep
 
@@ -68,8 +68,8 @@ def random_matroid(rng: random.Random, n: int, kind: str | None = None) -> Matro
     return construct(_random_family(rng, kind, n), n)
 
 
-def random_instance(rng: random.Random, family: str, n: int, **kwargs):
-    return generate_instance(GenSpec(family, n, seed=rng.randrange(1 << 30), **kwargs))
+def random_instance(rng: random.Random, family: str, n: int):
+    return generate_instance(GenSpec(family, n, seed=rng.randrange(1 << 30)))
 
 
 def gap_instance(family: str, n: int, seed: int):
@@ -112,32 +112,33 @@ def random_rational(rng: random.Random, num_max: int = 8, dens=(1, 2, 3, 4)) -> 
     return Fraction(rng.randint(0, num_max), rng.choice(dens))
 
 
-def reference_run_for_alpha(inst, eps, alpha, session) -> tuple[frozenset, int]:
-    """(best solution, enumeration count) of run_for_alpha by a plain scan.
+def reference_run_for_alpha(inst, eps, alpha) -> tuple[frozenset, list, int]:
+    """(best solution, every F sent to the LP, oracle calls) of run_for_alpha
+    by a plain scan; the F sent to the LP are the F enumerated.
 
     Tests every combination of at most 1/eps elements of the representative
-    set, by size and then lexicographically, for budget and independence
-    through the session's counted oracle, and sends each one that passes to
-    ``session.solve``.
+    set, by size and then lexicographically, for budget and then for
+    independence, counting each oracle call, and sends each one that passes
+    to ``solve_lp``.
     """
     r_sorted = sorted(find_rep(inst, eps, alpha).elements)
     variables = lp_variables(inst, eps.eps, alpha)
-    m = session.matroid
-    enum_count = 0
+    indep = inst.active_matroid().indep_fn
+    oracle_calls = 0
+    lp_sets = []
     best_set: frozenset = frozenset()
     best_profit = Fraction(0)
-    have_candidate = False
     for size in range(0, min(eps.k, len(r_sorted)) + 1):
         for combo in itertools.combinations(r_sorted, size):
             fs = frozenset(combo)
             if inst.cost(fs) > inst.budget:
                 continue
-            if not m.indep_fn(fs):
+            oracle_calls += 1
+            if not indep(fs):
                 continue
-            enum_count += 1
-            candidate = round_integral(inst, session.solve(fs, variables), fs)
+            lp_sets.append(fs)
+            candidate = round_integral(inst, solve_lp(inst, fs, variables), fs)
             profit = inst.profit(candidate)
-            if not have_candidate or _better(profit, candidate, best_profit, best_set):
+            if len(lp_sets) == 1 or _better(profit, candidate, best_profit, best_set):
                 best_set, best_profit = candidate, profit
-                have_candidate = True
-    return best_set, enum_count
+    return best_set, lp_sets, oracle_calls

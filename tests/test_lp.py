@@ -513,21 +513,28 @@ class TestUpperBound:
             assert 3 * lower >= upper
 
     def test_bootstrap_candidates(self):
-        # lp_upper_bound's bounds, and the candidates behind lower: the
-        # rounded bootstrap LP and the best singleton, lowest id on ties.
+        # lp_upper_bound's bounds, and the winner behind lower: the better,
+        # by profit and then by sorted ids, of the rounded bootstrap LP and
+        # the best singleton, lowest id on ties.
         rng = random.Random(78)
+        winners = set()
         for _ in range(30):
             inst = random_instance(rng, rng.choice(("uniform", "partition", "linear")), rng.randint(0, 8))
-            upper, lower, candidates = lp.bootstrap(inst)
+            upper, lower, best = lp.bootstrap(inst)
             assert (upper, lower) == lp_upper_bound(inst)
             if not inst.active:
-                assert candidates == ()
+                assert best == frozenset() and lower == 0
                 continue
-            integral, singleton = candidates
-            assert integral == round_integral(inst, solve_lp(inst, (), inst.active), ())
+            integral = round_integral(inst, solve_lp(inst, (), inst.active), ())
             top = max(inst.profits[e] for e in inst.active)
-            assert singleton == {min(e for e in inst.active if inst.profits[e] == top)}
-            assert lower == max(inst.profit(integral), top)
-            for candidate in candidates:
-                assert inst.active_matroid().is_independent(candidate)
-                assert inst.cost(candidate) <= inst.budget
+            singleton = frozenset({min(e for e in inst.active if inst.profits[e] == top)})
+            if inst.profit(integral) != top:
+                expected = max((integral, singleton), key=inst.profit)
+            else:
+                expected = min((integral, singleton), key=sorted)
+            assert best == expected
+            winners.add("singleton" if best == singleton != integral else "integral")
+            assert lower == inst.profit(best) == max(inst.profit(integral), top)
+            assert inst.active_matroid().is_independent(best)
+            assert inst.cost(best) <= inst.budget
+        assert winners == {"integral", "singleton"}

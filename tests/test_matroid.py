@@ -21,7 +21,7 @@ from budgetmatroid import (
     truncate,
     union,
 )
-from budgetmatroid.matroid import counting_view, greedy
+from budgetmatroid.matroid import greedy
 from helpers import FAMILIES, all_bases, exhaustive_rank, random_matroid
 
 
@@ -284,22 +284,3 @@ class TestScansThroughDerivedHandles:
             calls.clear()
             assert result == loop_greedy(m.indep_fn, (), order)
             assert fallback_calls == len(calls)
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_counting_view_counts_each_tested_set(self, family):
-        rng = random.Random(f"count-{family}")
-        for _ in range(40):
-            m = random_matroid(rng, rng.randint(1, 9), kind=family)
-            counted, counter = counting_view(m)
-            order = sorted(m.ground)
-            rng.shuffle(order)
-            assert greedy(counted, order) == greedy(m, order)
-            assert counter[0] == len(order)
-            fixed = frozenset(order[:1])
-            if m.indep_fn(fixed):
-                before = counter[0]
-                contracted = contract(counted, fixed)
-                assert counter[0] == before + 1  # the precondition test
-                rest = [e for e in order if e not in fixed]
-                assert greedy(contracted, rest) == greedy(contract(m, fixed), rest)
-                assert counter[0] == before + 1 + len(rest)

@@ -25,11 +25,10 @@ from budgetmatroid import (
     serialize_instance,
 )
 from budgetmatroid.generate import GenSpec, generate_instance
-from budgetmatroid.lp import LP_STATS, lp_variables
+from budgetmatroid.lp import LP_STATS, lp_variables, solve_lp
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
 from budgetmatroid.scheme import (
-    GuessRun,
     RunSession,
     _better,
     _certificate,
@@ -182,6 +181,18 @@ class TestProfitClasses:
         with pytest.raises(PreconditionError):
             run_for_alpha(inst, EpsParam(4), F(5), session)
 
+    def test_session_of_another_instance_is_refused(self):
+        # The instances differ only in element 2's profit, so a session of
+        # a would hand b a's recorded run: {0, 1}, worth 9 against 11.
+        costs, spec = [F(1)] * 3, FamilySpec("uniform", rank=2)
+        a = make_instance(F(2), costs, [F(5), F(4), F(3)], spec)
+        b = make_instance(F(2), costs, [F(5), F(4), F(6)], spec)
+        session = RunSession(a, EpsParam(3))
+        run_for_alpha(a, EpsParam(3), F(6), session)
+        with pytest.raises(PreconditionError):
+            run_for_alpha(b, EpsParam(3), F(6), session)
+        assert run_for_alpha(b, EpsParam(3), F(6))[0] == {0, 2}
+
     def test_partition_covers_classed_elements(self):
         inst = small_instance()
         classes = class_partition(inst, EpsParam(3), F(5))
@@ -270,26 +281,22 @@ class TestRunForAlpha:
             assert inst.profit(sol) >= (1 - 7 * eps.eps) * opt
 
 
-class RecordingSession(RunSession):
-    """A session that records every F sent to the LP."""
-
-    def __init__(self, inst, eps):
-        super().__init__(inst, eps)
-        self.seen = []
-
-    def solve(self, f, variables):
-        self.seen.append(f)
-        return super().solve(f, variables)
-
-
 def check_dfs_against_reference(inst, eps, alpha):
-    dfs, ref = RecordingSession(inst, eps), RecordingSession(inst, eps)
-    sol, enum_count = run_for_alpha(inst, eps, alpha, dfs)
-    ref_sol, ref_count = reference_run_for_alpha(inst, eps, alpha, ref)
-    assert sorted(map(sorted, dfs.seen)) == sorted(map(sorted, ref.seen))
-    assert enum_count == ref_count
+    seen = []
+
+    def recording(inst, f, variables):
+        seen.append(f)
+        return solve_lp(inst, f, variables)
+
+    session = RunSession(inst, eps)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(budgetmatroid.scheme, "solve_lp", recording)
+        sol, enum_count = run_for_alpha(inst, eps, alpha, session)
+    ref_sol, ref_sets, ref_calls = reference_run_for_alpha(inst, eps, alpha)
+    assert sorted(map(sorted, seen)) == sorted(map(sorted, ref_sets))
+    assert enum_count == len(ref_sets)
     assert sol == ref_sol
-    assert dfs.oracle_counter[0] <= ref.oracle_counter[0]
+    assert session.oracle_calls <= ref_calls
 
 
 def guess_grid(inst, eps):
@@ -576,13 +583,11 @@ class TestCertifiedExit:
         )
         assert inst.view.dp == 6
         eps, upper = F(2, 7), F(7, 6)
-        best = _certificate(inst, eps, upper, (frozenset({1}), frozenset({0})))
-        assert best is not None and best.solution == {0} and best.profit == 5
-        assert _certificate(inst, eps, upper, (frozenset({1}),)) is None
-        assert _certificate(inst, eps, upper, (frozenset({1, 2}),)) is not None
-        # A zero bound certifies any candidate, even none.
-        assert _certificate(inst, eps, F(0), ()) == GuessRun(None, frozenset(), 0, 0)
-        assert _certificate(inst, eps, F(0), (frozenset({2}),)).profit == 2
+        assert _certificate(inst, eps, upper, inst.view.profit({0})) is True
+        assert _certificate(inst, eps, upper, inst.view.profit({1})) is False
+        assert _certificate(inst, eps, upper, inst.view.profit({1, 2})) is True
+        # A zero bound certifies any profit, even none.
+        assert _certificate(inst, eps, F(0), 0) and _certificate(inst, eps, F(0), 2)
 
 
 class TestCheckers:
