@@ -264,8 +264,15 @@ def solve_rational_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
 
 
 def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset:
-    """Active elements cheap enough in profit to be LP variables: p(e) <= 2 eps alpha."""
-    return frozenset(e for e in inst.active if inst.profits[e] <= 2 * eps * alpha)
+    """Active elements cheap enough in profit to be LP variables: p(e) <= 2 eps alpha.
+
+    In the instance's ``IntegerView`` the test is P_e * den(eps) * den(alpha)
+    <= 2 * num(eps) * num(alpha) * dp, one integer comparison per element.
+    """
+    view = inst.view
+    scale = eps.denominator * alpha.denominator
+    bound = 2 * eps.numerator * alpha.numerator * view.dp
+    return frozenset(e for e in inst.active if view.profits[e] * scale <= bound)
 
 
 def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> Matroid:

@@ -3,10 +3,11 @@ per-guess enumeration of F within the representative set, and the top-level
 wrapper with geometric guessing of the optimum scale.
 
 The solve path is: bootstrap LP -> certified early exit, or guess grid ->
-``run_for_alpha`` per guess, once per distinct R and LP variables: enumerate
-independent, affordable F within R -> residual LP for each F and its
-rounding, once per distinct LP.  Checkers for the properties the scheme
-relies on live in ``verify``.
+``run_for_alpha`` per guess: profit classes and LP variables on the
+instance's integer view, R once per distinct class grouping, then, once per
+distinct R and LP variables, enumerate independent, affordable F within R
+-> residual LP for each F and its rounding, once per distinct LP.  Checkers
+for the properties the scheme relies on live in ``verify``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import floor, inf, log
+from math import floor, inf, log, log1p
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
@@ -29,9 +30,11 @@ class EpsParam:
     """Accuracy parameter restricted to integer reciprocals 1/k, k >= 3.
 
     The restriction keeps 1/eps, the truncation level k^k and every class
-    interval endpoint (1-eps)^r exact.  The endpoints are computed where a
-    class index is looked up and never tabulated: there are about k ln(2k)
-    of them, and (1-eps)^r has about r log10(k) digits.
+    bound (1-eps)^r = (k-1)^r / k^r exact: a ratio num/den lies below the
+    bound exactly when num * k^r <= den * (k-1)^r, one integer comparison.
+    The bounds are compared where a class index is looked up and never
+    tabulated: there are about k ln(2k) of them, and k^r has about
+    r log10(k) digits.
     """
 
     k: int
@@ -52,30 +55,32 @@ class EpsParam:
     def eps(self) -> Fraction:
         return Fraction(1, self.k)
 
-    @property
+    @cached_property
     def q(self) -> int:
-        """Cardinality level k^k; saturate at the ground size when truncating."""
+        """Cardinality level k^k, built once: it has about k log10(k) digits."""
         return self.k**self.k
 
     @cached_property
     def r_max(self) -> int:
         """Largest class index, the class of eps/2: (1-eps)^(r_max-1) >= eps/2 > (1-eps)^r_max."""
-        return _power_index(1 - self.eps, self.eps / 2, inf)
+        return _class_index(1, 2 * self.k, self.k, inf)
 
 
-def _power_index(base: Fraction, x: Fraction, cap: float) -> int:
-    """min(cap, the r >= 1 with x in (base^r, base^(r-1)]) for 0 < base < 1, 0 < x <= 1.
+def _class_index(num: int, den: int, k: int, cap: float) -> int:
+    """min(cap, the r >= 1 with num/den in ((1-1/k)^r, (1-1/k)^(r-1)]) for
+    positive integers num <= den.
 
-    The logarithms of numerator and denominator, taken apart because x may
-    be too small for a float, guess r; exact comparisons settle it, with
-    one power and then one multiplication or division per step.
+    The logarithms of num and den, taken apart because num/den may be too
+    small for a float, guess r; exact tests settle it: num/den <= (1-1/k)^j
+    exactly when num * k^j <= den * (k-1)^j.  The guess costs one pair of
+    powers, and each correction one multiplication or division of the pair.
     """
-    r = min(max(1, floor((log(x.numerator) - log(x.denominator)) / log(base)) + 1), cap)
-    upper = base ** (r - 1)
-    while r > 1 and x > upper:
-        r, upper = r - 1, upper / base
-    while r < cap and x <= upper * base:
-        r, upper = r + 1, upper * base
+    r = min(max(1, floor((log(num) - log(den)) / log1p(-1 / k)) + 1), cap)
+    hi, lo = k ** (r - 1), (k - 1) ** (r - 1)  # (1-1/k)^(r-1) = lo/hi
+    while r > 1 and num * hi > den * lo:
+        r, hi, lo = r - 1, hi // k, lo // (k - 1)
+    while r < cap and num * hi * k <= den * lo * (k - 1):
+        r, hi, lo = r + 1, hi * k, lo * (k - 1)
     return r
 
 
@@ -125,57 +130,81 @@ class RunReport:
 
 
 def profit_class(inst: BmiInstance, eps: EpsParam, alpha: Fraction, e: int) -> int | None:
-    """Class index r <= r_max with p(e)/(2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None."""
+    """Class index r <= r_max with p(e)/(2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None.
+
+    In the instance's ``IntegerView`` the ratio is P_e * den(alpha) over
+    2 * num(alpha) * dp, and ``_class_index`` places it with integer tests.
+    """
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
-    ratio = inst.profits[e] / (2 * alpha)
-    if not 0 < ratio <= 1:
+    view = inst.view
+    num, den = view.profits[e] * alpha.denominator, 2 * alpha.numerator * view.dp
+    if not 0 < num <= den:
         return None
-    r = _power_index(1 - eps.eps, ratio, eps.r_max + 1)
+    r = _class_index(num, den, eps.k, eps.r_max + 1)
     return r if r <= eps.r_max else None
 
 
 def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:
-    """Map class index -> sorted tuple of active elements in that class."""
+    """Map class index -> sorted tuple of active elements in that class;
+    each element is placed as by ``profit_class``."""
+    if alpha <= 0:
+        raise PreconditionError("alpha must be positive")
+    view = inst.view
+    scale, den = alpha.denominator, 2 * alpha.numerator * view.dp
+    k, cap = eps.k, eps.r_max + 1
     classes: dict[int, list[int]] = {}
     for e in sorted(inst.active):
-        r = profit_class(inst, eps, alpha, e)
-        if r is not None:
-            classes.setdefault(r, []).append(e)
+        num = view.profits[e] * scale
+        if 0 < num <= den:
+            r = _class_index(num, den, k, cap)
+            if r < cap:
+                classes.setdefault(r, []).append(e)
     return {r: tuple(v) for r, v in classes.items()}
 
 
 def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> RepresentativeSet:
-    """Per-class minimum-cost bases of the truncated class matroids.
+    """Per-class minimum-cost bases of the class matroids truncated at k^k.
 
     Equivalent to one minimum basis of the disjoint-ground union matroid:
-    a union basis splits into per-part minimum bases.
+    a union basis splits into per-part minimum bases.  Costs are compared
+    in the instance's ``IntegerView``.  Truncation at k^k changes a class
+    only if the class has more elements than that, so a class matroid is
+    truncated only then; for k >= 8, every eps target below 1, that takes
+    more than 16.7 million elements.
     """
     m = inst.active_matroid()
-    trunc_level = min(eps.q, len(inst.active))
+    costs = inst.view.costs
+    weights = {e: costs[e] for e in inst.active}
     slices: dict[int, frozenset] = {}
-    weights = {e: inst.costs[e] for e in inst.active}
     for r, members in sorted(class_partition(inst, eps, alpha).items()):
-        class_matroid = truncate(restrict(m, members), trunc_level)
+        class_matroid = restrict(m, members)
+        if eps.q < len(members):
+            class_matroid = truncate(class_matroid, eps.q)
         slices[r] = min_weight_basis(class_matroid, weights)
     elements = frozenset().union(*slices.values()) if slices else frozenset()
     return RepresentativeSet(elements, slices)
 
 
 class RunSession:
-    """One scheme run's LP memo, recorded guesses and oracle count.
+    """One scheme run's representative sets, LP memo, recorded guesses and
+    oracle count.
 
-    The rounded LP candidate depends only on (F, variable set), so each
-    residual LP is solved and rounded once per run: ``memo`` maps
-    (F, variables - F) to the candidate and its profit in the instance's
-    ``IntegerView``.  ``runs`` maps each distinct guess (R, LP variables)
-    to the ``GuessRun`` of its first alpha.  ``oracle_calls`` is the number
-    of independence tests the enumeration made.
+    R depends only on the class grouping, the member tuples of the profit
+    classes in class order, so ``reps`` maps each grouping met in the run
+    to its R and ``find_rep`` runs once per grouping.  The rounded LP
+    candidate depends only on (F, variable set), so each residual LP is
+    solved and rounded once per run: ``memo`` maps (F, variables - F) to
+    the candidate and its profit in the instance's ``IntegerView``.
+    ``runs`` maps each distinct guess (R, LP variables) to the ``GuessRun``
+    of its first alpha.  ``oracle_calls`` is the number of independence
+    tests the enumeration made.
     """
 
     def __init__(self, inst: BmiInstance, eps: EpsParam):
         self.inst = inst
         self.eps = eps
+        self.reps: dict = {}
         self.memo: dict = {}
         self.runs: dict = {}
         self.oracle_calls = 0
@@ -208,10 +237,10 @@ def run_for_alpha(
     supersets, so no set of the family is missed.  Costs and profits are
     summed and compared in the instance's integer view, and each
     independence test of the instance's oracle adds one to the session's
-    ``oracle_calls``.  The run reads only R and the LP variables, so the
-    session, made for the same instance and eps, records it under the first
-    alpha that gives both, and a later guess that repeats them returns the
-    recorded run.
+    ``oracle_calls``.  The session, made for the same instance and eps,
+    computes R once per class grouping.  The run reads only R and the LP
+    variables, so the session records it under the first alpha that gives
+    both, and a later guess that repeats them returns the recorded run.
     """
     if session is None:
         session = RunSession(inst, eps)
@@ -219,7 +248,11 @@ def run_for_alpha(
         raise PreconditionError("the session was made for another instance")
     if session.eps != eps:
         raise PreconditionError("the session was made for another eps")
-    rep = find_rep(inst, eps, alpha).elements
+    classes = class_partition(inst, eps, alpha)
+    grouping = tuple(members for _, members in sorted(classes.items()))
+    rep = session.reps.get(grouping)
+    if rep is None:
+        rep = session.reps[grouping] = find_rep(inst, eps, alpha).elements
     variables = lp_variables(inst, eps.eps, alpha)
     run = session.runs.get((rep, variables))
     if run is not None:

@@ -8,16 +8,18 @@ combination rather than pruning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from fractions import Fraction
+from math import floor, log
 
 from budgetmatroid.families import construct
 from budgetmatroid.generate import GenSpec, _random_family, generate_instance
 from budgetmatroid.instance import make_instance
 from budgetmatroid.lp import lp_variables, round_integral, solve_lp
 from budgetmatroid.matroid import Matroid
-from budgetmatroid.scheme import _better, find_rep
+from budgetmatroid.scheme import EpsParam, _better, find_rep
 
 FAMILIES = ("uniform", "partition", "graphic", "linear", "explicit")
 
@@ -142,3 +144,52 @@ def reference_run_for_alpha(inst, eps, alpha) -> tuple[frozenset, list, int]:
             if len(lp_sets) == 1 or _better(profit, candidate, best_profit, best_set):
                 best_set, best_profit = candidate, profit
     return best_set, lp_sets, oracle_calls
+
+
+def power_index_reference(base: Fraction, x: Fraction, cap: float) -> int:
+    """min(cap, the r >= 1 with x in (base^r, base^(r-1)]) for 0 < base < 1,
+    0 < x <= 1, in Fraction arithmetic.
+
+    A float guess from the logarithms of x's numerator and denominator,
+    then exact Fraction comparisons: one power, then one multiplication or
+    division per step.
+    """
+    r = min(max(1, floor((log(x.numerator) - log(x.denominator)) / log(base)) + 1), cap)
+    upper = base ** (r - 1)
+    while r > 1 and x > upper:
+        r, upper = r - 1, upper / base
+    while r < cap and x <= upper * base:
+        r, upper = r + 1, upper * base
+    return r
+
+
+@functools.lru_cache(maxsize=None)
+def r_max_by_power_index(k: int) -> int:
+    """EpsParam(k).r_max in Fraction arithmetic: the class of eps/2."""
+    eps = Fraction(1, k)
+    return power_index_reference(1 - eps, eps / 2, float("inf"))
+
+
+def profit_class_reference(inst, eps: EpsParam, alpha: Fraction, e: int) -> int | None:
+    """profit_class in Fraction arithmetic on the instance's own profits."""
+    ratio = inst.profits[e] / (2 * alpha)
+    if not 0 < ratio <= 1:
+        return None
+    r_max = r_max_by_power_index(eps.k)
+    r = power_index_reference(1 - eps.eps, ratio, r_max + 1)
+    return r if r <= r_max else None
+
+
+def class_partition_reference(inst, eps: EpsParam, alpha: Fraction) -> dict:
+    """class_partition from ``profit_class_reference``."""
+    classes: dict[int, list[int]] = {}
+    for e in sorted(inst.active):
+        r = profit_class_reference(inst, eps, alpha, e)
+        if r is not None:
+            classes.setdefault(r, []).append(e)
+    return {r: tuple(v) for r, v in classes.items()}
+
+
+def lp_variables_reference(inst, eps: Fraction, alpha: Fraction) -> frozenset:
+    """lp_variables as a Fraction comparison: p(e) <= 2 eps alpha."""
+    return frozenset(e for e in inst.active if inst.profits[e] <= 2 * eps * alpha)

@@ -43,7 +43,16 @@ from budgetmatroid.verify import (
     union,
     verify_representative,
 )
-from helpers import FAMILIES, gap_instance, random_instance, reference_run_for_alpha
+from helpers import (
+    FAMILIES,
+    class_partition_reference,
+    gap_instance,
+    lp_variables_reference,
+    profit_class_reference,
+    r_max_by_power_index,
+    random_instance,
+    reference_run_for_alpha,
+)
 
 
 def r_max_reference(k):
@@ -77,6 +86,15 @@ class TestEpsParam:
     def test_q_value(self):
         assert EpsParam(3).q == 27
         assert EpsParam(4).q == 256
+
+    def test_q_is_kept(self):
+        # k^k at k = 1,400 has about 4,400 digits: built once per EpsParam.
+        eps = EpsParam(1400)
+        assert eps.q is eps.q == 1400**1400
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 8, 15, 21, 22, 70, 100, 700])
+    def test_r_max_matches_power_index(self, k):
+        assert EpsParam(k).r_max == r_max_by_power_index(k)
 
     @pytest.mark.parametrize("k", [3, 4, 5, 7, 10, 14])
     def test_r_max_matches_reference(self, k):
@@ -153,7 +171,7 @@ class TestProfitClasses:
             for e in sorted(inst.active):
                 check_class(inst, eps, alpha, e)
 
-    @pytest.mark.parametrize("k", [3, 7, 21])
+    @pytest.mark.parametrize("k", [3, 7, 21, 70])
     def test_matches_interval_definition_at_the_bounds(self, k):
         # Ratios on and just beside every bound (1-eps)^j, where the float
         # guess of the class can land on either side.
@@ -165,6 +183,10 @@ class TestProfitClasses:
         inst = make_instance(F(1), [F(0)] * len(ratios), ratios, FamilySpec("uniform", rank=1))
         for e in range(len(ratios)):
             check_class(inst, eps, F(1, 2), e)
+            assert profit_class(inst, eps, F(1, 2), e) == profit_class_reference(
+                inst, eps, F(1, 2), e
+            )
+        assert class_partition(inst, eps, F(1, 2)) == class_partition_reference(inst, eps, F(1, 2))
 
     def test_alpha_must_be_positive(self):
         inst = small_instance()
@@ -197,6 +219,57 @@ class TestProfitClasses:
         inst = small_instance()
         classes = class_partition(inst, EpsParam(3), F(5))
         assert classes == {1: (0,), 2: (1,), 3: (2,)}
+
+
+def grid_instances():
+    """The generator corpus and the gap-heavy corpus, on every family."""
+    for family in FAMILIES:
+        for n in (6, 8, 10):
+            for seed in range(3):
+                yield generate_instance(GenSpec(family, n, seed))
+        for n in (8, 10):
+            for seed in range(3):
+                yield gap_instance(family, n, seed)
+
+
+class TestIntegerGuessLayer:
+    """The integer class index and LP variables against the Fraction
+    references, on every alpha of the real guess grids: lower * ((k+1)/k)^j
+    carries a power of k in its denominator."""
+
+    @pytest.mark.parametrize("eps_target", [F(1, 2), F(1, 3), F(1, 10)])
+    def test_matches_fraction_reference_on_real_grids(self, eps_target):
+        eps = EpsParam.from_target(eps_target)
+        alphas = 0
+        for inst in grid_instances():
+            upper, lower = lp_upper_bound(inst)
+            if upper == 0:
+                continue
+            for alpha in alpha_grid(lower, upper, eps):
+                alphas += 1
+                classes = class_partition(inst, eps, alpha)
+                assert classes == class_partition_reference(inst, eps, alpha)
+                for e in sorted(inst.active):
+                    assert profit_class(inst, eps, alpha, e) == profit_class_reference(
+                        inst, eps, alpha, e
+                    )
+                assert lp_variables(inst, eps.eps, alpha) == lp_variables_reference(
+                    inst, eps.eps, alpha
+                )
+        assert alphas > 100
+
+    def test_lp_variables_boundary(self):
+        # p(e) = 2 eps alpha exactly is a variable; one part in 10^30 above
+        # is not.  The profits' common denominator makes dp > 1.
+        tiny = F(1, 10**30)
+        eps, alpha = F(1, 3), F(9, 7)
+        bound = 2 * eps * alpha
+        inst = make_instance(
+            F(1), [F(0)] * 3, [bound, bound + tiny, bound - tiny], FamilySpec("uniform", rank=1)
+        )
+        assert inst.view.dp > 1
+        assert lp_variables(inst, eps, alpha) == {0, 2}
+        assert lp_variables(inst, eps, alpha) == lp_variables_reference(inst, eps, alpha)
 
 
 class TestFindRep:
@@ -248,6 +321,86 @@ class TestFindRep:
             u = union(parts)
             weights = {e: inst.costs[e] for e in u.ground}
             assert min_weight_basis(u, weights) == rep.elements
+
+
+    def test_truncation_binds(self, monkeypatch):
+        # q = 2 is below the size and the rank of some class, so the
+        # truncated branch runs; no eps target below 1 reaches it below
+        # 16.7 M elements.
+        monkeypatch.setattr(EpsParam, "q", 2)
+        rng = random.Random(17)
+        binding = 0
+        for _ in range(30):
+            family = rng.choice(("uniform", "partition", "graphic", "linear"))
+            inst = random_instance(rng, family, rng.randint(4, 9))
+            eps = EpsParam(3)
+            assert eps.q == 2
+            upper, lower = lp_upper_bound(inst)
+            if upper == 0:
+                continue
+            m = inst.active_matroid()
+            for alpha in alpha_grid(lower, upper, eps):
+                rep = find_rep(inst, eps, alpha)
+                classes = class_partition(inst, eps, alpha)
+                assert set(rep.slices) == set(classes)
+                for r, members in classes.items():
+                    costs = {e: inst.costs[e] for e in members}
+                    expected = min_weight_basis(truncate(restrict(m, members), 2), costs)
+                    assert rep.slices[r] == expected
+                    if len(expected) < len(min_weight_basis(restrict(m, members), costs)):
+                        binding += 1
+        assert binding > 0
+
+
+class TestRepMemo:
+    """One find_rep per class grouping in a run."""
+
+    @staticmethod
+    def groupings(inst, eps, grid):
+        return {
+            tuple(v for _, v in sorted(class_partition_reference(inst, eps, a).items()))
+            for a in grid
+        }
+
+    def count_runs(self, monkeypatch, inst, eps_target):
+        calls = []
+        real = budgetmatroid.scheme.find_rep
+
+        def counted(inst, eps, alpha):
+            calls.append(alpha)
+            return real(inst, eps, alpha)
+
+        monkeypatch.setattr(budgetmatroid.scheme, "find_rep", counted)
+        report = approximate(inst, eps_target, certify=False)
+        eps = EpsParam.from_target(eps_target)
+        assert len(calls) == len(self.groupings(inst, eps, report.alpha_grid))
+        # Each reused R is the R of its own alpha.
+        calls.clear()
+        session = RunSession(inst, eps)
+        for alpha in report.alpha_grid:
+            run_for_alpha(inst, eps, alpha, session)
+        assert len(calls) == len(session.reps)
+        for alpha in report.alpha_grid:
+            grouping = tuple(v for _, v in sorted(class_partition(inst, eps, alpha).items()))
+            assert session.reps[grouping] == real(inst, eps, alpha).elements
+        return report, len(session.reps)
+
+    @pytest.mark.parametrize("family", ["partition", "explicit"])
+    def test_one_find_rep_on_uncertified_small_batch_runs(self, monkeypatch, family):
+        inst = generate_instance(GenSpec(family, 6, 4))
+        report, groupings = self.count_runs(monkeypatch, inst, F(1, 3))
+        assert approximate(inst, F(1, 3)).alpha_grid == report.alpha_grid
+        assert len(report.alpha_grid) == 13 and groupings == 1
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_count_is_distinct_groupings(self, monkeypatch, family):
+        many = 0
+        for n, seed in GAP_CORPUS:
+            for eps_target in (F(1, 2), F(1, 3)):
+                inst = gap_instance(family, n, seed)
+                _, groupings = self.count_runs(monkeypatch, inst, eps_target)
+                many += groupings > 1
+        assert many > 0
 
 
 class TestRunForAlpha:
