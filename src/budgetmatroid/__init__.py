@@ -1,5 +1,6 @@
 """Budgeted matroid independent set: an efficient approximation scheme with
-exact rational arithmetic, plus desk-scale verification oracles."""
+exact rational arithmetic, plus desk-scale exact oracles.  The property
+checkers live in ``budgetmatroid.verify``, which this package does not load."""
 
 from .errors import (
     BudgetMatroidError,
@@ -23,21 +24,8 @@ from .scheme import (
     profit_class,
     run_for_alpha,
 )
-from .verify import (
-    AxiomReport,
-    SeparationResult,
-    check_axioms,
-    exchange_witness,
-    extend_to_independent,
-    is_replacement,
-    is_substitution,
-    separate,
-    union,
-    verify_representative,
-)
 
 __all__ = [
-    "AxiomReport",
     "BmiInstance",
     "BudgetMatroidError",
     "EpsParam",
@@ -52,19 +40,13 @@ __all__ = [
     "RepresentativeSet",
     "RunReport",
     "ScaleCapError",
-    "SeparationResult",
     "ValidationError",
     "approximate",
     "brute_force_opt",
-    "check_axioms",
     "construct",
     "contract",
-    "exchange_witness",
-    "extend_to_independent",
     "find_rep",
     "generate_instance",
-    "is_replacement",
-    "is_substitution",
     "knapsack_dp",
     "lp_upper_bound",
     "make_instance",
@@ -75,12 +57,9 @@ __all__ = [
     "restrict",
     "round_integral",
     "run_for_alpha",
-    "separate",
     "serialize_instance",
     "solve_lp",
     "truncate",
-    "union",
-    "verify_representative",
 ]
 
 __version__ = "0.1.0"

@@ -19,7 +19,6 @@ from .instance import format_rational, parse_instance, parse_rational, serialize
 from .lp import FractionalPoint
 from .oracle import brute_force_opt
 from .scheme import EpsParam, approximate, find_rep
-from .verify import check_axioms, separate, verify_representative
 
 EXIT_VALIDATION = 2
 EXIT_SCALE_CAP = 3
@@ -78,6 +77,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # Imported here, so that solve, exact, gen and bench never load the checkers.
+    from .verify import check_axioms, separate, verify_representative
+
     inst = _load_instance(args.instance)
     eps_target = parse_rational(args.eps, "eps")
     # Unit fractions are used directly for the property checkers; anything

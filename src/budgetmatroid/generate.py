@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ScaleCapError, ValidationError
-from .families import KINDS, FamilySpec
+from .families import KINDS, FamilySpec, construct
 from .instance import BmiInstance, make_instance
 from .matroid import Matroid
 
@@ -66,10 +66,7 @@ def _random_family(rng: random.Random, family: str, n: int) -> FamilySpec:
         raise ScaleCapError(
             f"explicit generation enumerates bases; n={n} exceeds cap {_EXPLICIT_GEN_CAP}"
         )
-    inner = _random_family(rng, "partition", n)
-    from .families import construct
-
-    m = construct(inner, n)
+    m = construct(_random_family(rng, "partition", n), n)
     maximal = _maximal_independent_sets(m)
     return FamilySpec("explicit", maximal_sets=tuple(tuple(sorted(s)) for s in maximal))
 

@@ -1,9 +1,11 @@
 """Verification-only code: exhaustive checkers, exchange helpers, the
 reference LP value and the rational linear-independence test.
 
-Nothing on the solve path imports this module.  The matroid helpers
-(axiom checker, exchange witnesses, disjoint union) decide matroid
-properties directly from the oracle; the scheme checkers (replacement,
+Nothing on the solve path imports this module, the package root does not
+re-export it, and the CLI loads it only for its ``verify`` command, so
+``import budgetmatroid`` and ``budgetmatroid solve`` never run it.  The
+matroid helpers (axiom checker, exchange witnesses, disjoint union) decide
+matroid properties directly from the oracle; the scheme checkers (replacement,
 substitution, representative set) take the exact optimum as an argument
 because the profitable-element threshold depends on it, which only a
 verification oracle knows.  The parametric-greedy LP, through its rational
@@ -333,23 +335,22 @@ def is_substitution(
 
 
 def _independent_subsets(m: Matroid, max_size: int):
-    """All independent subsets up to max_size, by size then lexicographic."""
+    """All independent subsets up to max_size, by size then lexicographic.
+
+    Each set is built once, from its only prefix: the set minus its largest
+    element."""
     elems = sorted(m.ground)
     frontier = [frozenset()]
     yield frozenset()
     for _ in range(max_size):
         next_frontier = []
-        seen = set()
         for base in frontier:
             start = max(base) + 1 if base else 0
             for e in elems:
                 if e < start:
                     continue
                 ext = base | {e}
-                if ext in seen:
-                    continue
                 if m.indep_fn(ext):
-                    seen.add(ext)
                     next_frontier.append(ext)
                     yield ext
         frontier = next_frontier

@@ -18,7 +18,6 @@ from budgetmatroid import (
     EpsParam,
     ScaleCapError,
     approximate,
-    check_axioms,
     construct,
     contract,
     find_rep,
@@ -26,14 +25,13 @@ from budgetmatroid import (
     restrict,
     run_for_alpha,
     truncate,
-    union,
 )
 from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import LP_STATS, FractionalPoint
 from budgetmatroid.matroid import Matroid, min_weight_basis
 from budgetmatroid.oracle import brute_force_opt, knapsack_dp
 from budgetmatroid.scheme import alpha_grid, class_partition
-from budgetmatroid.verify import separate, verify_representative
+from budgetmatroid.verify import check_axioms, separate, union, verify_representative
 from helpers import (
     all_bases,
     random_instance,

@@ -8,12 +8,11 @@ from budgetmatroid import (
     FamilySpec,
     PreconditionError,
     ValidationError,
-    check_axioms,
     construct,
     rank,
 )
 from budgetmatroid.families import check_basis_exchange
-from budgetmatroid.verify import columns_independent_reference
+from budgetmatroid.verify import check_axioms, columns_independent_reference
 from helpers import FAMILIES, all_bases, random_matroid
 
 # Denominators of the random column entries, by kind.

@@ -10,18 +10,15 @@ from budgetmatroid import (
     PreconditionError,
     ScaleCapError,
     Matroid,
-    check_axioms,
     construct,
     contract,
-    exchange_witness,
-    extend_to_independent,
     min_weight_basis,
     rank,
     restrict,
     truncate,
-    union,
 )
 from budgetmatroid.matroid import greedy
+from budgetmatroid.verify import check_axioms, exchange_witness, extend_to_independent, union
 from helpers import FAMILIES, all_bases, exhaustive_rank, random_matroid
 
 

@@ -1,7 +1,10 @@
 import ast
 import functools
 import itertools
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
@@ -743,6 +746,75 @@ class TestCertifiedExit:
         assert _certificate(inst, eps, F(0), 0) and _certificate(inst, eps, F(0), 2)
 
 
+DROPPED_KINDS = ("graphic", "linear", "partition", "explicit")
+
+
+def dropped_instance(kind, seed, n=10):
+    """gap_instance's weights for the same seed on a family with two
+    dependent singletons.
+
+    The dropped elements are a graphic loop edge, a zero linear column, a
+    capacity-0 partition block or explicit elements in no listed set.  Each
+    costs 1 and has profit 100, so a solve that used one would show.
+    """
+    rng = random.Random(seed)
+    dropped = set(rng.sample(range(n), 2))
+    kept = [e for e in range(n) if e not in dropped]
+    if kind == "graphic":
+        edges = []
+        for e in range(n):
+            u = rng.randrange(4)
+            edges.append((u, u) if e in dropped else (u, (u + rng.randint(1, 3)) % 4))
+        spec = FamilySpec("graphic", num_vertices=4, edges=tuple(edges))
+    elif kind == "linear":
+        columns = []
+        for e in range(n):
+            col = [F(0)] * 3
+            if e not in dropped:
+                col = [F(rng.randint(-2, 2)) for _ in range(3)]
+                col[rng.randrange(3)] = F(rng.randint(1, 2))
+            columns.append(tuple(col))
+        spec = FamilySpec("linear", columns=tuple(columns))
+    elif kind == "partition":
+        blocks = (tuple(sorted(dropped)), tuple(kept[:3]), tuple(kept[3:]))
+        caps = (0, rng.randint(1, 3), rng.randint(1, 3))
+        spec = FamilySpec("partition", blocks=blocks, capacities=caps)
+    else:
+        size = rng.randint(1, 4)
+        spec = FamilySpec("explicit", maximal_sets=tuple(itertools.combinations(kept, size)))
+    weights = gap_instance("uniform", n, seed)
+    costs = [F(1) if e in dropped else c for e, c in enumerate(weights.costs)]
+    profits = [F(100) if e in dropped else p for e, p in enumerate(weights.profits)]
+    inst = make_instance(F(100), costs, profits, spec)
+    assert inst.dropped == tuple(sorted(dropped)) and inst.active == frozenset(kept)
+    return inst
+
+
+class TestDroppedElements:
+    """Instances whose active set is not the ground set, end to end."""
+
+    @pytest.mark.parametrize("kind", DROPPED_KINDS)
+    def test_both_paths_solve_on_the_active_elements(self, kind):
+        uncertified = 0
+        for seed in range(3):
+            inst = dropped_instance(kind, seed)
+            opt = brute_force_opt(inst).profit
+            for eps in (F(1, 2), F(1, 3), F(1, 10)):
+                for certify in (True, False):
+                    report = approximate(inst, eps, certify=certify)
+                    solution = frozenset(report.solution)
+                    assert report.profit >= (1 - eps) * opt
+                    assert report.upper_bound >= opt
+                    assert solution <= inst.active
+                    assert inst.matroid.is_independent(solution)
+                    assert inst.cost(solution) <= inst.budget
+                    assert inst.profit(solution) == report.profit
+                    assert report.dropped == inst.dropped
+                    uncertified += certify and bool(report.alpha_grid)
+        # The default path also reaches the scheme, not only the bootstrap.
+        assert uncertified
+
+
 class TestCheckers:
     def setup_method(self):
         self.inst = small_instance()
@@ -843,7 +915,25 @@ def imported_modules(tree) -> set:
     return names
 
 
-@pytest.mark.parametrize("module", ["lp", "scheme", "instance", "matroid", "families"])
+@pytest.mark.parametrize("module", ["lp", "scheme", "instance", "matroid", "families", "generate"])
 def test_solve_path_imports_no_verification_code(module):
     source = Path(budgetmatroid.__file__).with_name(f"{module}.py").read_text()
     assert not imported_modules(ast.parse(source)) & {"verify", "simplex", "oracle", "itertools"}
+
+
+def test_package_and_cli_imports_leave_verify_unloaded():
+    # A fresh interpreter, since this one has loaded verify for the tests.
+    src = str(Path(budgetmatroid.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    code = (
+        "import sys\n"
+        "import budgetmatroid\n"
+        "print('budgetmatroid.verify' in sys.modules)\n"
+        "import budgetmatroid.cli\n"
+        "print('budgetmatroid.verify' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.split() == ["False", "False"]
