@@ -82,12 +82,11 @@ def cmd_verify(args) -> int:
 
     inst = _load_instance(args.instance)
     eps_target = parse_rational(args.eps, "eps")
-    # Unit fractions are used directly for the property checkers; anything
-    # else goes through the top-level parameter mapping.
-    if eps_target.numerator == 1 and eps_target.denominator >= 3:
-        eps = EpsParam(eps_target.denominator)
-    else:
-        eps = EpsParam.from_target(eps_target)
+    if not 0 < eps_target < 1:
+        raise ValidationError("eps target must lie in (0, 1)", "eps")
+    # The representative-set check runs at 1/k for the smallest k >= 3 with
+    # 1/k <= eps, so a smaller --eps never asks for less.
+    eps = EpsParam(max(3, -(-1 // eps_target)))
     failures = 0
 
     def check(name, fn):

@@ -2,7 +2,9 @@
 
 Generator id "mt19937-v1": a seeded ``random.Random`` with a fixed call
 sequence, so identical (spec, seed) pairs produce byte-identical serialized
-instances.  Costs and profits are drawn from uniform rational grids.
+instances.  Costs and profits are drawn from uniform rational grids.  An
+"explicit" family is a random partition matroid written out as its list of
+bases: every choice of ``cap`` elements from each block.
 """
 
 from __future__ import annotations
@@ -12,15 +14,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ScaleCapError, ValidationError
-from .families import KINDS, FamilySpec, construct
+from .families import KINDS, FamilySpec
 from .instance import BmiInstance, make_instance
-from .matroid import Matroid
 
 GENERATOR_VERSION = "mt19937-v1"
 
 _DENOMINATORS = (1, 2, 3, 4)
 _COST_MAX = 20
 _PROFIT_MAX = 40
+# Parsing checks the exchange axiom over pairs of listed bases, quadratic in
+# their number; n = 10 allows up to C(10, 5) = 252 bases.
 _EXPLICIT_GEN_CAP = 10
 
 
@@ -61,28 +64,26 @@ def _random_family(rng: random.Random, family: str, n: int) -> FamilySpec:
                 col[rng.randrange(dim)] = Fraction(1)
             cols.append(tuple(col))
         return FamilySpec("linear", columns=tuple(cols))
-    # explicit: realize a random partition matroid and list its bases.
     if n > _EXPLICIT_GEN_CAP:
         raise ScaleCapError(
             f"explicit generation enumerates bases; n={n} exceeds cap {_EXPLICIT_GEN_CAP}"
         )
-    m = construct(_random_family(rng, "partition", n), n)
-    maximal = _maximal_independent_sets(m)
-    return FamilySpec("explicit", maximal_sets=tuple(tuple(sorted(s)) for s in maximal))
+    part = _random_family(rng, "partition", n)
+    bases: list[tuple[int, ...]] = [()]
+    for block, cap in zip(part.blocks, part.capacities):
+        bases = [b + c for b in bases for c in _combinations(block, cap)]
+    return FamilySpec("explicit", maximal_sets=tuple(sorted(tuple(sorted(b)) for b in bases)))
 
 
-def _maximal_independent_sets(m: Matroid) -> list[frozenset]:
-    elems = sorted(m.ground)
-    n = len(elems)
-    indep = []
-    for mask in range(1 << n):
-        s = frozenset(elems[i] for i in range(n) if mask >> i & 1)
-        if m.indep_fn(s):
-            indep.append(s)
-    return sorted(
-        (s for s in indep if not any(s < t for t in indep)),
-        key=lambda s: tuple(sorted(s)),
-    )
+def _combinations(items: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
+    """Every r-element subsequence of ``items``, in lexicographic order."""
+    if r == 0:
+        return [()]
+    return [
+        (x,) + rest
+        for i, x in enumerate(items[: len(items) - r + 1])
+        for rest in _combinations(items[i + 1 :], r - 1)
+    ]
 
 
 def generate_instance(spec: GenSpec) -> BmiInstance:

@@ -62,6 +62,13 @@ def all_bases(m: Matroid) -> list[frozenset]:
     return [s for s in indep if len(s) == top]
 
 
+def maximal_sets_reference(m: Matroid) -> tuple[tuple[int, ...], ...]:
+    """The maximal independent sets, by testing all 2^n subsets and dropping
+    every set strictly inside another, as sorted tuples in sorted order."""
+    indep = all_independent_sets(m)
+    return tuple(sorted(tuple(sorted(s)) for s in indep if not any(s < t for t in indep)))
+
+
 def random_matroid(rng: random.Random, n: int, kind: str | None = None) -> Matroid:
     if kind is None:
         kind = rng.choice(("uniform", "partition", "graphic", "linear"))

@@ -134,6 +134,30 @@ class TestVerify:
         assert "PASS matroid axioms" in out
         assert "FAIL" not in out
 
+    def test_representative_check_eps_is_monotone(self, tmp_path, monkeypatch, capsys):
+        # The representative-set check runs at 1/k, k = max(3, ceil(1/eps)).
+        inst = gen(tmp_path, family="partition", n=7, seed=19)
+        seen = []
+        real = cli.find_rep
+
+        def recording_find_rep(inst, eps, alpha):
+            seen.append(eps.k)
+            return real(inst, eps, alpha)
+
+        monkeypatch.setattr(cli, "find_rep", recording_find_rep)
+        for eps in ("1/2", "1/3", "2/7"):
+            assert main(["verify", "--instance", str(inst), "--eps", eps]) == 0
+        assert seen == [3, 3, 4]
+        assert "FAIL" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eps", ["0", "1", "3/2", "-1/3"])
+    def test_eps_outside_unit_interval_exits_before_any_check(self, tmp_path, capsys, eps):
+        inst = gen(tmp_path, family="partition", n=7, seed=19)
+        capsys.readouterr()
+        assert main(["verify", "--instance", str(inst), f"--eps={eps}"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "eps target must lie in (0, 1)" in err
+
 
 class TestGenAndValidation:
     def test_gen_deterministic_files(self, tmp_path):

@@ -194,18 +194,76 @@ class TestRandomFamiliesAreMatroids:
             assert report.ok, (family, i, report)
 
 
+def random_antichain(seed):
+    """A random antichain of subsets of 5 elements: the maximal members of
+    a few random sets, of one size or of mixed sizes."""
+    rng = random.Random(seed)
+    size = rng.randint(0, 5) if seed % 2 else None
+    drawn = set()
+    for _ in range(rng.randint(1, 8)):
+        k = size if size is not None else rng.randint(0, 5)
+        drawn.add(frozenset(rng.sample(range(5), k)))
+    return tuple(sorted(tuple(sorted(s)) for s in drawn if not any(s < t for t in drawn)))
+
+
+def perturbed_bases(seed):
+    """The bases of a random matroid on 2-7 elements with one element of one
+    base swapped for another, so that the changed set is not a base; None
+    when the matroid has a single base or every swap gives a base."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 7)
+    bases = sorted(tuple(sorted(b)) for b in all_bases(random_matroid(rng, n, rng.choice(FAMILIES))))
+    i = rng.randrange(len(bases))
+    swaps = [
+        tuple(sorted(set(bases[i]) - {x} | {y}))
+        for x in bases[i]
+        for y in range(n)
+        if y not in bases[i]
+    ]
+    swaps = [b for b in swaps if b not in bases]
+    if len(bases) < 2 or not swaps:
+        return None
+    bases[i] = rng.choice(swaps)
+    return tuple(bases)
+
+
+def check_basis_exchange_reference(maximal_sets):
+    """The exchange test over every (B1, x, B2), with no B1 - x skipped."""
+    masks = [sum(1 << e for e in set(s)) for s in maximal_sets]
+    partners = {}
+    for b in masks:
+        rest = b
+        while rest:
+            x = rest & -rest
+            partners[b ^ x] = partners.get(b ^ x, 0) | x
+            rest ^= x
+    for i, b1 in enumerate(masks):
+        rest = b1
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            reach = partners[b1 ^ x]
+            for j, b2 in enumerate(masks):
+                if not b2 & reach:
+                    raise ValidationError(
+                        f"maximal_sets[{i}] minus element {x.bit_length() - 1} has no "
+                        f"exchange partner in maximal_sets[{j}] (not a matroid)",
+                        "matroid.maximal_sets",
+                    )
+
+
+def exchange_verdict(check, sets):
+    try:
+        check(sets)
+    except ValidationError as exc:
+        return str(exc), exc.path
+    return None
+
+
 class TestBasisExchange:
     @pytest.mark.parametrize("seed", range(30))
     def test_agrees_with_axiom_checker(self, seed):
-        # A random antichain of subsets of 5 elements: the maximal members of
-        # a few random sets, of one size or of mixed sizes.
-        rng = random.Random(seed)
-        size = rng.randint(0, 5) if seed % 2 else None
-        drawn = set()
-        for _ in range(rng.randint(1, 8)):
-            k = size if size is not None else rng.randint(0, 5)
-            drawn.add(frozenset(rng.sample(range(5), k)))
-        sets = tuple(sorted(tuple(sorted(s)) for s in drawn if not any(s < t for t in drawn)))
+        sets = random_antichain(seed)
         is_matroid = check_axioms(construct(FamilySpec("explicit", maximal_sets=sets), 5)).ok
         try:
             check_basis_exchange(sets)
@@ -213,6 +271,23 @@ class TestBasisExchange:
             assert not is_matroid
         else:
             assert is_matroid
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_antichain_verdict_matches_reference(self, seed):
+        sets = random_antichain(seed)
+        expected = exchange_verdict(check_basis_exchange_reference, sets)
+        assert exchange_verdict(check_basis_exchange, sets) == expected
+
+    def test_perturbed_bases_verdicts_match_reference(self):
+        rejected = 0
+        for seed in range(400):
+            sets = perturbed_bases(seed)
+            if sets is None:
+                continue
+            expected = exchange_verdict(check_basis_exchange_reference, sets)
+            assert exchange_verdict(check_basis_exchange, sets) == expected, sets
+            rejected += expected is not None
+        assert rejected >= 40
 
 
 def loop_scan(indep, base, order):

@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from budgetmatroid import FamilySpec, ValidationError, make_instance
+from budgetmatroid import FamilySpec, ValidationError, construct, make_instance
 from budgetmatroid.cli import main
-from budgetmatroid.generate import GENERATOR_VERSION, GenSpec, generate_instance
+from budgetmatroid.generate import GENERATOR_VERSION, GenSpec, _random_family, generate_instance
 from budgetmatroid.instance import (
     MAX_DIGITS,
     MAX_LITERAL,
@@ -16,7 +16,7 @@ from budgetmatroid.instance import (
     parse_rational,
     serialize_instance,
 )
-from helpers import FAMILIES
+from helpers import FAMILIES, maximal_sets_reference
 
 
 def minimal_doc(**overrides):
@@ -357,6 +357,15 @@ class TestGenerator:
     def test_zero_elements(self):
         inst = generate_instance(GenSpec("uniform", 0, seed=5))
         assert inst.n == 0 and inst.budget == 1
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_explicit_lists_the_maximal_sets_of_its_partition(self, n):
+        # The generator lists the bases of the partition matroid it draws;
+        # the reference finds that matroid's maximal sets by scanning subsets.
+        for seed in range(20):
+            inst = generate_instance(GenSpec("explicit", n, seed))
+            m = construct(_random_family(random.Random(seed), "partition", n), n)
+            assert inst.matroid_spec.maximal_sets == maximal_sets_reference(m), seed
 
 
 class TestMakeInstance:
