@@ -4,40 +4,27 @@ solve_polytope_lp maximizes p.x over {x in P_M : c.x <= budget} through its
 Lagrangian dual, min over lambda >= 0 of lambda*budget + max{w.x : x in P_M}
 with w = p - lambda*c, whose inner maximum is the greedy algorithm on the
 positive weights (Ravi and Goemans, SWAT 1996; Berger, Bonifaci, Grandoni
-and Schaefer, Math. Prog. 2011).  The dual is the upper envelope of one line
-p(S) + lambda*(budget - c(S)) per independent set S.  Newton's method for
-this parametric problem (Dinkelbach 1967; Radzik 1992, "Newton's method for
-fractional combinatorial optimization"), in the line-intersection form of
-Eisner and Severance (JACM 1976), finds the optimal multiplier lambda*: it
-intersects the lines of an over-budget and an affordable greedy set, runs
-greedy at the intersection and stops when that greedy set's line passes
-through it, one greedy pass per step, and raises if it takes more steps
-than there are distinct greedy sets.  Each greedy pass is the matroid
-oracle's incremental scan when it has one (see ``matroid.greedy``).
-Walking from the greedy order just
-left of lambda* to the one just right of it, one tie or zero weight at a
-time, changes the greedy set by one addition, removal or swap per step; the
-two sets on either side of the budget give a budget-tight convex
-combination that is a vertex with at most two fractional entries.  Every
-solve checks primal = dual in exact arithmetic and the two-fractional
-bound.
+and Schaefer, Math. Prog. 2011): the upper envelope of one line
+p(S) + lambda*(budget - c(S)) per independent set S.  Newton's method
+(Dinkelbach 1967; Radzik 1992), in the line-intersection form of Eisner and
+Severance (JACM 1976), finds the optimal multiplier lambda*.  From the
+greedy set just right of lambda = 0, over budget, and its part that fits
+the budget, it intersects an over-budget and an affordable set's lines and
+runs greedy there (the oracle's incremental scan, see ``matroid.greedy``)
+until that set's line passes through the point.  The last pass is the
+greedy set of the order just left of lambda*; walking to the order just
+right of it, one tie or zero weight at a time, changes the set by at most
+one removal or swap per step, at most one oracle test each.  The two sets
+on either side of the budget mix into a budget-tight vertex with at most
+two fractional entries.  Every solve checks primal = dual and that bound.
 
-The solve runs on integers.  The integer core ``solve_polytope_lp`` takes
-profits times D_p and costs and budget times D_c, all integers; lambda is
-a pair of integers, and every weight, sum and comparison is exact integer
-arithmetic.  The Newton loop carries the cost and profit sums of its two
-sets.  The outcome is integer-backed too: ``LpOutcome`` keeps x*u (u the
-denominator of theta) and the objective and lambda*, unscaled, as integer
-pairs, and builds their Fractions only when they are read.  ``solve_lp``
-calls the core once per LP on the instance's ``IntegerView``
-(``BmiInstance.view``); the rational entry ``solve_rational_lp`` takes the
-lcms of the denominators as D_p and D_c, scales and calls the core.
-
-The tests compare ``solve_rational_lp`` on up to 9 elements with
-``verify.solve_polytope_lp_reference``.  A vertex of the feasible region
-lies on a vertex or an edge of P_M, and an edge joins two independent sets,
-so the reference takes the best affordable set or budget-tight mix of two
-sets.
+The solve runs on integers: the core takes profits times D_p and costs and
+budget times D_c, lambda = a/b is a pair of integers, and ``LpOutcome``
+keeps x*u (u the denominator of theta), the objective and lambda* as
+integers.  ``solve_lp`` and ``bootstrap`` call the core on the instance's
+``IntegerView``; ``solve_rational_lp`` scales by the denominators' lcms.
+The tests diff the core against its form before the walk kept its set, and
+``solve_rational_lp`` against ``verify.solve_polytope_lp_reference``.
 """
 
 from __future__ import annotations
@@ -126,28 +113,37 @@ class LpOutcome:
         return Fraction(*self.multiplier_pair)
 
 
-def _walk(seq: list[int], w: Mapping[int, int], costs) -> Iterable[list[int]]:
-    """Orders from the greedy order just left of lambda* to the one just right.
+def _walk(m: Matroid, seq: list[int], w: Mapping[int, int], costs, kept: set):
+    """Greedy-set changes from the order just left of lambda* to the one just right.
 
-    ``seq`` starts as the left order.  Zero-weight elements, last in it,
-    leave one at a time; then adjacent elements tied at lambda* swap one
-    pair at a time into the right order.  Every order stays sorted by
-    non-increasing weight at lambda*, and each step changes the greedy set
-    by at most one addition, removal or swap.  ``seq`` is updated in place.
+    ``seq``, the left order, and ``kept``, its greedy set, change in place.
+    Zero-weight elements, last in ``seq``, leave one at a time; then
+    adjacent elements tied at lambda* swap into the right order, (-w, C,
+    id), so ``seq`` stays sorted by non-increasing weight.  The greedy set
+    of a prefix of an order is the order's greedy set within it, so a pop
+    drops the element from ``kept``, and a swap of e, f at i, i + 1 turns
+    ``kept`` into kept - e + f exactly when e is kept, f is not and
+    (kept & seq[:i]) + f is independent: both then span the same flat and
+    the rest of the scan is unchanged.  Other steps change nothing.
+    Yields (e, f) after each change: e removed, f added or None for a pop.
     """
-    yield seq
     while seq and w[seq[-1]] == 0:
-        seq.pop()
-        yield seq
-    right = lambda e: (-w[e], costs[e], e)
+        e = seq.pop()
+        if e in kept:
+            kept.remove(e)
+            yield e, None
     swapped = True
     while swapped:
         swapped = False
         for i in range(len(seq) - 1):
-            if right(seq[i]) > right(seq[i + 1]):
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+            e, f = seq[i], seq[i + 1]
+            if w[e] == w[f] and (costs[e], e) > (costs[f], f):
+                seq[i], seq[i + 1] = f, e
                 swapped = True
-                yield seq
+                if e in kept and f not in kept:
+                    if m.indep_fn(frozenset([g for g in seq[:i] if g in kept] + [f])):
+                        kept ^= {e, f}  # e leaves, f joins
+                        yield e, f
 
 
 def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
@@ -165,62 +161,67 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
         raise PreconditionError("negative residual budget")
     domain = tuple(sorted(m.ground))
     items = [e for e in domain if P[e] > 0]
-    cost = lambda s: sum(C[e] for e in s)
-    profit = lambda s: sum(P[e] for e in s)
+    cost = lambda s: sum(map(C.__getitem__, s))
+    profit = lambda s: sum(map(P.__getitem__, s))
 
-    # The greedy set just right of lambda = 0: equal profits are ordered by
-    # cost, so it is the cheapest set of maximum profit.  The cost and
-    # profit sums of ``heavy`` and ``light`` travel with them.
-    heavy = greedy(m, sorted(items, key=lambda e: (-P[e], C[e], e)))
+    # The greedy set just right of lambda = 0, in the order (-P, C, id) of
+    # two stable sorts: the cheapest set of maximum profit.
+    order = sorted(items, key=C.__getitem__)
+    order.sort(key=P.__getitem__, reverse=True)
+    heavy = greedy(m, order)
     hc, hp = cost(heavy), profit(heavy)
     if hc <= B:
-        a, b, light, lc, lp = 0, 1, heavy, hc, hp
-        t, u = 0, 1
+        a, b, light, lc, lp, t, u = 0, 1, heavy, hc, hp, 0, 1
     else:
-        # Newton steps: ``heavy`` stays over budget and ``light``, first the
-        # greedy set for lambda -> infinity, affordable.  When the greedy set
-        # where their lines meet lies on that point, lambda minimizes the
-        # dual, and no smaller lambda does: the line of ``heavy`` falls.
-        # lambda = a/b, and w[e] is b * D_p * (p_e - lambda*c_e).
-        #
-        # Step bound: every set found is greedy at some lambda, so its line
-        # supports the dual there; the earlier heavy sets touch it left of
-        # the current heavy's point and the earlier light sets right of the
-        # current light's.  So at the lambda where heavy's and light's lines
-        # meet, every line found so far lies on or below them, and a probe
-        # that does not stop the loop lies strictly above: no set repeats.
-        # The greedy order, hence the greedy set, changes only where two of
-        # the n weight lines cross or one crosses zero, at most n(n+1)/2
-        # points; with the open intervals between them that leaves at most
-        # n^2 + n + 1 distinct greedy sets.  More steps mean wrong weights.
-        zero_cost = sorted((e for e in items if C[e] == 0), key=lambda e: (-P[e], e))
-        light = greedy(m, zero_cost)
-        lc, lp = 0, profit(light)
+        # Newton steps on the sums of two sets: heavy (hc, hp) stays over
+        # budget and light (lc, lp) affordable, first the part of ``heavy``
+        # that fits the budget in greedy order, found with no oracle call.
+        # lambda = a/b and w[e] = b * D_p * (p_e - lambda*c_e).  A probe on
+        # the point where their lines meet shows lambda minimizes the dual,
+        # and heavy's falling line the leftmost: every start ends at lambda*.
+        # Step bound: a probe is greedy at its lambda, so its line supports
+        # the dual there; earlier heavy probes touch it left of the current
+        # heavy's point and earlier light probes right of the current
+        # light's.  The first light set need not be greedy, but no light
+        # probe precedes it and, once replaced, it never returns.  So where
+        # heavy's and light's lines meet, every probe's line lies on or
+        # below them, and a probe that does not stop the loop lies above:
+        # none repeats.  The greedy set changes only where two of the n
+        # weight lines cross or one crosses zero, at most n(n+1)/2 points,
+        # so more than n^2 + n + 1 steps mean wrong weights.
+        lc = lp = 0
+        for e in order:
+            if e in heavy and lc + C[e] <= B:
+                lc, lp = lc + C[e], lp + P[e]
         n = len(items)
         for _ in range(n * n + n + 1):
             a, b = hp - lp, hc - lc
             w = {e: b * P[e] - a * C[e] for e in items}
-            probe = greedy(m, sorted((e for e in items if w[e] > 0), key=lambda e: (-w[e], e)))
-            if sum(w[e] for e in probe) == b * hp - a * hc:
-                break
+            # The walk's first order, (-w, -C, id) on weights >= 0.
+            left = [e for e in items if w[e] >= 0]
+            left.sort(key=C.__getitem__, reverse=True)
+            left.sort(key=w.__getitem__, reverse=True)
+            probe = greedy(m, left)
             pc = cost(probe)
+            if sum(map(w.__getitem__, probe)) == b * hp - a * hc:
+                break
             if pc > B:
-                heavy, hc, hp = probe, pc, profit(probe)
+                hc, hp = pc, profit(probe)
             else:
-                light, lc, lp = probe, pc, profit(probe)
+                lc, lp = pc, profit(probe)
         else:
             raise InternalInvariantError(
                 f"Newton steps for lambda* exceeded {n * n + n + 1} on {n} items"
             )
 
-        left = sorted((e for e in items if w[e] >= 0), key=lambda e: (-w[e], -C[e], e))
-        heavy = None
-        for seq in _walk(left, w, C):
-            light = greedy(m, seq)
-            lc = cost(light)
-            if heavy is not None and hc > B >= lc:
+        kept = set(probe)
+        for e, f in _walk(m, left, w, C, kept):
+            lc = pc - C[e] + (0 if f is None else C[f])
+            if pc > B >= lc:
+                light = frozenset(kept)
+                heavy, hc = light.union((e,)).difference((f,)), pc
                 break
-            heavy, hc = light, lc
+            pc = lc
         else:
             raise InternalInvariantError("greedy walk never crossed the budget")
         hp, lp = profit(heavy), profit(light)
@@ -242,7 +243,7 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
         raise InternalInvariantError("parametric greedy: primal value differs from dual bound")
     if sum(C[e] * v for e, v in x.items()) > u * B:
         raise InternalInvariantError("parametric greedy: point exceeds the budget")
-    fractional = tuple(e for e in domain if 0 < x.get(e, 0) < u)
+    fractional = tuple(sorted(e for e, v in x.items() if v < u))
     LP_STATS.record(len(fractional))
     if len(fractional) > 2:
         raise InternalInvariantError(
@@ -280,9 +281,8 @@ def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> M
     ``variables`` is the guess's ``lp_variables``."""
     m = inst.active_matroid()
     if not f and variables == inst.active:
-        return m  # the bootstrap LP: nothing to contract or restrict
-    # Contracting nothing is the identity; skipping it spares every F = {}
-    # solve a wrapper on each oracle call.
+        return m  # nothing to contract or restrict
+    # F = {} skips contract, the identity, and the wrapper it puts on each oracle call.
     return restrict(contract(m, f) if f else m, variables - f)
 
 
@@ -325,18 +325,19 @@ def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
 def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, frozenset]:
     """Bootstrap bounds and winner (upper, lower, best), lower >= upper / 3.
 
-    One uncapped LP solve over all active elements: upper is the LP optimum
-    (>= OPT).  best is the better, under ``_better``, of the integral part
-    of the LP and the best singleton, the lowest id among equal profits;
-    every active singleton is affordable, as parsing rejects a cost above
-    the budget.  lower is best's profit.  At most two fractional entries,
-    each worth at most one singleton profit, give the factor 3, checked on
-    the integers of the ``IntegerView`` and the LP's objective pair.
+    One call of the core on the active matroid: upper is the LP optimum
+    (>= OPT).  best is the better, under ``_better``, of the LP's integral
+    part and the best singleton (lowest id on ties, and affordable, as
+    parsing rejects a cost above the budget); lower is its profit.  At most
+    two fractional entries, each worth at most one singleton, give the
+    factor 3, checked on the ``IntegerView`` and the objective pair.
     """
     if not inst.active:
         return ZERO, ZERO, frozenset()
     view = inst.view
-    outcome = solve_lp(inst, frozenset(), inst.active)
+    outcome = solve_polytope_lp(
+        inst.active_matroid(), view.profits, view.costs, view.budget, view.dp, view.dc
+    )
     top = max(sorted(inst.active), key=view.profits.__getitem__)
     best = round_integral(inst, outcome, frozenset())
     profit = view.profit(best)
@@ -350,5 +351,4 @@ def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, frozenset]:
 
 def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
     """Bootstrap bounds (upper, lower) with lower >= upper / 3; see ``bootstrap``."""
-    upper, lower, _ = bootstrap(inst)
-    return upper, lower
+    return bootstrap(inst)[:2]

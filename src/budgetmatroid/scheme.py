@@ -163,7 +163,9 @@ def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:
     return {r: tuple(v) for r, v in classes.items()}
 
 
-def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> RepresentativeSet:
+def find_rep(
+    inst: BmiInstance, eps: EpsParam, alpha: Fraction, classes: dict | None = None
+) -> RepresentativeSet:
     """Per-class minimum-cost bases of the class matroids truncated at k^k.
 
     Equivalent to one minimum basis of the disjoint-ground union matroid:
@@ -171,13 +173,17 @@ def find_rep(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> Representativ
     in the instance's ``IntegerView``.  Truncation at k^k changes a class
     only if the class has more elements than that, so a class matroid is
     truncated only then; for k >= 8, every eps target below 1, that takes
-    more than 16.7 million elements.
+    more than 16.7 million elements.  ``classes``, if given, is the
+    ``class_partition`` of (inst, eps, alpha), which a caller that already
+    built it passes on.
     """
     m = inst.active_matroid()
     costs = inst.view.costs
     weights = {e: costs[e] for e in inst.active}
     slices: dict[int, frozenset] = {}
-    for r, members in sorted(class_partition(inst, eps, alpha).items()):
+    if classes is None:
+        classes = class_partition(inst, eps, alpha)
+    for r, members in sorted(classes.items()):
         class_matroid = restrict(m, members)
         if eps.q < len(members):
             class_matroid = truncate(class_matroid, eps.q)
@@ -252,7 +258,7 @@ def run_for_alpha(
     grouping = tuple(members for _, members in sorted(classes.items()))
     rep = session.reps.get(grouping)
     if rep is None:
-        rep = session.reps[grouping] = find_rep(inst, eps, alpha).elements
+        rep = session.reps[grouping] = find_rep(inst, eps, alpha, classes).elements
     variables = lp_variables(inst, eps.eps, alpha)
     run = session.runs.get((rep, variables))
     if run is not None:

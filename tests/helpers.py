@@ -3,7 +3,9 @@
 Everything here is deliberately independent of the code paths under test:
 ranks and bases come from exhaustive bitmask enumeration, not from the
 greedy routines, and the reference enumeration of F scans every
-combination rather than pruning.
+combination rather than pruning.  ``newton_lp_reference`` keeps the LP
+core as it was before its walk updated the greedy set in place: it runs
+one full greedy pass per set it visits.
 """
 
 from __future__ import annotations
@@ -12,13 +14,15 @@ import functools
 import itertools
 import random
 from fractions import Fraction
+from typing import Iterable, Mapping
 from math import floor, log
 
 from budgetmatroid.families import construct
 from budgetmatroid.generate import GenSpec, _random_family, generate_instance
 from budgetmatroid.instance import make_instance
-from budgetmatroid.lp import lp_variables, round_integral, solve_lp
-from budgetmatroid.matroid import Matroid
+from budgetmatroid.errors import InternalInvariantError, PreconditionError
+from budgetmatroid.lp import LpOutcome, _ratio, lp_variables, round_integral, solve_lp
+from budgetmatroid.matroid import Matroid, greedy
 from budgetmatroid.scheme import EpsParam, _better, find_rep
 
 FAMILIES = ("uniform", "partition", "graphic", "linear", "explicit")
@@ -200,3 +204,133 @@ def class_partition_reference(inst, eps: EpsParam, alpha: Fraction) -> dict:
 def lp_variables_reference(inst, eps: Fraction, alpha: Fraction) -> frozenset:
     """lp_variables as a Fraction comparison: p(e) <= 2 eps alpha."""
     return frozenset(e for e in inst.active if inst.profits[e] <= 2 * eps * alpha)
+
+
+def _walk_reference(seq: list[int], w: Mapping[int, int], costs) -> Iterable[list[int]]:
+    """Orders from the greedy order just left of lambda* to the one just right.
+
+    ``seq`` starts as the left order.  Zero-weight elements, last in it,
+    leave one at a time; then adjacent elements tied at lambda* swap one
+    pair at a time into the right order.  Every order stays sorted by
+    non-increasing weight at lambda*, and each step changes the greedy set
+    by at most one addition, removal or swap.  ``seq`` is updated in place.
+    """
+    yield seq
+    while seq and w[seq[-1]] == 0:
+        seq.pop()
+        yield seq
+    right = lambda e: (-w[e], costs[e], e)
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(len(seq) - 1):
+            if right(seq[i]) > right(seq[i + 1]):
+                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                swapped = True
+                yield seq
+
+
+def newton_lp_reference(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
+    """``lp.solve_polytope_lp`` as it stood before its Newton loop started
+    from a subset of ``heavy`` and its walk updated the greedy set one
+    oracle test per step: the reference the core is diffed against.
+
+    It starts the affordable side from a greedy pass over the zero-cost
+    items, probes with the tie-break (-w, id) on positive weights and runs
+    one full greedy pass per walk step.  It records no ``LP_STATS``.
+
+    ``P`` and ``C``, mappings or sequences indexed by element, give each
+    element of ``m.ground`` its profit times ``dp`` and its cost times
+    ``dc``, all integers, and ``B`` is the budget times ``dc``.  At
+    lambda = a/b the greedy order sorts on b*P_e - a*C_e, a positive
+    multiple of p_e - lambda*c_e.  ``dp`` and ``dc`` only scale
+    the outcome: it keeps the point as the integers x*u, the objective as
+    u*dp*p.x over u*dp and lambda* as a*dc over b*dp, all in lowest terms.
+    """
+    if B < 0:
+        raise PreconditionError("negative residual budget")
+    domain = tuple(sorted(m.ground))
+    items = [e for e in domain if P[e] > 0]
+    cost = lambda s: sum(C[e] for e in s)
+    profit = lambda s: sum(P[e] for e in s)
+
+    # The greedy set just right of lambda = 0: equal profits are ordered by
+    # cost, so it is the cheapest set of maximum profit.  The cost and
+    # profit sums of ``heavy`` and ``light`` travel with them.
+    heavy = greedy(m, sorted(items, key=lambda e: (-P[e], C[e], e)))
+    hc, hp = cost(heavy), profit(heavy)
+    if hc <= B:
+        a, b, light, lc, lp = 0, 1, heavy, hc, hp
+        t, u = 0, 1
+    else:
+        # Newton steps: ``heavy`` stays over budget and ``light``, first the
+        # greedy set for lambda -> infinity, affordable.  When the greedy set
+        # where their lines meet lies on that point, lambda minimizes the
+        # dual, and no smaller lambda does: the line of ``heavy`` falls.
+        # lambda = a/b, and w[e] is b * D_p * (p_e - lambda*c_e).
+        #
+        # Step bound: every set found is greedy at some lambda, so its line
+        # supports the dual there; the earlier heavy sets touch it left of
+        # the current heavy's point and the earlier light sets right of the
+        # current light's.  So at the lambda where heavy's and light's lines
+        # meet, every line found so far lies on or below them, and a probe
+        # that does not stop the loop lies strictly above: no set repeats.
+        # The greedy order, hence the greedy set, changes only where two of
+        # the n weight lines cross or one crosses zero, at most n(n+1)/2
+        # points; with the open intervals between them that leaves at most
+        # n^2 + n + 1 distinct greedy sets.  More steps mean wrong weights.
+        zero_cost = sorted((e for e in items if C[e] == 0), key=lambda e: (-P[e], e))
+        light = greedy(m, zero_cost)
+        lc, lp = 0, profit(light)
+        n = len(items)
+        for _ in range(n * n + n + 1):
+            a, b = hp - lp, hc - lc
+            w = {e: b * P[e] - a * C[e] for e in items}
+            probe = greedy(m, sorted((e for e in items if w[e] > 0), key=lambda e: (-w[e], e)))
+            if sum(w[e] for e in probe) == b * hp - a * hc:
+                break
+            pc = cost(probe)
+            if pc > B:
+                heavy, hc, hp = probe, pc, profit(probe)
+            else:
+                light, lc, lp = probe, pc, profit(probe)
+        else:
+            raise InternalInvariantError(
+                f"Newton steps for lambda* exceeded {n * n + n + 1} on {n} items"
+            )
+
+        left = sorted((e for e in items if w[e] >= 0), key=lambda e: (-w[e], -C[e], e))
+        heavy = None
+        for seq in _walk_reference(left, w, C):
+            light = greedy(m, seq)
+            lc = cost(light)
+            if heavy is not None and hc > B >= lc:
+                break
+            heavy, hc = light, lc
+        else:
+            raise InternalInvariantError("greedy walk never crossed the budget")
+        hp, lp = profit(heavy), profit(light)
+        # theta = t/u = (B - c(light)) / (c(heavy) - c(light)) in lowest terms.
+        t, u = _ratio(B - lc, hc - lc)
+
+    # x times u, the denominator of theta, so every entry is an integer.
+    x = dict.fromkeys(heavy, t)
+    for e in light:
+        x[e] = x.get(e, 0) + u - t
+    x = {e: v for e, v in x.items() if v != 0}
+    value = sum(P[e] * v for e, v in x.items())  # u * D_p * p.x
+
+    # Primal = dual: x is feasible and p.x equals the Lagrangian bound at
+    # lambda, lambda*budget + the greedy value; times b * D_p that bound is
+    # a*B + (b*P(light) - a*C(light)).
+    reduced_light = b * lp - a * lc
+    if b * hp - a * hc != reduced_light or b * value != u * (a * B + reduced_light):
+        raise InternalInvariantError("parametric greedy: primal value differs from dual bound")
+    if sum(C[e] * v for e, v in x.items()) > u * B:
+        raise InternalInvariantError("parametric greedy: point exceeds the budget")
+    fractional = tuple(e for e in domain if 0 < x.get(e, 0) < u)
+    if len(fractional) > 2:
+        raise InternalInvariantError(
+            f"basic LP solution has {len(fractional)} fractional entries (limit 2)"
+        )
+    return LpOutcome(domain, x, u, fractional, _ratio(value, u * dp), _ratio(a * dc, b * dp))

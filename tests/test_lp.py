@@ -138,14 +138,15 @@ class TestSolvePolytopeLp:
         assert LP_STATS.max_fractional <= 2
 
     def test_newton_steps_are_bounded(self, monkeypatch):
-        # A greedy that never settles: heavy {0}, light {}, then probes
-        # alternating {1} and {0}.  Both cost 2 > budget 1, and their
-        # profit/cost ratios differ, so no probe's line passes through the
-        # point where heavy's and light's lines meet.  The solve must raise
-        # once it has taken more steps than there are greedy sets (2 items:
-        # 2^2 + 2 + 1 = 7) instead of looping forever.
+        # A greedy that never settles: heavy {0}, then probes alternating
+        # {1} and {0}.  The light side starts as the part of heavy that fits
+        # the budget, here {}, with no greedy pass.  Both probes cost 2 >
+        # budget 1, and their profit/cost ratios differ, so no probe's line
+        # passes through the point where heavy's and light's lines meet.
+        # The solve must raise once it has taken more steps than there are
+        # greedy sets (2 items: 2^2 + 2 + 1 = 7) instead of looping forever.
         sets = itertools.chain(
-            [frozenset({0}), frozenset()], itertools.cycle([frozenset({1}), frozenset({0})])
+            [frozenset({0})], itertools.cycle([frozenset({1}), frozenset({0})])
         )
         monkeypatch.setattr(lp, "greedy", lambda m, order: next(sets))
         with pytest.raises(InternalInvariantError, match="Newton steps"):

@@ -369,9 +369,9 @@ class TestRepMemo:
         calls = []
         real = budgetmatroid.scheme.find_rep
 
-        def counted(inst, eps, alpha):
+        def counted(inst, eps, alpha, *classes):
             calls.append(alpha)
-            return real(inst, eps, alpha)
+            return real(inst, eps, alpha, *classes)
 
         monkeypatch.setattr(budgetmatroid.scheme, "find_rep", counted)
         report = approximate(inst, eps_target, certify=False)
@@ -404,6 +404,23 @@ class TestRepMemo:
                 _, groupings = self.count_runs(monkeypatch, inst, eps_target)
                 many += groupings > 1
         assert many > 0
+
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_class_partition_per_grid_point(self, monkeypatch, family):
+        # run_for_alpha hands its partition to find_rep, so an uncertified
+        # run partitions the elements once per alpha of its grid.
+        alphas = []
+        real = budgetmatroid.scheme.class_partition
+
+        def counted(inst, eps, alpha):
+            alphas.append(alpha)
+            return real(inst, eps, alpha)
+
+        monkeypatch.setattr(budgetmatroid.scheme, "class_partition", counted)
+        report = approximate(gap_instance(family, 10, 0), F(1, 3), certify=False)
+        assert len(report.alpha_grid) > 1
+        assert alphas == list(report.alpha_grid)
 
 
 class TestRunForAlpha:
