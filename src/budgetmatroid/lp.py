@@ -17,14 +17,17 @@ right of it, one tie or zero weight at a time, changes the set by at most
 one removal or swap per step, at most one oracle test each.  The two sets
 on either side of the budget mix into a budget-tight vertex with at most
 two fractional entries.  Every solve checks primal = dual and that bound.
+A residual LP, over M/F for a guess F, runs every greedy pass and walk
+test on top of the independent base F, with no handle built for M/F.
 
 The solve runs on integers: the core takes profits times D_p and costs and
 budget times D_c, lambda = a/b is a pair of integers, and ``LpOutcome``
 keeps x*u (u the denominator of theta), the objective and lambda* as
 integers.  ``solve_lp`` and ``bootstrap`` call the core on the instance's
 ``IntegerView``; ``solve_rational_lp`` scales by the denominators' lcms.
-The tests diff the core against its form before the walk kept its set, and
-``solve_rational_lp`` against ``verify.solve_polytope_lp_reference``.
+The tests diff the core against its form before the walk kept its set
+(residual LPs on hand-built M/F handles), and ``solve_rational_lp`` against
+``verify.solve_polytope_lp_reference``.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
 from .instance import BmiInstance, IntegerView, _scaled
-from .matroid import Matroid, contract, greedy, restrict
+from .matroid import Matroid, greedy, restrict
 
 ZERO = Fraction(0)
 
@@ -113,18 +116,19 @@ class LpOutcome:
         return Fraction(*self.multiplier_pair)
 
 
-def _walk(m: Matroid, seq: list[int], w: Mapping[int, int], costs, kept: set):
+def _walk(m: Matroid, seq: list[int], w: Mapping[int, int], costs, kept: set, base: frozenset):
     """Greedy-set changes from the order just left of lambda* to the one just right.
 
-    ``seq``, the left order, and ``kept``, its greedy set, change in place.
-    Zero-weight elements, last in ``seq``, leave one at a time; then
-    adjacent elements tied at lambda* swap into the right order, (-w, C,
-    id), so ``seq`` stays sorted by non-increasing weight.  The greedy set
-    of a prefix of an order is the order's greedy set within it, so a pop
-    drops the element from ``kept``, and a swap of e, f at i, i + 1 turns
-    ``kept`` into kept - e + f exactly when e is kept, f is not and
-    (kept & seq[:i]) + f is independent: both then span the same flat and
-    the rest of the scan is unchanged.  Other steps change nothing.
+    ``seq``, the left order, and ``kept``, its greedy set on top of the
+    independent ``base``, change in place.  Zero-weight elements, last in
+    ``seq``, leave one at a time; then adjacent elements tied at lambda*
+    swap into the right order, (-w, C, id), so ``seq`` stays sorted by
+    non-increasing weight.  The greedy set of a prefix of an order is the
+    order's greedy set within it, so a pop drops the element from ``kept``,
+    and a swap of e, f at i, i + 1 turns ``kept`` into kept - e + f exactly
+    when e is kept, f is not and base + (kept & seq[:i]) + f is
+    independent: both then span the same flat and the rest of the scan is
+    unchanged.  Other steps change nothing.
     Yields (e, f) after each change: e removed, f added or None for a pop.
     """
     while seq and w[seq[-1]] == 0:
@@ -141,25 +145,26 @@ def _walk(m: Matroid, seq: list[int], w: Mapping[int, int], costs, kept: set):
                 seq[i], seq[i + 1] = f, e
                 swapped = True
                 if e in kept and f not in kept:
-                    if m.indep_fn(frozenset([g for g in seq[:i] if g in kept] + [f])):
+                    if m.indep_fn(base.union([g for g in seq[:i] if g in kept], (f,))):
                         kept ^= {e, f}  # e leaves, f joins
                         yield e, f
 
 
-def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
-    """Exact basic optimum of max{p.x : c.x <= budget, x in P_M, x >= 0} on integers.
+def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int, base=frozenset()) -> LpOutcome:
+    """Exact basic optimum of max{p.x : c.x <= budget, x in P_M/base, x >= 0} on integers.
 
-    The integer core.  ``P`` and ``C``, mappings or sequences indexed by
-    element, give each element of ``m.ground`` its profit times ``dp`` and
-    its cost times ``dc``, all integers, and ``B`` is the budget times
-    ``dc``.  At lambda = a/b the greedy order sorts on b*P_e - a*C_e, a
-    positive multiple of p_e - lambda*c_e.  ``dp`` and ``dc`` only scale
-    the outcome: it keeps the point as the integers x*u, the objective as
-    u*dp*p.x over u*dp and lambda* as a*dc over b*dp, all in lowest terms.
+    The integer core, on ``m.ground`` - ``base``, which must be independent.
+    ``P`` and ``C``, mappings or sequences indexed by element, give each
+    element its profit times ``dp`` and its cost times ``dc``, all integers,
+    and ``B`` is the budget times ``dc``.  At lambda = a/b the greedy order
+    sorts on b*P_e - a*C_e, a positive multiple of p_e - lambda*c_e.
+    ``dp`` and ``dc`` only scale the outcome: it keeps the point as the
+    integers x*u, the objective as u*dp*p.x over u*dp and lambda* as a*dc
+    over b*dp, all in lowest terms.
     """
     if B < 0:
         raise PreconditionError("negative residual budget")
-    domain = tuple(sorted(m.ground))
+    domain = tuple(sorted(m.ground - base if base else m.ground))
     items = [e for e in domain if P[e] > 0]
     cost = lambda s: sum(map(C.__getitem__, s))
     profit = lambda s: sum(map(P.__getitem__, s))
@@ -168,7 +173,7 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
     # two stable sorts: the cheapest set of maximum profit.
     order = sorted(items, key=C.__getitem__)
     order.sort(key=P.__getitem__, reverse=True)
-    heavy = greedy(m, order)
+    heavy = greedy(m, order, base)
     hc, hp = cost(heavy), profit(heavy)
     if hc <= B:
         a, b, light, lc, lp, t, u = 0, 1, heavy, hc, hp, 0, 1
@@ -201,7 +206,7 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
             left = [e for e in items if w[e] >= 0]
             left.sort(key=C.__getitem__, reverse=True)
             left.sort(key=w.__getitem__, reverse=True)
-            probe = greedy(m, left)
+            probe = greedy(m, left, base)
             pc = cost(probe)
             if sum(map(w.__getitem__, probe)) == b * hp - a * hc:
                 break
@@ -215,7 +220,7 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int) -> LpOutcome:
             )
 
         kept = set(probe)
-        for e, f in _walk(m, left, w, C, kept):
+        for e, f in _walk(m, left, w, C, kept, base):
             lc = pc - C[e] + (0 if f is None else C[f])
             if pc > B >= lc:
                 light = frozenset(kept)
@@ -276,32 +281,21 @@ def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset
     return frozenset(e for e in inst.active if view.profits[e] * scale <= bound)
 
 
-def residual_matroid(inst: BmiInstance, f: frozenset, variables: frozenset) -> Matroid:
-    """The contracted-and-restricted matroid whose polytope the LP uses;
-    ``variables`` is the guess's ``lp_variables``."""
-    m = inst.active_matroid()
-    if not f and variables == inst.active:
-        return m  # nothing to contract or restrict
-    # F = {} skips contract, the identity, and the wrapper it puts on each oracle call.
-    return restrict(contract(m, f) if f else m, variables - f)
-
-
 def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOutcome:
     """Exact basic optimum of the budget-constrained polytope LP given fixed,
-    independent F, over the elements of ``variables`` outside F.
-
-    One call of the integer core on the instance's ``IntegerView``, whose
-    ``dp`` and ``dc`` give the outcome in the instance's own units.
-    """
+    independent F, over the elements of ``variables`` outside F, both within
+    the active set: one call of the integer core with base F on the
+    instance's ``IntegerView``."""
     fs = frozenset(f)
+    pool = variables | fs
+    if not pool <= inst.active:
+        raise PreconditionError(f"elements {sorted(pool - inst.active)} outside the active set")
     view = inst.view
     spent = view.cost(fs)
     if spent > view.budget:
         raise PreconditionError("F exceeds the budget")
-    residual = residual_matroid(inst, fs, variables)
-    return solve_polytope_lp(
-        residual, view.profits, view.costs, view.budget - spent, view.dp, view.dc
-    )
+    m = restrict(inst.matroid, pool)
+    return solve_polytope_lp(m, view.profits, view.costs, view.budget - spent, view.dp, view.dc, fs)
 
 
 def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> frozenset:

@@ -11,10 +11,12 @@ given an independent ``base``, it returns ``base`` plus the elements of
 the scan instead of one independence test per element.  The family
 oracles carry one, ``greedy`` uses it when present, restriction keeps it,
 contraction maps it to ``base | F`` and truncation caps it at q kept
-elements.  A handle carries no counter: the scheme counts the
-independence tests of its enumeration where it makes them.  Helpers used
-only to verify matroids (axiom checker, exchange witnesses, disjoint
-union) live in ``verify``.
+elements.  ``greedy`` takes a base too, so residual LPs need no
+contraction handle; ``contract`` serves verification and the tests.  A
+handle carries no counter: the scheme counts the independence tests of
+its enumeration where it makes them.  Helpers used only to verify
+matroids (axiom checker, exchange witnesses, disjoint union) live in
+``verify``.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.
@@ -51,26 +53,29 @@ class Matroid:
         return bool(self.indep_fn(s))
 
 
-def greedy(m: Matroid, order: Iterable[int]) -> frozenset:
-    """The greedy set of ``order``: scan it and keep each element that leaves
-    the kept set independent.
+def greedy(m: Matroid, order: Iterable[int], base: frozenset = frozenset()) -> frozenset:
+    """The elements of ``order`` that greedy keeps on top of the independent
+    set ``base``: each that leaves base plus the kept set independent.
 
-    ``order`` lists elements of ``m.ground``.  Scanned by non-increasing
-    weight, the result is a maximum-weight independent set, and any prefix
-    of ``order`` yields the result's intersection with that prefix.  The
-    oracle's incremental ``scan`` computes the set when it has one;
-    otherwise the loop below tests one set per element.  That loop is the
-    reference the scans are tested against.
+    ``order`` lists elements of ``m.ground`` outside ``base``.  Scanned by
+    non-increasing weight, the result is a maximum-weight independent set
+    of the contraction by ``base``, and any prefix of ``order`` yields its
+    intersection with that prefix.  The oracle's incremental ``scan``
+    computes the set when it has one; otherwise the loop below, the
+    reference the scans are tested against, tests one set per element.
+    Both raise ``PreconditionError`` on a dependent base.
     """
     scan = getattr(m.indep_fn, "scan", None)
     if scan is not None:
-        return scan(frozenset(), order)
-    kept: frozenset = frozenset()
+        return scan(base, order) - base if base else scan(base, order)
+    if base and not m.indep_fn(base):
+        raise PreconditionError("greedy base is dependent")
+    kept = base
     for e in order:
         ext = kept | {e}
         if m.indep_fn(ext):
             kept = ext
-    return kept
+    return kept - base if base else kept
 
 
 def rank(m: Matroid, subset: Iterable[int]) -> int:

@@ -6,12 +6,14 @@ import pytest
 
 from budgetmatroid import (
     FamilySpec,
+    Matroid,
     PreconditionError,
     ValidationError,
     construct,
     rank,
 )
 from budgetmatroid.families import check_basis_exchange
+from budgetmatroid.matroid import greedy
 from budgetmatroid.verify import check_axioms, columns_independent_reference
 from helpers import FAMILIES, all_bases, random_matroid
 
@@ -392,3 +394,11 @@ class TestScans:
         )
         with pytest.raises(PreconditionError):
             m.indep_fn.scan(dependent, [])
+        # greedy from a dependent base raises through the scan and through
+        # the generic loop of a plain oracle, with or without an order.
+        plain = Matroid(m.ground, lambda s: m.indep_fn(s))
+        rest = [e for e in range(7) if e not in dependent]
+        for handle in (m, plain):
+            for order in ([], rest):
+                with pytest.raises(PreconditionError):
+                    greedy(handle, order, dependent)

@@ -25,7 +25,6 @@ from budgetmatroid.lp import (
     IntegerView,
     lp_upper_bound,
     lp_variables,
-    residual_matroid,
     round_integral,
     solve_lp,
     solve_rational_lp,
@@ -148,7 +147,7 @@ class TestSolvePolytopeLp:
         sets = itertools.chain(
             [frozenset({0})], itertools.cycle([frozenset({1}), frozenset({0})])
         )
-        monkeypatch.setattr(lp, "greedy", lambda m, order: next(sets))
+        monkeypatch.setattr(lp, "greedy", lambda m, order, base=frozenset(): next(sets))
         with pytest.raises(InternalInvariantError, match="Newton steps"):
             solve_rational_lp(free(2), {0: F(3), 1: F(1)}, {0: F(2), 1: F(2)}, F(1))
 
@@ -368,20 +367,28 @@ class TestSolveLpAndRounding:
     def test_preconditions(self):
         inst = self._instance()
         variables = lp_variables(inst, F(1, 3), F(10))
-        with pytest.raises(PreconditionError):
-            solve_lp(inst, {0, 1, 2}, variables)  # dependent F
-        with pytest.raises(PreconditionError):
+        with pytest.raises(PreconditionError, match="dependent"):
+            solve_lp(inst, {0, 1, 3}, variables)  # cost 4, three elements over rank 2
+        with pytest.raises(PreconditionError, match="budget"):
+            solve_lp(inst, {0, 1, 2}, variables)  # cost 6 > budget 4
+        with pytest.raises(PreconditionError, match="budget"):
             solve_lp(inst, {0, 2}, variables)  # cost 5 > budget 4
+        # F is checked against the active set before any of its costs is read.
+        for outside in ({inst.n}, {-1}, {0, inst.n}):
+            with pytest.raises(PreconditionError, match="outside the active set"):
+                solve_lp(inst, outside, variables)
 
-    def test_residual_matroid_contracts_and_filters(self):
+    def test_residual_lp_contracts_and_filters(self):
         inst = self._instance()
         # alpha = 6, eps = 1/3: profit threshold 2*alpha*eps = 4, so elements
         # with profit {2, 1} stay and {6, 5} are filtered out.
-        m = residual_matroid(inst, frozenset({0}), lp_variables(inst, F(1, 3), F(6)))
-        assert m.ground == {1, 3}
-        # element 0 is contracted: rank 2 leaves room for only one more.
-        assert m.is_independent({1})
-        assert not m.is_independent({1, 3})
+        variables = lp_variables(inst, F(1, 3), F(6))
+        outcome = self._matches_the_rational_solve(inst, frozenset({0}), variables)
+        assert outcome.domain == (1, 3)
+        # element 0 is contracted: rank 2 leaves room for only one more,
+        # although the residual budget 2 pays for both.
+        assert outcome.point.mass({1, 3}) == 1
+        assert outcome.objective == 2
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_the_rational_solve(self, family):
@@ -392,20 +399,17 @@ class TestSolveLpAndRounding:
             m = inst.active_matroid()
             f = frozenset({min(m.ground, key=lambda e: (inst.costs[e], e))})
             for fs in (frozenset(), f):
-                residual = residual_matroid(inst, fs, inst.active)
-                expected = solve_rational_lp(
-                    residual, inst.profits, inst.costs, inst.budget - inst.cost(fs)
-                )
-                assert solve_lp(inst, fs, inst.active) == expected
+                self._matches_the_rational_solve(inst, fs, inst.active)
 
     def _matches_the_rational_solve(self, inst, fs, variables):
-        # The residual matroid built here, not by residual_matroid, so that a
-        # wrong shortcut there shows.
+        # The residual matroid built by contraction and restriction, the
+        # definition the base F of solve_lp's core stands for.
         residual = restrict(contract(inst.active_matroid(), fs), variables - fs)
         expected = solve_rational_lp(
             residual, inst.profits, inst.costs, inst.budget - inst.cost(fs)
         )
         assert solve_lp(inst, fs, variables) == expected
+        assert expected.domain == tuple(sorted(variables - fs))
         return expected
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -431,10 +435,14 @@ class TestSolveLpAndRounding:
             ),
         )
         assert inst.dropped == (1, 5)
-        assert residual_matroid(inst, frozenset(), inst.active).ground == inst.active
         outcome = self._matches_the_rational_solve(inst, frozenset(), inst.active)
+        assert outcome.domain == tuple(sorted(inst.active))
         assert outcome.multiplier > 0 and set(outcome.point.support()) <= inst.active
         self._matches_the_rational_solve(inst, frozenset({4}), inst.active)
+        # A dropped element is neither a fixed element nor an LP variable.
+        for f, variables in (({1}, inst.active), ({4, 5}, inst.active), (set(), inst.active | {1})):
+            with pytest.raises(PreconditionError, match="outside the active set"):
+                solve_lp(inst, f, variables)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_the_rational_solve_on_a_variable_subset(self, family):

@@ -8,6 +8,7 @@ is the core before those changes; every outcome, and every raised error
 class, must be the same.
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -16,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 from budgetmatroid import lp
 from budgetmatroid.generate import GenSpec, generate_instance
-from budgetmatroid.lp import lp_upper_bound, lp_variables, residual_matroid
-from budgetmatroid.matroid import Matroid, contract, greedy, truncate
+from budgetmatroid.lp import lp_upper_bound, lp_variables
+from budgetmatroid.matroid import Matroid, contract, greedy, restrict, truncate
 from budgetmatroid.scheme import EpsParam
 
 import helpers
@@ -27,10 +28,10 @@ from helpers import FAMILIES, gap_instance, newton_lp_reference, random_matroid
 LP_BOUND_SPECS = [(f, 11, s) for s in range(46) for f in FAMILIES[:4]]
 
 
-def solved(core, m, P, C, B, dp=1, dc=1):
+def solved(core, *args):
     """Every field of the core's outcome, or the class of the error it raised."""
     try:
-        o = core(m, P, C, B, dp, dc)
+        o = core(*args)
     except Exception as exc:
         return type(exc)
     return o.domain, dict(o.xu), o.u, o.fractional_support, o.objective_pair, o.multiplier_pair
@@ -94,35 +95,49 @@ class TestAgainstReference:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_residual_lps_of_gap_instances(self, family):
         # Every independent, affordable F of at most two elements, over all
-        # active elements and over the LP variables of one guess: contracted
-        # and restricted handles.
+        # active elements and over the LP variables of one guess: solve_lp,
+        # which runs the core from base F, against the reference on the
+        # contracted and restricted handle.  Once with the family's scans
+        # and once through a plain oracle without one, which takes the
+        # generic greedy loop from F; every set that oracle is asked about
+        # contains F.
         eps = EpsParam(3)
         for seed in range(3):
             inst = gap_instance(family, 9, seed)
-            view, m = inst.view, inst.active_matroid()
-            guess = lp_variables(inst, eps.eps, lp_upper_bound(inst)[1])
-            for size in range(3):
-                for f in map(frozenset, itertools.combinations(sorted(inst.active), size)):
-                    spent = view.cost(f)
-                    if spent > view.budget or not m.is_independent(f):
-                        continue
-                    for variables in (inst.active, guess):
-                        same_as_reference(
-                            residual_matroid(inst, f, variables),
-                            view.profits,
-                            view.costs,
-                            view.budget - spent,
-                            view.dp,
-                            view.dc,
-                        )
+            plain, asked = counted(inst.matroid)
+            for inst in (inst, dataclasses.replace(inst, matroid=plain)):
+                view, m = inst.view, inst.active_matroid()
+                guess = lp_variables(inst, eps.eps, lp_upper_bound(inst)[1])
+                for size in range(3):
+                    for f in map(frozenset, itertools.combinations(sorted(inst.active), size)):
+                        spent = view.cost(f)
+                        if spent > view.budget or not m.is_independent(f):
+                            continue
+                        for variables in (inst.active, guess):
+                            residual = restrict(contract(m, f), variables - f)
+                            mark = len(asked)
+                            outcome = solved(lp.solve_lp, inst, f, variables)
+                            assert all(f <= s for s in asked[mark:])
+                            assert outcome == solved(
+                                newton_lp_reference,
+                                residual,
+                                view.profits,
+                                view.costs,
+                                view.budget - spent,
+                                view.dp,
+                                view.dc,
+                            )
+            assert asked
 
 
 def handles(rng, family, n):
-    """A random family's matroid, a truncation of it and a contraction of it
-    by an independent set of up to two elements."""
+    """(handle, base) pairs: a random family's matroid, a truncation of it
+    and a contraction of it by an independent set F of up to two elements,
+    each with an empty base, and the matroid itself with base F."""
     m = random_matroid(rng, n, family)
-    f = list(greedy(m, rng.sample(range(n), n)))[: rng.randint(0, 2)]
-    return m, truncate(m, rng.randint(0, n)), contract(m, f)
+    f = frozenset(list(greedy(m, rng.sample(range(n), n)))[: rng.randint(0, 2)])
+    none = frozenset()
+    return [(m, none), (truncate(m, rng.randint(0, n)), none), (contract(m, f), none), (m, f)]
 
 
 def counted(m):
@@ -136,17 +151,18 @@ def counted(m):
     return Matroid(m.ground, indep, m.label), asked
 
 
-def walked(m, seq, w, costs):
+def walked(m, seq, w, costs, base):
     """The walk's greedy set at the end and the oracle tests it made."""
     handle, asked = counted(m)
-    kept = set(greedy(m, seq))
-    for _ in lp._walk(handle, list(seq), w, costs, kept):
+    kept = set(greedy(m, seq, base))
+    for _ in lp._walk(handle, list(seq), w, costs, kept, base):
         pass
     return kept, asked
 
 
 class TestWalkLemma:
-    """Each walk step changes the greedy set as ``matroid.greedy`` does."""
+    """Each walk step changes the greedy set as ``matroid.greedy`` does; a
+    walk from base F on m as the walk on ``contract(m, F)``."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_adjacent_swap(self, family):
@@ -155,29 +171,32 @@ class TestWalkLemma:
         rng = random.Random(family)
         for _ in range(25):
             n = rng.randint(2, 9)
-            for m in handles(rng, family, n):
-                if len(m.ground) < 2:
+            for m, base in handles(rng, family, n):
+                ground = m.ground - base
+                if len(ground) < 2:
                     continue
-                seq = rng.sample(sorted(m.ground), rng.randint(2, len(m.ground)))
+                seq = rng.sample(sorted(ground), rng.randint(2, len(ground)))
                 for i in range(len(seq) - 1):
                     target = seq[:i] + [seq[i + 1], seq[i]] + seq[i + 2 :]
                     costs = {e: k for k, e in enumerate(target)}
-                    kept, asked = walked(m, seq, dict.fromkeys(seq, 1), costs)
-                    assert kept == greedy(m, target)
+                    kept, asked = walked(m, seq, dict.fromkeys(seq, 1), costs, base)
+                    assert kept == greedy(contract(m, base), target)
                     assert len(asked) <= 1
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_trailing_zero_pop(self, family):
         rng = random.Random(family)
         for _ in range(25):
-            for m in handles(rng, family, rng.randint(1, 9)):
-                if not m.ground:
+            for m, base in handles(rng, family, rng.randint(1, 9)):
+                ground = m.ground - base
+                if not ground:
                     continue
-                seq = rng.sample(sorted(m.ground), len(m.ground))
+                seq = rng.sample(sorted(ground), len(ground))
                 w = dict.fromkeys(seq, 1)
                 w[seq[-1]] = 0
-                kept, asked = walked(m, seq, w, {e: k for k, e in enumerate(seq)})
-                assert kept == greedy(m, seq[:-1]) == greedy(m, seq) - {seq[-1]}
+                kept, asked = walked(m, seq, w, {e: k for k, e in enumerate(seq)}, base)
+                contracted = contract(m, base)
+                assert kept == greedy(contracted, seq[:-1]) == greedy(contracted, seq) - {seq[-1]}
                 assert asked == []
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -188,16 +207,17 @@ class TestWalkLemma:
         rng = random.Random(family)
         changes = 0
         for _ in range(25):
-            for m in handles(rng, family, rng.randint(1, 9)):
-                seq = rng.sample(sorted(m.ground), len(m.ground))
+            for m, base in handles(rng, family, rng.randint(1, 9)):
+                contracted = contract(m, base)
+                seq = rng.sample(sorted(contracted.ground), len(contracted.ground))
                 zeros = rng.randint(0, len(seq))
                 w = {e: int(k < len(seq) - zeros) for k, e in enumerate(seq)}
                 costs = {e: rng.randint(0, 3) for e in seq}
-                kept = set(greedy(m, seq))
-                for _ in lp._walk(m, seq, w, costs, kept):
+                kept = set(greedy(m, seq, base))
+                for _ in lp._walk(m, seq, w, costs, kept, base):
                     changes += 1
-                    assert kept == greedy(m, seq)
-                assert kept == greedy(m, seq)
+                    assert kept == greedy(contracted, seq)
+                assert kept == greedy(contracted, seq)
         assert changes > 0
 
 
@@ -209,9 +229,9 @@ def test_greedy_passes_on_the_lp_bound_corpus(monkeypatch):
     walking = [False]
     real_walk = lp._walk
 
-    def core_greedy(m, order):
+    def core_greedy(m, order, base=frozenset()):
         passes["walk" if walking[0] else "core"] += 1
-        return greedy(m, order)
+        return greedy(m, order, base)
 
     def reference_greedy(m, order):
         passes["reference"] += 1

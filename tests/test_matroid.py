@@ -262,6 +262,10 @@ class TestScansThroughDerivedHandles:
                 base = {e for e in loop_greedy(m.indep_fn, (), shuffled) if rng.random() < 0.5}
                 base = frozenset(base)
                 assert m.indep_fn.scan(base, order) == loop_greedy(m.indep_fn, base, order)
+                # greedy from a base: the greedy set of the contraction by it.
+                rest = [e for e in order if e not in base]
+                assert greedy(m, rest, base) == greedy(contract(m, base), rest)
+                assert greedy(m, rest, base) == loop_greedy(m.indep_fn, base, rest) - base
 
     def test_oracle_without_scan(self):
         # A plain function oracle: greedy and the derived handles fall back to
@@ -281,3 +285,7 @@ class TestScansThroughDerivedHandles:
             calls.clear()
             assert result == loop_greedy(m.indep_fn, (), order)
             assert fallback_calls == len(calls)
+            # The loop from a base: the greedy set of the contraction by it.
+            base = frozenset(sorted(result)[::2])
+            rest = [e for e in order if e not in base]
+            assert greedy(m, rest, base) == greedy(contract(m, base), rest)

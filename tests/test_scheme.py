@@ -1,5 +1,6 @@
 import ast
 import functools
+import importlib
 import itertools
 import os
 import random
@@ -932,10 +933,28 @@ def imported_modules(tree) -> set:
     return names
 
 
-@pytest.mark.parametrize("module", ["lp", "scheme", "instance", "matroid", "families", "generate"])
+SOLVE_PATH_MODULES = ["lp", "scheme", "instance", "matroid", "families", "generate"]
+
+
+@pytest.mark.parametrize("module", SOLVE_PATH_MODULES)
 def test_solve_path_imports_no_verification_code(module):
     source = Path(budgetmatroid.__file__).with_name(f"{module}.py").read_text()
     assert not imported_modules(ast.parse(source)) & {"verify", "simplex", "oracle", "itertools"}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_residual_lps_make_no_contraction(monkeypatch, family):
+    # Residual LPs run from their fixed set F as a base: an uncertified run
+    # that enumerates nonempty F never builds a contraction handle.
+    def refused(m, f):
+        raise AssertionError("contract called on the solve path")
+
+    for name in SOLVE_PATH_MODULES:
+        module = importlib.import_module(f"budgetmatroid.{name}")
+        if hasattr(module, "contract"):
+            monkeypatch.setattr(module, "contract", refused)
+    report = approximate(gap_instance(family, 10, 0), F(1, 3), certify=False)
+    assert max(report.enum_counts.values()) > 1
 
 
 def test_package_and_cli_imports_leave_verify_unloaded():
