@@ -4,7 +4,12 @@ Supported kinds: uniform, partition, graphic, linear (exact rationals),
 explicit (listed maximal independent sets).  Element ids are indices into
 the instance ground set; for graphic matroids element i is edge i.  Each
 family's oracle is a small callable object that also carries an incremental
-greedy ``scan`` (see ``matroid``).
+greedy ``scan`` (see ``matroid``).  Its constructor takes the spec and n,
+checks the spec and builds the oracle's data in the same pass, and raises
+``ValidationError`` with the offending field's path; ``construct`` picks
+the class by kind.  Whether listed maximal sets are the bases of a matroid
+is ``check_basis_exchange``, which ``instance.make_instance`` runs on every
+explicit family.
 """
 
 from __future__ import annotations
@@ -16,8 +21,6 @@ from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ValidationError
 from .matroid import Matroid
-
-KINDS = ("uniform", "partition", "graphic", "linear", "explicit")
 
 
 @dataclass(frozen=True)
@@ -65,71 +68,6 @@ def _reduce_into(basis: list, col: Sequence[int]) -> bool:
     return False
 
 
-def _validate_uniform(spec: FamilySpec, n: int) -> None:
-    if spec.rank is None or spec.rank < 0:
-        raise ValidationError("uniform matroid needs a non-negative rank", "matroid.rank")
-
-
-def _validate_partition(spec: FamilySpec, n: int) -> None:
-    if spec.blocks is None or spec.capacities is None:
-        raise ValidationError("partition matroid needs blocks and capacities", "matroid.blocks")
-    if len(spec.blocks) != len(spec.capacities):
-        raise ValidationError(
-            "blocks and capacities must have equal length", "matroid.capacities"
-        )
-    seen: set[int] = set()
-    for i, block in enumerate(spec.blocks):
-        for e in block:
-            if not 0 <= e < n:
-                raise ValidationError(f"element {e} out of range", f"matroid.blocks[{i}]")
-            if e in seen:
-                raise ValidationError(f"element {e} in two blocks", f"matroid.blocks[{i}]")
-            seen.add(e)
-    if seen != set(range(n)):
-        missing = sorted(set(range(n)) - seen)
-        raise ValidationError(f"blocks do not cover elements {missing}", "matroid.blocks")
-    for i, cap in enumerate(spec.capacities):
-        if cap < 0:
-            raise ValidationError("capacity must be >= 0", f"matroid.capacities[{i}]")
-
-
-def _validate_graphic(spec: FamilySpec, n: int) -> None:
-    if spec.num_vertices is None or spec.num_vertices < 0:
-        raise ValidationError("graphic matroid needs num_vertices", "matroid.num_vertices")
-    if spec.edges is None or len(spec.edges) != n:
-        raise ValidationError(
-            f"graphic matroid needs exactly {n} edges (one per element)", "matroid.edges"
-        )
-    for i, (u, v) in enumerate(spec.edges):
-        if not (0 <= u < spec.num_vertices and 0 <= v < spec.num_vertices):
-            raise ValidationError(f"edge ({u},{v}) references invalid vertex", f"matroid.edges[{i}]")
-
-
-def _validate_linear(spec: FamilySpec, n: int) -> None:
-    if spec.columns is None or len(spec.columns) != n:
-        raise ValidationError(
-            f"linear matroid needs exactly {n} columns (one per element)", "matroid.columns"
-        )
-    if n and len({len(c) for c in spec.columns}) > 1:
-        raise ValidationError("columns must share one dimension", "matroid.columns")
-
-
-def _validate_explicit(spec: FamilySpec, n: int) -> None:
-    if spec.maximal_sets is None:
-        raise ValidationError("explicit matroid needs maximal_sets", "matroid.maximal_sets")
-    sets = [frozenset(s) for s in spec.maximal_sets]
-    for i, s in enumerate(sets):
-        for e in s:
-            if not 0 <= e < n:
-                raise ValidationError(f"element {e} out of range", f"matroid.maximal_sets[{i}]")
-    for i, a in enumerate(sets):
-        for j, b in enumerate(sets):
-            if i != j and a <= b:
-                raise ValidationError(
-                    "maximal_sets must be an antichain", f"matroid.maximal_sets[{i}]"
-                )
-
-
 def check_basis_exchange(maximal_sets: Sequence[Sequence[int]]) -> None:
     """Raise ValidationError unless the listed sets are the bases of a matroid.
 
@@ -137,8 +75,8 @@ def check_basis_exchange(maximal_sets: Sequence[Sequence[int]]) -> None:
     make B1 - x + y listed; sets of unequal size always fail this.  Sets
     are bit masks, and ``partners[B - x]`` holds every y with B - x + y
     listed.  The test depends only on B1 - x, so each (|B1| - 1)-set is
-    tested once, at one AND per listed B2.  Runs at parse time, after the
-    ranges and the antichain property are checked.
+    tested once, at one AND per listed B2.  Runs when an instance is made,
+    after ``construct`` has checked the ranges and the antichain property.
     """
     masks = [sum(1 << e for e in set(s)) for s in maximal_sets]
     partners: dict[int, int] = {}
@@ -163,28 +101,15 @@ def check_basis_exchange(maximal_sets: Sequence[Sequence[int]]) -> None:
                 )
 
 
-_VALIDATORS = {
-    "uniform": _validate_uniform,
-    "partition": _validate_partition,
-    "graphic": _validate_graphic,
-    "linear": _validate_linear,
-    "explicit": _validate_explicit,
-}
-
-
-def validate_spec(spec: FamilySpec, n: int) -> None:
-    if spec.kind not in KINDS:
-        raise ValidationError(f"unknown matroid kind {spec.kind!r}", "matroid.kind")
-    _VALIDATORS[spec.kind](spec, n)
-
-
 class _Uniform:
     """Sets of at most ``rank`` elements; the scan counts the room left."""
 
     __slots__ = ("rank",)
 
-    def __init__(self, rank: int):
-        self.rank = rank
+    def __init__(self, spec: FamilySpec, n: int):
+        if spec.rank is None or spec.rank < 0:
+            raise ValidationError("uniform matroid needs a non-negative rank", "matroid.rank")
+        self.rank = spec.rank
 
     def __call__(self, s: frozenset) -> bool:
         return len(s) <= self.rank
@@ -209,19 +134,37 @@ class _Partition:
 
     __slots__ = ("pairs", "block_of")
 
-    def __init__(self, pairs: tuple[tuple[frozenset, int], ...]):
-        self.pairs = pairs
-        self.block_of = None  # element -> block index, built at the first scan
+    def __init__(self, spec: FamilySpec, n: int):
+        if spec.blocks is None or spec.capacities is None:
+            raise ValidationError("partition matroid needs blocks and capacities", "matroid.blocks")
+        if len(spec.blocks) != len(spec.capacities):
+            raise ValidationError(
+                "blocks and capacities must have equal length", "matroid.capacities"
+            )
+        block_of: dict[int, int] = {}  # element -> block index
+        for i, block in enumerate(spec.blocks):
+            for e in block:
+                if not 0 <= e < n:
+                    raise ValidationError(f"element {e} out of range", f"matroid.blocks[{i}]")
+                if e in block_of:
+                    raise ValidationError(f"element {e} in two blocks", f"matroid.blocks[{i}]")
+                block_of[e] = i
+        if len(block_of) != n:
+            missing = [e for e in range(n) if e not in block_of]
+            raise ValidationError(f"blocks do not cover elements {missing}", "matroid.blocks")
+        for i, cap in enumerate(spec.capacities):
+            if cap < 0:
+                raise ValidationError("capacity must be >= 0", f"matroid.capacities[{i}]")
+        self.pairs = tuple(
+            (frozenset(block), cap) for block, cap in zip(spec.blocks, spec.capacities)
+        )
+        self.block_of = block_of
 
     def __call__(self, s: frozenset) -> bool:
         return all(len(s & block) <= cap for block, cap in self.pairs)
 
     def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
         block_of = self.block_of
-        if block_of is None:
-            block_of = self.block_of = {
-                e: i for i, (block, _) in enumerate(self.pairs) for e in block
-            }
         room = [cap for _, cap in self.pairs]
         for e in base:
             i = block_of[e]
@@ -261,8 +204,19 @@ class _Graphic:
 
     __slots__ = ("edges",)
 
-    def __init__(self, edges: tuple[tuple[int, int], ...]):
-        self.edges = edges
+    def __init__(self, spec: FamilySpec, n: int):
+        if spec.num_vertices is None or spec.num_vertices < 0:
+            raise ValidationError("graphic matroid needs num_vertices", "matroid.num_vertices")
+        if spec.edges is None or len(spec.edges) != n:
+            raise ValidationError(
+                f"graphic matroid needs exactly {n} edges (one per element)", "matroid.edges"
+            )
+        for i, (u, v) in enumerate(spec.edges):
+            if not (0 <= u < spec.num_vertices and 0 <= v < spec.num_vertices):
+                raise ValidationError(
+                    f"edge ({u},{v}) references invalid vertex", f"matroid.edges[{i}]"
+                )
+        self.edges = spec.edges
 
     def __call__(self, s: frozenset) -> bool:
         parent: dict[int, int] = {}
@@ -295,8 +249,14 @@ class _Linear:
 
     __slots__ = ("cols",)
 
-    def __init__(self, cols: tuple[tuple[int, ...], ...]):
-        self.cols = cols
+    def __init__(self, spec: FamilySpec, n: int):
+        if spec.columns is None or len(spec.columns) != n:
+            raise ValidationError(
+                f"linear matroid needs exactly {n} columns (one per element)", "matroid.columns"
+            )
+        if n and len({len(c) for c in spec.columns}) > 1:
+            raise ValidationError("columns must share one dimension", "matroid.columns")
+        self.cols = tuple(_integer_column(col) for col in spec.columns)
 
     def __call__(self, s: frozenset) -> bool:
         cols = self.cols
@@ -329,7 +289,20 @@ class _Explicit:
 
     __slots__ = ("sets",)
 
-    def __init__(self, sets: tuple[frozenset, ...]):
+    def __init__(self, spec: FamilySpec, n: int):
+        if spec.maximal_sets is None:
+            raise ValidationError("explicit matroid needs maximal_sets", "matroid.maximal_sets")
+        sets = tuple(frozenset(s) for s in spec.maximal_sets)
+        for i, s in enumerate(sets):
+            for e in s:
+                if not 0 <= e < n:
+                    raise ValidationError(f"element {e} out of range", f"matroid.maximal_sets[{i}]")
+        for i, a in enumerate(sets):
+            for j, b in enumerate(sets):
+                if i != j and a <= b:
+                    raise ValidationError(
+                        "maximal_sets must be an antichain", f"matroid.maximal_sets[{i}]"
+                    )
         self.sets = sets
 
     def __call__(self, s: frozenset) -> bool:
@@ -351,19 +324,23 @@ class _Explicit:
         return frozenset(kept)
 
 
+# The oracle class of each kind; its constructor validates the spec.
+_ORACLES = {
+    "uniform": _Uniform,
+    "partition": _Partition,
+    "graphic": _Graphic,
+    "linear": _Linear,
+    "explicit": _Explicit,
+}
+KINDS = tuple(_ORACLES)
+
+
 def construct(spec: FamilySpec, n: int) -> Matroid:
-    """Build the independence oracle for a validated family spec over n elements."""
-    validate_spec(spec, n)
-    if spec.kind == "uniform":
-        indep = _Uniform(spec.rank)
-    elif spec.kind == "partition":
-        indep = _Partition(
-            tuple((frozenset(block), cap) for block, cap in zip(spec.blocks, spec.capacities))
-        )
-    elif spec.kind == "graphic":
-        indep = _Graphic(spec.edges)
-    elif spec.kind == "linear":
-        indep = _Linear(tuple(_integer_column(col) for col in spec.columns))
-    else:  # explicit
-        indep = _Explicit(tuple(frozenset(ms) for ms in spec.maximal_sets))
-    return Matroid(frozenset(range(n)), indep, label=spec.kind)
+    """Build the independence oracle of a family spec over n elements.
+
+    Raises ``ValidationError`` on an unknown kind or a spec that does not
+    describe a family over n elements.
+    """
+    if spec.kind not in KINDS:
+        raise ValidationError(f"unknown matroid kind {spec.kind!r}", "matroid.kind")
+    return Matroid(frozenset(range(n)), _ORACLES[spec.kind](spec, n), label=spec.kind)

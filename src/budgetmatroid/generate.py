@@ -22,8 +22,8 @@ GENERATOR_VERSION = "mt19937-v1"
 _DENOMINATORS = (1, 2, 3, 4)
 _COST_MAX = 20
 _PROFIT_MAX = 40
-# Parsing checks the exchange axiom over pairs of listed bases, quadratic in
-# their number; n = 10 allows up to C(10, 5) = 252 bases.
+# make_instance checks the exchange axiom over pairs of listed bases,
+# quadratic in their number; n = 10 allows up to C(10, 5) = 252 bases.
 _EXPLICIT_GEN_CAP = 10
 
 

@@ -180,6 +180,8 @@ def make_instance(
         if p < 0:
             raise ValidationError("profit must be >= 0", f"elements[{i}].profit")
     matroid = construct(spec, n)
+    if spec.kind == "explicit":
+        check_basis_exchange(spec.maximal_sets)
     active = frozenset(e for e in range(n) if matroid.indep_fn(frozenset({e})))
     dropped = tuple(e for e in range(n) if e not in active)
     return BmiInstance(budget, costs, profits, spec, matroid, active, dropped)
@@ -281,11 +283,7 @@ def parse_instance(text: str) -> BmiInstance:
             raise ValidationError("element must be an object", f"elements[{i}]")
         costs.append(parse_rational(el.get("cost"), f"elements[{i}].cost"))
         profits.append(parse_rational(el.get("profit"), f"elements[{i}].profit"))
-    spec = _spec_from_json(obj["matroid"])
-    inst = make_instance(budget, costs, profits, spec)
-    if spec.kind == "explicit":
-        check_basis_exchange(spec.maximal_sets)
-    return inst
+    return make_instance(budget, costs, profits, _spec_from_json(obj["matroid"]))
 
 
 def serialize_instance(inst: BmiInstance) -> str:

@@ -25,8 +25,8 @@ budget times D_c, lambda = a/b is a pair of integers, and ``LpOutcome``
 keeps x*u (u the denominator of theta), the objective and lambda* as
 integers.  ``solve_lp`` and ``bootstrap`` call the core on the instance's
 ``IntegerView``; ``solve_rational_lp`` scales by the denominators' lcms.
-The tests diff the core against its form before the walk kept its set
-(residual LPs on hand-built M/F handles), and ``solve_rational_lp`` against
+The tests diff the core against a reference core (residual LPs on
+hand-built M/F handles), and ``solve_rational_lp`` against
 ``verify.solve_polytope_lp_reference``.
 """
 

@@ -9,14 +9,15 @@ An oracle may also carry an incremental greedy ``scan(base, order)``:
 given an independent ``base``, it returns ``base`` plus the elements of
 ``order`` that the greedy loop keeps on top of it, with state kept across
 the scan instead of one independence test per element.  The family
-oracles carry one, ``greedy`` uses it when present, restriction keeps it,
-contraction maps it to ``base | F`` and truncation caps it at q kept
-elements.  ``greedy`` takes a base too, so residual LPs need no
-contraction handle; ``contract`` serves verification and the tests.  A
-handle carries no counter: the scheme counts the independence tests of
-its enumeration where it makes them.  Helpers used only to verify
-matroids (axiom checker, exchange witnesses, disjoint union) live in
-``verify``.
+oracles carry one, ``greedy`` uses it when present and restriction keeps
+it; contraction and truncation answer through a plain function, so greedy
+on them takes the one-test-per-element loop.  ``greedy`` takes a base
+too, so residual LPs need no contraction handle; ``contract`` serves
+verification and the tests, and the scheme truncates a class matroid only
+above k^k elements.  A handle carries no counter: the scheme counts the
+independence tests of its enumeration where it makes them.  Helpers used
+only to verify matroids (axiom checker, exchange witnesses, disjoint
+union) live in ``verify``.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.
@@ -116,36 +117,11 @@ def contract(m: Matroid, f: Iterable[int]) -> Matroid:
     if not m.is_independent(fs):
         raise PreconditionError("contraction set must be independent")
     parent = m.indep_fn
-
-    def indep(s):
-        return parent(s | fs)
-
-    if hasattr(parent, "scan"):
-        indep.scan = lambda base, order: parent.scan(base | fs, order) - fs
-    return Matroid(m.ground - fs, indep, label=f"contract({m.label})")
+    return Matroid(m.ground - fs, lambda s: parent(s | fs), label=f"contract({m.label})")
 
 
 def truncate(m: Matroid, q: int) -> Matroid:
     if q < 0:
         raise PreconditionError("truncation level must be non-negative")
     parent = m.indep_fn
-
-    def indep(s):
-        return len(s) <= q and parent(s)
-
-    if hasattr(parent, "scan"):
-
-        def scan(base, order):
-            # The truncated greedy follows the parent's until it holds q
-            # elements and keeps nothing after: the parent's first additions.
-            order = list(order)
-            kept = parent.scan(base, order)
-            if len(kept) <= q:
-                return kept
-            if len(base) > q:
-                raise PreconditionError("scan base exceeds the truncation level")
-            return base.union([e for e in order if e in kept and e not in base][: q - len(base)])
-
-        indep.scan = scan
-    return Matroid(m.ground, indep, label=f"truncate({m.label},{q})")
-
+    return Matroid(m.ground, lambda s: len(s) <= q and parent(s), label=f"truncate({m.label},{q})")

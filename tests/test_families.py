@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -13,6 +15,7 @@ from budgetmatroid import (
     rank,
 )
 from budgetmatroid.families import check_basis_exchange
+from budgetmatroid.instance import parse_instance
 from budgetmatroid.matroid import greedy
 from budgetmatroid.verify import check_axioms, columns_independent_reference
 from helpers import FAMILIES, all_bases, random_matroid
@@ -96,6 +99,201 @@ class TestConstruct:
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             construct(FamilySpec("transversal"), 2)
+
+
+# Every verdict a family spec can get: (spec, n, message, path).  Faults
+# that several checks would catch pin the order of the checks.
+VERDICTS = {
+    "unknown kind": (
+        FamilySpec("transversal"), 2, "unknown matroid kind 'transversal'", "matroid.kind"
+    ),
+    "uniform without rank": (
+        FamilySpec("uniform"), 2, "uniform matroid needs a non-negative rank", "matroid.rank"
+    ),
+    "uniform negative rank": (
+        FamilySpec("uniform", rank=-1), 2, "uniform matroid needs a non-negative rank", "matroid.rank"
+    ),
+    "partition without blocks": (
+        FamilySpec("partition", capacities=(1,)),
+        2,
+        "partition matroid needs blocks and capacities",
+        "matroid.blocks",
+    ),
+    "partition without capacities": (
+        FamilySpec("partition", blocks=((0, 1),)),
+        2,
+        "partition matroid needs blocks and capacities",
+        "matroid.blocks",
+    ),
+    "partition lengths differ, before ranges": (
+        FamilySpec("partition", blocks=((0, 7),), capacities=(1, 1)),
+        2,
+        "blocks and capacities must have equal length",
+        "matroid.capacities",
+    ),
+    "partition element above range": (
+        FamilySpec("partition", blocks=((0,), (1, 2)), capacities=(1, 1)),
+        2,
+        "element 2 out of range",
+        "matroid.blocks[1]",
+    ),
+    "partition element below range, before a repeat": (
+        FamilySpec("partition", blocks=((-1, 0, 0), (1,)), capacities=(1, 1)),
+        2,
+        "element -1 out of range",
+        "matroid.blocks[0]",
+    ),
+    "partition element in two blocks, before a range": (
+        FamilySpec("partition", blocks=((0, 1), (1, 5)), capacities=(1, 1)),
+        2,
+        "element 1 in two blocks",
+        "matroid.blocks[1]",
+    ),
+    "partition blocks do not cover, before capacities": (
+        FamilySpec("partition", blocks=((0,),), capacities=(-1,)),
+        3,
+        "blocks do not cover elements [1, 2]",
+        "matroid.blocks",
+    ),
+    "partition negative capacity": (
+        FamilySpec("partition", blocks=((0,), (1,)), capacities=(1, -1)),
+        2,
+        "capacity must be >= 0",
+        "matroid.capacities[1]",
+    ),
+    "graphic without num_vertices": (
+        FamilySpec("graphic", edges=((0, 1),)),
+        1,
+        "graphic matroid needs num_vertices",
+        "matroid.num_vertices",
+    ),
+    "graphic negative num_vertices, before edges": (
+        FamilySpec("graphic", num_vertices=-1, edges=()),
+        1,
+        "graphic matroid needs num_vertices",
+        "matroid.num_vertices",
+    ),
+    "graphic without edges": (
+        FamilySpec("graphic", num_vertices=2),
+        1,
+        "graphic matroid needs exactly 1 edges (one per element)",
+        "matroid.edges",
+    ),
+    "graphic edge count, before vertices": (
+        FamilySpec("graphic", num_vertices=2, edges=((0, 9),)),
+        2,
+        "graphic matroid needs exactly 2 edges (one per element)",
+        "matroid.edges",
+    ),
+    "graphic vertex above range": (
+        FamilySpec("graphic", num_vertices=2, edges=((0, 1), (1, 2))),
+        2,
+        "edge (1,2) references invalid vertex",
+        "matroid.edges[1]",
+    ),
+    "graphic vertex below range": (
+        FamilySpec("graphic", num_vertices=2, edges=((-1, 0),)),
+        1,
+        "edge (-1,0) references invalid vertex",
+        "matroid.edges[0]",
+    ),
+    "linear without columns": (
+        FamilySpec("linear"),
+        1,
+        "linear matroid needs exactly 1 columns (one per element)",
+        "matroid.columns",
+    ),
+    "linear column count, before dimensions": (
+        FamilySpec("linear", columns=((F(1),), (F(1), F(0)))),
+        3,
+        "linear matroid needs exactly 3 columns (one per element)",
+        "matroid.columns",
+    ),
+    "linear ragged columns": (
+        FamilySpec("linear", columns=((F(1),), (F(1, 2), F(0)))),
+        2,
+        "columns must share one dimension",
+        "matroid.columns",
+    ),
+    "explicit without maximal_sets": (
+        FamilySpec("explicit"), 2, "explicit matroid needs maximal_sets", "matroid.maximal_sets"
+    ),
+    "explicit element above range, before the antichain": (
+        FamilySpec("explicit", maximal_sets=((0,), (0,), (1, 2))),
+        2,
+        "element 2 out of range",
+        "matroid.maximal_sets[2]",
+    ),
+    "explicit element below range": (
+        FamilySpec("explicit", maximal_sets=((0,), (-1,))),
+        2,
+        "element -1 out of range",
+        "matroid.maximal_sets[1]",
+    ),
+    "explicit set inside a later one": (
+        FamilySpec("explicit", maximal_sets=((1,), (0, 1))),
+        2,
+        "maximal_sets must be an antichain",
+        "matroid.maximal_sets[0]",
+    ),
+    "explicit set inside an earlier one": (
+        FamilySpec("explicit", maximal_sets=((0, 1), (0,))),
+        2,
+        "maximal_sets must be an antichain",
+        "matroid.maximal_sets[1]",
+    ),
+    "explicit repeated set": (
+        FamilySpec("explicit", maximal_sets=((1,), (0,), (1,))),
+        2,
+        "maximal_sets must be an antichain",
+        "matroid.maximal_sets[0]",
+    ),
+    "explicit empty set beside another": (
+        FamilySpec("explicit", maximal_sets=((), (1,))),
+        2,
+        "maximal_sets must be an antichain",
+        "matroid.maximal_sets[0]",
+    ),
+}
+
+
+def stanza(spec):
+    """The JSON matroid stanza of a spec, or None when a field it needs is
+    missing, which the JSON format reports as a missing field instead."""
+    fields = {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
+    needed = {
+        "uniform": ("rank",),
+        "partition": ("blocks", "capacities"),
+        "graphic": ("num_vertices", "edges"),
+        "linear": ("columns",),
+        "explicit": ("maximal_sets",),
+    }.get(spec.kind, ())
+    if not all(k in fields for k in needed):
+        return None
+    return json.loads(json.dumps(fields, default=str))
+
+
+class TestVerdicts:
+    @pytest.mark.parametrize("case", list(VERDICTS))
+    def test_construct(self, case):
+        spec, n, message, path = VERDICTS[case]
+        with pytest.raises(ValidationError) as err:
+            construct(spec, n)
+        assert (str(err.value), err.value.path) == (f"{path}: {message}", path)
+
+    @pytest.mark.parametrize(
+        "case", [case for case, (spec, *_) in VERDICTS.items() if stanza(spec) is not None]
+    )
+    def test_parse_instance(self, case):
+        spec, n, message, path = VERDICTS[case]
+        doc = {
+            "budget": "1",
+            "elements": [{"cost": "1", "profit": "1"}] * n,
+            "matroid": stanza(spec),
+        }
+        with pytest.raises(ValidationError) as err:
+            parse_instance(json.dumps(doc))
+        assert (str(err.value), err.value.path) == (f"{path}: {message}", path)
 
 
 class TestLinearAlgebra:

@@ -152,6 +152,11 @@ class TestParse:
         with pytest.raises(ValidationError) as err:
             parse_instance(json.dumps(doc))
         assert err.value.path == "matroid.maximal_sets"
+        # make_instance, which generate_instance also calls, gives the same verdict.
+        spec = FamilySpec("explicit", maximal_sets=tuple(map(tuple, sets)))
+        with pytest.raises(ValidationError) as made:
+            make_instance(F(3), [F(1)] * 4, [F(1)] * 4, spec)
+        assert (str(made.value), made.value.path) == (str(err.value), err.value.path)
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(doc))
         assert main(["solve", "--instance", str(inst), "--eps", "1/3"]) == 2
