@@ -140,6 +140,7 @@ def cmd_verify(args) -> int:
 
 def cmd_bench(args) -> int:
     eps = parse_rational(args.eps, "eps")
+    EpsParam.from_target(eps)  # rejects a bad --eps before any instance is solved
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         raise ValidationError(f"no .json instances under {args.dir}", "dir")

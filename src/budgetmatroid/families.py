@@ -4,12 +4,13 @@ Supported kinds: uniform, partition, graphic, linear (exact rationals),
 explicit (listed maximal independent sets).  Element ids are indices into
 the instance ground set; for graphic matroids element i is edge i.  Each
 family's oracle is a small callable object that also carries an incremental
-greedy ``scan`` (see ``matroid``).  Its constructor takes the spec and n,
-checks the spec and builds the oracle's data in the same pass, and raises
-``ValidationError`` with the offending field's path; ``construct`` picks
-the class by kind.  Whether listed maximal sets are the bases of a matroid
-is ``check_basis_exchange``, which ``instance.make_instance`` runs on every
-explicit family.
+greedy ``scan`` (see ``matroid``) and lists the ``FamilySpec`` fields of
+its kind in ``fields``.  Its constructor takes the spec and n, checks the
+spec and builds the oracle's data in the same pass, and raises
+``ValidationError`` with the offending field's path; for an explicit family
+that includes ``check_basis_exchange``, so every oracle ``construct``
+returns is a matroid's.  ``construct`` picks the class by kind, and
+``FIELDS`` maps each kind to its fields for the file format.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ def check_basis_exchange(maximal_sets: Sequence[Sequence[int]]) -> None:
     make B1 - x + y listed; sets of unequal size always fail this.  Sets
     are bit masks, and ``partners[B - x]`` holds every y with B - x + y
     listed.  The test depends only on B1 - x, so each (|B1| - 1)-set is
-    tested once, at one AND per listed B2.  Runs when an instance is made,
-    after ``construct`` has checked the ranges and the antichain property.
+    tested once, at one AND per listed B2.  Runs in the explicit oracle's
+    constructor, after the range and antichain checks.
     """
     masks = [sum(1 << e for e in set(s)) for s in maximal_sets]
     partners: dict[int, int] = {}
@@ -105,6 +106,7 @@ class _Uniform:
     """Sets of at most ``rank`` elements; the scan counts the room left."""
 
     __slots__ = ("rank",)
+    fields = ("rank",)
 
     def __init__(self, spec: FamilySpec, n: int):
         if spec.rank is None or spec.rank < 0:
@@ -133,6 +135,7 @@ class _Partition:
     in each block."""
 
     __slots__ = ("pairs", "block_of")
+    fields = ("blocks", "capacities")
 
     def __init__(self, spec: FamilySpec, n: int):
         if spec.blocks is None or spec.capacities is None:
@@ -203,6 +206,7 @@ class _Graphic:
     union-find, seeded with the base, across the order."""
 
     __slots__ = ("edges",)
+    fields = ("edges", "num_vertices")
 
     def __init__(self, spec: FamilySpec, n: int):
         if spec.num_vertices is None or spec.num_vertices < 0:
@@ -248,6 +252,7 @@ class _Linear:
     keeps an incrementally reduced integer basis across the order."""
 
     __slots__ = ("cols",)
+    fields = ("columns",)
 
     def __init__(self, spec: FamilySpec, n: int):
         if spec.columns is None or len(spec.columns) != n:
@@ -288,6 +293,7 @@ class _Explicit:
     that still contain the kept set."""
 
     __slots__ = ("sets",)
+    fields = ("maximal_sets",)
 
     def __init__(self, spec: FamilySpec, n: int):
         if spec.maximal_sets is None:
@@ -303,6 +309,7 @@ class _Explicit:
                     raise ValidationError(
                         "maximal_sets must be an antichain", f"matroid.maximal_sets[{i}]"
                     )
+        check_basis_exchange(sets)
         self.sets = sets
 
     def __call__(self, s: frozenset) -> bool:
@@ -333,6 +340,8 @@ _ORACLES = {
     "explicit": _Explicit,
 }
 KINDS = tuple(_ORACLES)
+# The spec fields of each kind, in the order a file's stanza is read.
+FIELDS = {kind: cls.fields for kind, cls in _ORACLES.items()}
 
 
 def construct(spec: FamilySpec, n: int) -> Matroid:

@@ -22,7 +22,7 @@ GENERATOR_VERSION = "mt19937-v1"
 _DENOMINATORS = (1, 2, 3, 4)
 _COST_MAX = 20
 _PROFIT_MAX = 40
-# make_instance checks the exchange axiom over pairs of listed bases,
+# The explicit oracle checks the exchange axiom over pairs of listed bases,
 # quadratic in their number; n = 10 allows up to C(10, 5) = 252 bases.
 _EXPLICIT_GEN_CAP = 10
 

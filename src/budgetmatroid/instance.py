@@ -2,7 +2,9 @@
 
 All money-like quantities (budget, costs, profits) are exact rationals and
 are encoded as strings in the file format; raw JSON numbers are rejected so
-no value ever passes through floating point.
+no value ever passes through floating point, and ``make_instance`` takes
+only ``int`` and ``Fraction``.  A matroid stanza holds its kind's
+``families.FIELDS``, each coded by ``_CODEC``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import lcm
 from typing import Iterable
 
 from .errors import ValidationError
-from .families import KINDS, FamilySpec, check_basis_exchange, construct
+from .families import FIELDS, KINDS, FamilySpec, construct
 from .matroid import Matroid, restrict
 
 
@@ -154,17 +156,25 @@ class IntegerView:
         return sum(self.profits[e] for e in elements)
 
 
+def _exact(value, path: str) -> Fraction:
+    # A float would bring in its binary value silently, and bool is an int.
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValidationError(f"expected an int or a Fraction, got {value!r}", path)
+    return Fraction(value)
+
+
 def make_instance(
     budget: Fraction,
     costs: Iterable[Fraction],
     profits: Iterable[Fraction],
     spec: FamilySpec,
 ) -> BmiInstance:
-    costs = tuple(Fraction(c) for c in costs)
-    profits = tuple(Fraction(p) for p in profits)
+    costs = tuple(_exact(c, f"elements[{i}].cost") for i, c in enumerate(costs))
+    profits = tuple(_exact(p, f"elements[{i}].profit") for i, p in enumerate(profits))
     n = len(costs)
     if len(profits) != n:
         raise ValidationError("costs and profits must have equal length", "elements")
+    budget = _exact(budget, "budget")
     if budget <= 0:
         raise ValidationError("budget must be a positive rational", "budget")
     for i, c in enumerate(costs):
@@ -180,8 +190,6 @@ def make_instance(
         if p < 0:
             raise ValidationError("profit must be >= 0", f"elements[{i}].profit")
     matroid = construct(spec, n)
-    if spec.kind == "explicit":
-        check_basis_exchange(spec.maximal_sets)
     active = frozenset(e for e in range(n) if matroid.indep_fn(frozenset({e})))
     dropped = tuple(e for e in range(n) if e not in active)
     return BmiInstance(budget, costs, profits, spec, matroid, active, dropped)
@@ -194,11 +202,34 @@ def _int(value, path: str) -> int:
     return value
 
 
-def _int_rows(rows, path: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(rows)
-    )
+def _each(read):
+    """The reader of a JSON array that reads each entry with ``read``."""
+    return lambda values, path: tuple(read(x, f"{path}[{i}]") for i, x in enumerate(values))
+
+
+_int_rows = _each(_each(_int))
+
+
+def _same(value):
+    return value
+
+
+def _rows(write=_same):
+    """The writer of a spec's rows that writes each entry with ``write``."""
+    return lambda rows: [[write(x) for x in row] for row in rows]
+
+
+# Each FamilySpec field's (reader, writer): the reader takes the stanza's
+# value and its path, the writer takes the spec's value.
+_CODEC = {
+    "rank": (_int, _same),
+    "blocks": (_int_rows, _rows()),
+    "capacities": (_each(_int), list),
+    "edges": (lambda rows, path: tuple((u, v) for u, v in _int_rows(rows, path)), _rows()),
+    "num_vertices": (_int, _same),
+    "columns": (_each(_each(parse_rational)), _rows(format_rational)),
+    "maximal_sets": (_int_rows, lambda sets: [sorted(s) for s in sets]),
+}
 
 
 def _spec_from_json(obj, path="matroid") -> FamilySpec:
@@ -208,30 +239,7 @@ def _spec_from_json(obj, path="matroid") -> FamilySpec:
     if kind not in KINDS:
         raise ValidationError(f"unknown matroid kind {kind!r}", f"{path}.kind")
     try:
-        if kind == "uniform":
-            return FamilySpec(kind, rank=_int(obj["rank"], f"{path}.rank"))
-        if kind == "partition":
-            return FamilySpec(
-                kind,
-                blocks=_int_rows(obj["blocks"], f"{path}.blocks"),
-                capacities=tuple(
-                    _int(c, f"{path}.capacities[{i}]") for i, c in enumerate(obj["capacities"])
-                ),
-            )
-        if kind == "graphic":
-            edges = tuple((u, v) for u, v in _int_rows(obj["edges"], f"{path}.edges"))
-            return FamilySpec(
-                kind, num_vertices=_int(obj["num_vertices"], f"{path}.num_vertices"), edges=edges
-            )
-        if kind == "linear":
-            cols = tuple(
-                tuple(parse_rational(x, f"{path}.columns[{i}][{j}]") for j, x in enumerate(col))
-                for i, col in enumerate(obj["columns"])
-            )
-            return FamilySpec(kind, columns=cols)
-        return FamilySpec(
-            kind, maximal_sets=_int_rows(obj["maximal_sets"], f"{path}.maximal_sets")
-        )
+        return FamilySpec(kind, **{f: _CODEC[f][0](obj[f], f"{path}.{f}") for f in FIELDS[kind]})
     except KeyError as exc:
         raise ValidationError(f"missing field {exc.args[0]!r}", path) from exc
     except (TypeError, ValueError) as exc:
@@ -239,26 +247,7 @@ def _spec_from_json(obj, path="matroid") -> FamilySpec:
 
 
 def _spec_to_json(spec: FamilySpec) -> dict:
-    if spec.kind == "uniform":
-        return {"kind": "uniform", "rank": spec.rank}
-    if spec.kind == "partition":
-        return {
-            "kind": "partition",
-            "blocks": [list(b) for b in spec.blocks],
-            "capacities": list(spec.capacities),
-        }
-    if spec.kind == "graphic":
-        return {
-            "kind": "graphic",
-            "num_vertices": spec.num_vertices,
-            "edges": [list(e) for e in spec.edges],
-        }
-    if spec.kind == "linear":
-        return {
-            "kind": "linear",
-            "columns": [[format_rational(x) for x in col] for col in spec.columns],
-        }
-    return {"kind": "explicit", "maximal_sets": [sorted(s) for s in spec.maximal_sets]}
+    return {"kind": spec.kind, **{f: _CODEC[f][1](getattr(spec, f)) for f in FIELDS[spec.kind]}}
 
 
 def parse_instance(text: str) -> BmiInstance:

@@ -28,6 +28,14 @@ from budgetmatroid.scheme import EpsParam, _better, find_rep
 FAMILIES = ("uniform", "partition", "graphic", "linear", "explicit")
 
 
+def listed_sets_matroid(sets, n: int) -> Matroid:
+    """The subsets of the listed sets over n elements, built by hand, so that
+    it need not be a matroid (``construct`` rejects listed sets that are not
+    the bases of one)."""
+    sets = [frozenset(s) for s in sets]
+    return Matroid(frozenset(range(n)), lambda s: not s or any(s <= m for m in sets))
+
+
 def independence_table(m: Matroid) -> tuple[list[int], list[bool]]:
     """(sorted elements, table) with table[mask] = independence of that subset."""
     elems = sorted(m.ground)

@@ -225,6 +225,18 @@ class TestBench:
         for row in rows:
             assert float(row["wall_ms"]) < 500
 
+    @pytest.mark.parametrize("eps", ["2", "0", "-1/3"])
+    def test_bench_rejects_eps_before_any_solve(self, eps, tmp_path, monkeypatch, capsys):
+        def no_brute_force(*args, **kwargs):
+            raise AssertionError("brute force ran before --eps was checked")
+
+        monkeypatch.setattr(cli, "brute_force_opt", no_brute_force)
+        gen(tmp_path, family="uniform", n=5)
+        out_csv = tmp_path / "bench.csv"
+        assert main(["bench", "--dir", str(tmp_path), f"--eps={eps}", "--csv", str(out_csv)]) == 2
+        assert "eps: eps target must lie in (0, 1)" in capsys.readouterr().err
+        assert not out_csv.exists()
+
     def test_bench_empty_dir_is_validation_error(self, tmp_path):
         assert main(["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(tmp_path / "o.csv")]) == 2
 

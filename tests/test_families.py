@@ -14,11 +14,11 @@ from budgetmatroid import (
     construct,
     rank,
 )
-from budgetmatroid.families import check_basis_exchange
+from budgetmatroid.families import FIELDS, check_basis_exchange
 from budgetmatroid.instance import parse_instance
 from budgetmatroid.matroid import greedy
 from budgetmatroid.verify import check_axioms, columns_independent_reference
-from helpers import FAMILIES, all_bases, random_matroid
+from helpers import FAMILIES, all_bases, listed_sets_matroid, random_matroid
 
 # Denominators of the random column entries, by kind.
 COLUMN_DENOMINATORS = {
@@ -261,14 +261,7 @@ def stanza(spec):
     """The JSON matroid stanza of a spec, or None when a field it needs is
     missing, which the JSON format reports as a missing field instead."""
     fields = {k: v for k, v in dataclasses.asdict(spec).items() if v is not None}
-    needed = {
-        "uniform": ("rank",),
-        "partition": ("blocks", "capacities"),
-        "graphic": ("num_vertices", "edges"),
-        "linear": ("columns",),
-        "explicit": ("maximal_sets",),
-    }.get(spec.kind, ())
-    if not all(k in fields for k in needed):
+    if not all(k in fields for k in FIELDS.get(spec.kind, ())):
         return None
     return json.loads(json.dumps(fields, default=str))
 
@@ -464,7 +457,7 @@ class TestBasisExchange:
     @pytest.mark.parametrize("seed", range(30))
     def test_agrees_with_axiom_checker(self, seed):
         sets = random_antichain(seed)
-        is_matroid = check_axioms(construct(FamilySpec("explicit", maximal_sets=sets), 5)).ok
+        is_matroid = check_axioms(listed_sets_matroid(sets, 5)).ok
         try:
             check_basis_exchange(sets)
         except ValidationError:

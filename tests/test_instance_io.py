@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -5,8 +6,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from budgetmatroid import FamilySpec, ValidationError, construct, make_instance
+from budgetmatroid import FamilySpec, ValidationError, approximate, construct, make_instance
 from budgetmatroid.cli import main
+from budgetmatroid.families import FIELDS, KINDS
 from budgetmatroid.generate import GENERATOR_VERSION, GenSpec, _random_family, generate_instance
 from budgetmatroid.instance import (
     MAX_DIGITS,
@@ -152,11 +154,13 @@ class TestParse:
         with pytest.raises(ValidationError) as err:
             parse_instance(json.dumps(doc))
         assert err.value.path == "matroid.maximal_sets"
-        # make_instance, which generate_instance also calls, gives the same verdict.
+        # construct, and so make_instance and generate_instance, give the
+        # same verdict: no oracle is built for these sets.
         spec = FamilySpec("explicit", maximal_sets=tuple(map(tuple, sets)))
-        with pytest.raises(ValidationError) as made:
-            make_instance(F(3), [F(1)] * 4, [F(1)] * 4, spec)
-        assert (str(made.value), made.value.path) == (str(err.value), err.value.path)
+        for build in (lambda: construct(spec, 4), lambda: make_instance(3, [1] * 4, [1] * 4, spec)):
+            with pytest.raises(ValidationError) as made:
+                build()
+            assert (str(made.value), made.value.path) == (str(err.value), err.value.path)
         inst = tmp_path / "inst.json"
         inst.write_text(json.dumps(doc))
         assert main(["solve", "--instance", str(inst), "--eps", "1/3"]) == 2
@@ -333,6 +337,138 @@ class TestRoundTrip:
             again = parse_instance(text)
             assert serialize_instance(again) == text
             assert again.costs == inst.costs and again.profits == inst.profits
+            assert again.matroid_spec == inst.matroid_spec
+
+
+# serialize_instance of a two-element instance, up to its matroid stanza.
+PIN_HEAD = """{
+  "budget": "2",
+  "elements": [
+    {
+      "cost": "1",
+      "profit": "1/2"
+    },
+    {
+      "cost": "3/2",
+      "profit": "2"
+    }
+  ],
+  "matroid": """
+
+# Hand-written stanzas and their matroid stanza as serialize_instance writes it:
+# blocks and edges keep their order, each maximal set comes out sorted, and
+# columns print in lowest terms.
+PINNED_STANZAS = {
+    "uniform": (
+        {"kind": "uniform", "rank": 1},
+        """{
+    "kind": "uniform",
+    "rank": 1
+  }""",
+    ),
+    "partition": (
+        {"kind": "partition", "blocks": [[1, 0]], "capacities": [1]},
+        """{
+    "blocks": [
+      [
+        1,
+        0
+      ]
+    ],
+    "capacities": [
+      1
+    ],
+    "kind": "partition"
+  }""",
+    ),
+    "graphic": (
+        {"kind": "graphic", "num_vertices": 2, "edges": [[1, 0], [0, 1]]},
+        """{
+    "edges": [
+      [
+        1,
+        0
+      ],
+      [
+        0,
+        1
+      ]
+    ],
+    "kind": "graphic",
+    "num_vertices": 2
+  }""",
+    ),
+    "linear": (
+        {"kind": "linear", "columns": [["0.5", "1e2"], ["-3/6", "0"]]},
+        """{
+    "columns": [
+      [
+        "1/2",
+        "100"
+      ],
+      [
+        "-1/2",
+        "0"
+      ]
+    ],
+    "kind": "linear"
+  }""",
+    ),
+    "explicit": (
+        {"kind": "explicit", "maximal_sets": [[1, 0]]},
+        """{
+    "kind": "explicit",
+    "maximal_sets": [
+      [
+        0,
+        1
+      ]
+    ]
+  }""",
+    ),
+}
+
+
+class TestCodec:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_serialization_pinned(self, kind):
+        stanza, expected = PINNED_STANZAS[kind]
+        doc = {
+            "budget": "2",
+            "elements": [{"cost": "1", "profit": "0.5"}, {"cost": "3/2", "profit": "2"}],
+            "matroid": stanza,
+        }
+        inst = parse_instance(json.dumps(doc))
+        assert serialize_instance(inst) == PIN_HEAD + expected + "\n}\n"
+
+    def test_fields_cover_every_kind_and_spec_field(self):
+        assert tuple(FIELDS) == KINDS
+        # Each spec field but kind is listed once, under exactly one kind.
+        listed = [name for kind in KINDS for name in FIELDS[kind]]
+        spec_fields = [f.name for f in dataclasses.fields(FamilySpec) if f.name != "kind"]
+        assert sorted(listed) == sorted(spec_fields)
+
+    @pytest.mark.parametrize(
+        "stanza, message, path",
+        [
+            ({"kind": "graphic"}, "missing field 'edges'", "matroid"),
+            (
+                {"kind": "graphic", "edges": [[0, "a"]], "num_vertices": "b"},
+                "expected an integer, got 'a'",
+                "matroid.edges[0][1]",
+            ),
+            ({"kind": "partition"}, "missing field 'blocks'", "matroid"),
+            (
+                {"kind": "partition", "blocks": [["a"]], "capacities": ["b"]},
+                "expected an integer, got 'a'",
+                "matroid.blocks[0][0]",
+            ),
+        ],
+    )
+    def test_fields_read_in_order(self, stanza, message, path):
+        with pytest.raises(ValidationError) as err:
+            parse_instance(json.dumps(minimal_doc(matroid=stanza)))
+        assert (str(err.value), err.value.path) == (f"{path}: {message}", path)
 
 
 class TestGenerator:
@@ -381,3 +517,29 @@ class TestMakeInstance:
     def test_negative_cost(self):
         with pytest.raises(ValidationError):
             make_instance(F(1), [F(-1)], [F(1)], FamilySpec("uniform", rank=1))
+
+    @pytest.mark.parametrize(
+        "budget, costs, profits, message, path",
+        [
+            (2.5, [F(1)], [F(1)], "expected an int or a Fraction, got 2.5", "budget"),
+            ("3", [F(1)], [F(1)], "expected an int or a Fraction, got '3'", "budget"),
+            (True, [F(1)], [F(1)], "expected an int or a Fraction, got True", "budget"),
+            (F(3), [F(1), 0.1], [F(1)] * 2, "expected an int or a Fraction, got 0.1",
+             "elements[1].cost"),
+            (F(3), ["x"], [F(1)], "expected an int or a Fraction, got 'x'", "elements[0].cost"),
+            (F(3), [F(1)], [1.0], "expected an int or a Fraction, got 1.0",
+             "elements[0].profit"),
+            (F(3), [F(1)], [False], "expected an int or a Fraction, got False",
+             "elements[0].profit"),
+        ],
+    )
+    def test_non_exact_numbers_rejected(self, budget, costs, profits, message, path):
+        with pytest.raises(ValidationError) as err:
+            make_instance(budget, costs, profits, FamilySpec("uniform", rank=1))
+        assert (str(err.value), err.value.path) == (f"{path}: {message}", path)
+
+    def test_ints_become_fractions(self):
+        inst = make_instance(3, [1, F(3, 2)], [2, 1], FamilySpec("uniform", rank=1))
+        assert all(type(x) is F for x in (inst.budget, *inst.costs, *inst.profits))
+        assert (inst.budget, inst.costs, inst.profits) == (F(3), (F(1), F(3, 2)), (F(2), F(1)))
+        assert approximate(inst, F(1, 3)).profit == 2

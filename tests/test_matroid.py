@@ -19,7 +19,7 @@ from budgetmatroid import (
 )
 from budgetmatroid.matroid import greedy
 from budgetmatroid.verify import check_axioms, exchange_witness, extend_to_independent, union
-from helpers import FAMILIES, all_bases, exhaustive_rank, random_matroid
+from helpers import FAMILIES, all_bases, exhaustive_rank, listed_sets_matroid, random_matroid
 
 
 def uniform(r, n):
@@ -199,7 +199,7 @@ class TestCheckAxioms:
 
     def test_non_matroid_family_caught(self):
         # Maximal sets {0,1} and {2}: sizes differ, exchange must fail.
-        m = construct(FamilySpec("explicit", maximal_sets=((0, 1), (2,))), 3)
+        m = listed_sets_matroid(((0, 1), (2,)), 3)
         report = check_axioms(m)
         assert not report.ok
         assert report.violation == "exchange violation"
@@ -209,11 +209,9 @@ class TestCheckAxioms:
             check_axioms(uniform(3, 11))
 
     def test_broken_oracle_detected_by_witness_search(self):
-        from budgetmatroid.matroid import Matroid
-
         # Not a matroid: {0,1} and {2} maximal. The witness search for the
         # guaranteed exchange partner must flag it.
-        bad = construct(FamilySpec("explicit", maximal_sets=((0, 1), (2,))), 3)
+        bad = listed_sets_matroid(((0, 1), (2,)), 3)
         with pytest.raises(InternalInvariantError):
             extend_to_independent(bad, frozenset({0, 1}), frozenset({2}))
 
