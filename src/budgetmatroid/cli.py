@@ -16,7 +16,6 @@ from pathlib import Path
 from .errors import InternalInvariantError, ScaleCapError, ValidationError
 from .generate import GenSpec, generate_instance
 from .instance import format_rational, parse_instance, parse_rational, serialize_instance
-from .lp import FractionalPoint
 from .oracle import brute_force_opt
 from .scheme import EpsParam, approximate, find_rep
 
@@ -78,7 +77,7 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     # Imported here, so that solve, exact, gen and bench never load the checkers.
-    from .verify import check_axioms, separate, verify_representative
+    from .verify import FractionalPoint, check_axioms, separate, verify_representative
 
     inst = _load_instance(args.instance)
     eps_target = parse_rational(args.eps, "eps")

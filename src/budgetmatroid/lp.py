@@ -24,9 +24,9 @@ The solve runs on integers: the core takes profits times D_p and costs and
 budget times D_c, lambda = a/b is a pair of integers, and ``LpOutcome``
 keeps x*u (u the denominator of theta), the objective and lambda* as
 integers.  ``solve_lp`` and ``bootstrap`` call the core on the instance's
-``IntegerView``; ``solve_rational_lp`` scales by the denominators' lcms.
-The tests diff the core against a reference core (residual LPs on
-hand-built M/F handles), and ``solve_rational_lp`` against
+``IntegerView``.  The tests diff the core against a reference core
+(residual LPs on hand-built M/F handles) and, through a rational entry that
+scales by the denominators' lcms, against
 ``verify.solve_polytope_lp_reference``.
 """
 
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
-from .instance import BmiInstance, IntegerView, _scaled
+from .instance import BmiInstance
 from .matroid import Matroid, greedy, restrict
 
 ZERO = Fraction(0)
@@ -60,21 +60,6 @@ class LpStats:
 LP_STATS = LpStats()
 
 
-@dataclass(frozen=True)
-class FractionalPoint:
-    domain: tuple[int, ...]
-    values: Mapping[int, Fraction] = field(repr=False)
-
-    def __getitem__(self, e: int) -> Fraction:
-        return self.values.get(e, ZERO)
-
-    def mass(self, subset: Iterable[int]) -> Fraction:
-        return sum((self.values.get(e, ZERO) for e in subset), ZERO)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(e for e in self.domain if self.values.get(e, ZERO) > 0)
-
-
 def _ratio(num: int, den: int) -> tuple[int, int]:
     """num/den in lowest terms, for den > 0."""
     g = gcd(num, den)
@@ -91,8 +76,8 @@ class LpOutcome:
     multiplier lambda* of the budget row are (numerator, denominator)
     pairs in lowest terms.  Every stored value is canonical, so two
     outcomes are equal exactly when their points, objectives, fractional
-    supports and multipliers are.  ``point``, ``objective`` and
-    ``multiplier`` build the Fractions on access.
+    supports and multipliers are.  ``objective`` and ``multiplier`` build
+    the Fractions on access.
     """
 
     domain: tuple[int, ...]
@@ -101,11 +86,6 @@ class LpOutcome:
     fractional_support: tuple[int, ...]
     objective_pair: tuple[int, int]
     multiplier_pair: tuple[int, int]
-
-    @property
-    def point(self) -> FractionalPoint:
-        u = self.u
-        return FractionalPoint(self.domain, {e: Fraction(v, u) for e, v in self.xu.items()})
 
     @property
     def objective(self) -> Fraction:
@@ -255,18 +235,6 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int, base=frozenset
             f"basic LP solution has {len(fractional)} fractional entries (limit 2)"
         )
     return LpOutcome(domain, x, u, fractional, _ratio(value, u * dp), _ratio(a * dc, b * dp))
-
-
-def solve_rational_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
-    """``solve_polytope_lp`` on rational profits, costs and budget, scaled
-    by D_p, the lcm of the profits' denominators over ``m.ground``, and by
-    D_c, the lcm of the costs' and the budget's."""
-    domain = tuple(sorted(m.ground))
-    dp = lcm(*(profits[e].denominator for e in domain))
-    dc = lcm(budget.denominator, *(costs[e].denominator for e in domain))
-    P = dict(zip(domain, _scaled((profits[e] for e in domain), dp)))
-    C = dict(zip(domain, _scaled((costs[e] for e in domain), dc)))
-    return solve_polytope_lp(m, P, C, budget.numerator * (dc // budget.denominator), dp, dc)
 
 
 def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset:

@@ -1,8 +1,8 @@
 """Matroid oracle abstraction and the operations derived from it.
 
 A matroid is represented by its ground set and a pure independence test.
-All derived handles (restriction, contraction, truncation) answer through
-their parents, so the oracle semantics are exactly the set-theoretic
+The derived handles (restriction, truncation) answer through their
+parents, so the oracle semantics are exactly the set-theoretic
 definitions.  Handles are immutable.
 
 An oracle may also carry an incremental greedy ``scan(base, order)``:
@@ -10,14 +10,13 @@ given an independent ``base``, it returns ``base`` plus the elements of
 ``order`` that the greedy loop keeps on top of it, with state kept across
 the scan instead of one independence test per element.  The family
 oracles carry one, ``greedy`` uses it when present and restriction keeps
-it; contraction and truncation answer through a plain function, so greedy
-on them takes the one-test-per-element loop.  ``greedy`` takes a base
-too, so residual LPs need no contraction handle; ``contract`` serves
-verification and the tests, and the scheme truncates a class matroid only
-above k^k elements.  A handle carries no counter: the scheme counts the
-independence tests of its enumeration where it makes them.  Helpers used
-only to verify matroids (axiom checker, exchange witnesses, disjoint
-union) live in ``verify``.
+it; truncation answers through a plain function, so greedy on it takes
+the one-test-per-element loop.  ``greedy`` takes a base too, so residual
+LPs need no contraction handle, and the scheme truncates a class matroid
+only above k^k elements.  A handle carries no counter: the scheme counts
+the independence tests of its enumeration where it makes them.  Code used
+only to verify matroids (rank, contraction, disjoint union, axiom checker,
+exchange witnesses) lives in ``verify``.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.
@@ -79,14 +78,6 @@ def greedy(m: Matroid, order: Iterable[int], base: frozenset = frozenset()) -> f
     return kept - base if base else kept
 
 
-def rank(m: Matroid, subset: Iterable[int]) -> int:
-    """Greedy rank computation; correct for matroids by the exchange axiom."""
-    s = frozenset(subset)
-    if not s <= m.ground:
-        raise PreconditionError(f"elements {sorted(s - m.ground)} outside ground set")
-    return len(greedy(m, sorted(s)))
-
-
 def _check_weights(m: Matroid, w: Mapping[int, Fraction]) -> None:
     for e in m.ground:
         if e not in w:
@@ -110,14 +101,6 @@ def restrict(m: Matroid, f: Iterable[int]) -> Matroid:
     if not fs <= m.ground:
         raise PreconditionError("restriction set not contained in ground")
     return Matroid(fs, m.indep_fn, label=f"restrict({m.label})")
-
-
-def contract(m: Matroid, f: Iterable[int]) -> Matroid:
-    fs = frozenset(f)
-    if not m.is_independent(fs):
-        raise PreconditionError("contraction set must be independent")
-    parent = m.indep_fn
-    return Matroid(m.ground - fs, lambda s: parent(s | fs), label=f"contract({m.label})")
 
 
 def truncate(m: Matroid, q: int) -> Matroid:

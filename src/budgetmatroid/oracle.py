@@ -1,18 +1,19 @@
-"""Ground-truth solvers for desk-scale verification.
+"""Exact optimum by brute force, for desk-scale instances.
 
-The brute-force search prunes using only the hereditary axiom, so it stays
-correct even against an oracle that violates the exchange axiom — useful
-when diagnosing a broken family implementation.
+The search prunes using only the hereditary axiom, so it stays correct even
+against an oracle that violates the exchange axiom — useful when diagnosing
+a broken family implementation.  ``budgetmatroid solve --exact`` and
+``budgetmatroid exact`` run it; the knapsack DP, used only to check it,
+lives in ``verify``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .errors import ScaleCapError, ValidationError
-from .instance import BmiInstance, format_rational
+from .errors import ScaleCapError
+from .instance import BmiInstance
 
 ZERO = Fraction(0)
 
@@ -58,30 +59,3 @@ def brute_force_opt(inst: BmiInstance, cap: int = 20) -> ExactResult:
     dfs(0, frozenset(), ZERO, ZERO)
     return ExactResult(best_set, best_profit, nodes)
 
-
-def knapsack_dp(inst: BmiInstance, cap: int = 100_000) -> Fraction:
-    """Exact 0/1-knapsack optimum for the free-matroid special case.
-
-    Costs are scaled by their common denominator to integers and the DP runs
-    over integer capacities; profits stay exact rationals.
-    """
-    spec = inst.matroid_spec
-    if spec.kind != "uniform" or spec.rank < inst.n:
-        raise ValidationError("knapsack DP requires a free matroid (uniform rank >= n)")
-    elems = sorted(inst.active)
-    denom = lcm(inst.budget.denominator, *(inst.costs[e].denominator for e in elems)) if elems else 1
-    capacity = inst.budget * denom
-    assert capacity.denominator == 1
-    capacity = int(capacity)
-    if capacity > cap:
-        raise ScaleCapError(f"integerized budget {format_rational(capacity)} exceeds DP cap {cap}")
-    dp: list[Fraction | None] = [None] * (capacity + 1)
-    dp[0] = ZERO
-    for e in elems:
-        w = int(inst.costs[e] * denom)
-        p = inst.profits[e]
-        for c in range(capacity, w - 1, -1):
-            prev = dp[c - w]
-            if prev is not None and (dp[c] is None or prev + p > dp[c]):
-                dp[c] = prev + p
-    return max(v for v in dp if v is not None)

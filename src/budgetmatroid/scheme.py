@@ -129,25 +129,14 @@ class RunReport:
         }
 
 
-def profit_class(inst: BmiInstance, eps: EpsParam, alpha: Fraction, e: int) -> int | None:
-    """Class index r <= r_max with p(e)/(2 alpha) in ((1-eps)^r, (1-eps)^(r-1)], or None.
+def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:
+    """Map class index -> sorted tuple of active elements in that class.
 
-    In the instance's ``IntegerView`` the ratio is P_e * den(alpha) over
+    Element e is in class r <= r_max when p(e)/(2 alpha) lies in
+    ((1-eps)^r, (1-eps)^(r-1)], and in no class otherwise.  In the
+    instance's ``IntegerView`` the ratio is P_e * den(alpha) over
     2 * num(alpha) * dp, and ``_class_index`` places it with integer tests.
     """
-    if alpha <= 0:
-        raise PreconditionError("alpha must be positive")
-    view = inst.view
-    num, den = view.profits[e] * alpha.denominator, 2 * alpha.numerator * view.dp
-    if not 0 < num <= den:
-        return None
-    r = _class_index(num, den, eps.k, eps.r_max + 1)
-    return r if r <= eps.r_max else None
-
-
-def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:
-    """Map class index -> sorted tuple of active elements in that class;
-    each element is placed as by ``profit_class``."""
     if alpha <= 0:
         raise PreconditionError("alpha must be positive")
     view = inst.view

@@ -1,34 +1,37 @@
-"""Verification-only code: exhaustive checkers, exchange helpers, the
-reference LP value and the rational linear-independence test.
+"""Verification-only code: exhaustive checkers, exchange helpers, rank,
+contraction, points of the matroid polytope and their separation, the
+reference LP value, the knapsack DP and the rational linear-independence
+test.
 
 Nothing on the solve path imports this module, the package root does not
 re-export it, and the CLI loads it only for its ``verify`` command, so
 ``import budgetmatroid`` and ``budgetmatroid solve`` never run it.  The
-matroid helpers (axiom checker, exchange witnesses, disjoint union) decide
-matroid properties directly from the oracle; the scheme checkers (replacement,
+matroid helpers (rank, contraction, disjoint union, axiom checker, exchange
+witnesses) work directly from the oracle; the scheme checkers (replacement,
 substitution, representative set) take the exact optimum as an argument
 because the profitable-element threshold depends on it, which only a
-verification oracle knows.  The parametric-greedy LP, through its rational
-entry ``lp.solve_rational_lp``, is tested against
-``solve_polytope_lp_reference``, which lists the independent sets of a
-small matroid: the LP optimum lies on a vertex or an edge of the matroid
-polytope, so it is the best affordable set or the best budget-tight mix of
-two independent sets.  The fraction-free linear oracle that
-``families.construct`` builds is tested against
-``columns_independent_reference``, Gaussian elimination over Fractions.
+verification oracle knows.  The parametric-greedy LP is
+tested against ``solve_polytope_lp_reference``, which lists the independent
+sets of a small matroid: the LP optimum lies on a vertex or an edge of the
+matroid polytope, so it is the best affordable set or the best budget-tight
+mix of two independent sets.  ``knapsack_dp`` gives the exact optimum of
+the free-matroid special case, against which brute force and the scheme
+are checked.  The fraction-free linear oracle that ``families.construct``
+builds is tested against ``columns_independent_reference``, Gaussian
+elimination over Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InternalInvariantError, PreconditionError, ScaleCapError
-from .instance import BmiInstance
-from .lp import FractionalPoint
-from .matroid import Matroid, rank
+from .errors import InternalInvariantError, PreconditionError, ScaleCapError, ValidationError
+from .instance import BmiInstance, format_rational
+from .matroid import Matroid, greedy
 from .scheme import EpsParam, class_partition
 
 ZERO = Fraction(0)
@@ -36,6 +39,29 @@ ZERO = Fraction(0)
 # instances the pair scan took 0.3 s per LP at 9 elements and 1 s at 10
 # (means on 2 vCPUs, Python 3.11).
 LP_REFERENCE_CAP = 9
+
+
+@dataclass(frozen=True)
+class FractionalPoint:
+    domain: tuple[int, ...]
+    values: Mapping[int, Fraction] = field(repr=False)
+
+    def __getitem__(self, e: int) -> Fraction:
+        return self.values.get(e, ZERO)
+
+    def mass(self, subset: Iterable[int]) -> Fraction:
+        return sum((self.values.get(e, ZERO) for e in subset), ZERO)
+
+    def support(self) -> tuple[int, ...]:
+        return tuple(e for e in self.domain if self.values.get(e, ZERO) > 0)
+
+
+def rank(m: Matroid, subset: Iterable[int]) -> int:
+    """Greedy rank computation; correct for matroids by the exchange axiom."""
+    s = frozenset(subset)
+    if not s <= m.ground:
+        raise PreconditionError(f"elements {sorted(s - m.ground)} outside ground set")
+    return len(greedy(m, sorted(s)))
 
 
 @dataclass(frozen=True)
@@ -124,6 +150,34 @@ def solve_polytope_lp_reference(
     return best
 
 
+def knapsack_dp(inst: BmiInstance, cap: int = 100_000) -> Fraction:
+    """Exact 0/1-knapsack optimum for the free-matroid special case.
+
+    Costs are scaled by their common denominator to integers and the DP runs
+    over integer capacities; profits stay exact rationals.
+    """
+    spec = inst.matroid_spec
+    if spec.kind != "uniform" or spec.rank < inst.n:
+        raise ValidationError("knapsack DP requires a free matroid (uniform rank >= n)")
+    elems = sorted(inst.active)
+    denom = lcm(inst.budget.denominator, *(inst.costs[e].denominator for e in elems)) if elems else 1
+    capacity = inst.budget * denom
+    assert capacity.denominator == 1
+    capacity = int(capacity)
+    if capacity > cap:
+        raise ScaleCapError(f"integerized budget {format_rational(capacity)} exceeds DP cap {cap}")
+    dp: list[Fraction | None] = [None] * (capacity + 1)
+    dp[0] = ZERO
+    for e in elems:
+        w = int(inst.costs[e] * denom)
+        p = inst.profits[e]
+        for c in range(capacity, w - 1, -1):
+            prev = dp[c - w]
+            if prev is not None and (dp[c] is None or prev + p > dp[c]):
+                dp[c] = prev + p
+    return max(v for v in dp if v is not None)
+
+
 def columns_independent_reference(cols: Sequence[Sequence[Fraction]]) -> bool:
     """Gaussian elimination over rationals; True iff the columns are linearly
     independent.  The linear family's oracle is tested against it."""
@@ -193,6 +247,15 @@ def exchange_witness(m: Matroid, a_set: Iterable[int], b_set: Iterable[int], a: 
         if m.indep_fn(base | {b}):
             return b
     raise InternalInvariantError("no exchange witness found; oracle is not a matroid")
+
+
+def contract(m: Matroid, f: Iterable[int]) -> Matroid:
+    """M/F for independent F: A is independent iff A u F is in M."""
+    fs = frozenset(f)
+    if not m.is_independent(fs):
+        raise PreconditionError("contraction set must be independent")
+    parent = m.indep_fn
+    return Matroid(m.ground - fs, lambda s: parent(s | fs), label=f"contract({m.label})")
 
 
 def union(ms: list[Matroid]) -> Matroid:

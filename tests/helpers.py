@@ -5,7 +5,8 @@ ranks and bases come from exhaustive bitmask enumeration, not from the
 greedy routines, and the reference enumeration of F scans every
 combination rather than pruning.  ``newton_lp_reference`` keeps the LP
 core as it was before its walk updated the greedy set in place: it runs
-one full greedy pass per set it visits.
+one full greedy pass per set it visits.  ``solve_rational_lp`` and
+``lp_point`` are the tests' rational entry to the LP core and its point.
 """
 
 from __future__ import annotations
@@ -15,15 +16,23 @@ import itertools
 import random
 from fractions import Fraction
 from typing import Iterable, Mapping
-from math import floor, log
+from math import floor, lcm, log
 
 from budgetmatroid.families import construct
 from budgetmatroid.generate import GenSpec, _random_family, generate_instance
-from budgetmatroid.instance import make_instance
+from budgetmatroid.instance import _scaled, make_instance
 from budgetmatroid.errors import InternalInvariantError, PreconditionError
-from budgetmatroid.lp import LpOutcome, _ratio, lp_variables, round_integral, solve_lp
+from budgetmatroid.lp import (
+    LpOutcome,
+    _ratio,
+    lp_variables,
+    round_integral,
+    solve_lp,
+    solve_polytope_lp,
+)
 from budgetmatroid.matroid import Matroid, greedy
 from budgetmatroid.scheme import EpsParam, _better, find_rep
+from budgetmatroid.verify import FractionalPoint
 
 FAMILIES = ("uniform", "partition", "graphic", "linear", "explicit")
 
@@ -190,7 +199,8 @@ def r_max_by_power_index(k: int) -> int:
 
 
 def profit_class_reference(inst, eps: EpsParam, alpha: Fraction, e: int) -> int | None:
-    """profit_class in Fraction arithmetic on the instance's own profits."""
+    """The class of e, as ``class_partition`` places it, in Fraction
+    arithmetic on the instance's own profits."""
     ratio = inst.profits[e] / (2 * alpha)
     if not 0 < ratio <= 1:
         return None
@@ -207,6 +217,24 @@ def class_partition_reference(inst, eps: EpsParam, alpha: Fraction) -> dict:
         if r is not None:
             classes.setdefault(r, []).append(e)
     return {r: tuple(v) for r, v in classes.items()}
+
+
+def solve_rational_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
+    """``lp.solve_polytope_lp`` on rational profits, costs and budget, scaled
+    by D_p, the lcm of the profits' denominators over ``m.ground``, and by
+    D_c, the lcm of the costs' and the budget's."""
+    domain = tuple(sorted(m.ground))
+    dp = lcm(*(profits[e].denominator for e in domain))
+    dc = lcm(budget.denominator, *(costs[e].denominator for e in domain))
+    P = dict(zip(domain, _scaled((profits[e] for e in domain), dp)))
+    C = dict(zip(domain, _scaled((costs[e] for e in domain), dc)))
+    return solve_polytope_lp(m, P, C, budget.numerator * (dc // budget.denominator), dp, dc)
+
+
+def lp_point(outcome: LpOutcome) -> FractionalPoint:
+    """The outcome's point x, each entry x_e = xu[e] / u."""
+    u = outcome.u
+    return FractionalPoint(outcome.domain, {e: Fraction(v, u) for e, v in outcome.xu.items()})
 
 
 def lp_variables_reference(inst, eps: Fraction, alpha: Fraction) -> frozenset:

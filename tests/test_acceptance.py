@@ -19,19 +19,26 @@ from budgetmatroid import (
     ScaleCapError,
     approximate,
     construct,
-    contract,
     find_rep,
-    rank,
     restrict,
     run_for_alpha,
     truncate,
 )
 from budgetmatroid.generate import GenSpec, generate_instance
-from budgetmatroid.lp import LP_STATS, FractionalPoint
+from budgetmatroid.lp import LP_STATS
 from budgetmatroid.matroid import Matroid, min_weight_basis
-from budgetmatroid.oracle import brute_force_opt, knapsack_dp
+from budgetmatroid.oracle import brute_force_opt
 from budgetmatroid.scheme import alpha_grid, class_partition
-from budgetmatroid.verify import check_axioms, separate, union, verify_representative
+from budgetmatroid.verify import (
+    FractionalPoint,
+    check_axioms,
+    contract,
+    knapsack_dp,
+    rank,
+    separate,
+    union,
+    verify_representative,
+)
 from helpers import (
     all_bases,
     random_instance,

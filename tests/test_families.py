@@ -12,12 +12,11 @@ from budgetmatroid import (
     PreconditionError,
     ValidationError,
     construct,
-    rank,
 )
 from budgetmatroid.families import FIELDS, check_basis_exchange
 from budgetmatroid.instance import parse_instance
 from budgetmatroid.matroid import greedy
-from budgetmatroid.verify import check_axioms, columns_independent_reference
+from budgetmatroid.verify import check_axioms, columns_independent_reference, rank
 from helpers import FAMILIES, all_bases, listed_sets_matroid, random_matroid
 
 # Denominators of the random column entries, by kind.

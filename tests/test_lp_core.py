@@ -18,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 from budgetmatroid import lp
 from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import lp_upper_bound, lp_variables
-from budgetmatroid.matroid import Matroid, contract, greedy, restrict, truncate
+from budgetmatroid.matroid import Matroid, greedy, restrict, truncate
 from budgetmatroid.scheme import EpsParam
+from budgetmatroid.verify import contract
 
 import helpers
 from helpers import FAMILIES, gap_instance, newton_lp_reference, random_matroid

@@ -11,14 +11,19 @@ from budgetmatroid import (
     ScaleCapError,
     Matroid,
     construct,
-    contract,
     min_weight_basis,
-    rank,
     restrict,
     truncate,
 )
 from budgetmatroid.matroid import greedy
-from budgetmatroid.verify import check_axioms, exchange_witness, extend_to_independent, union
+from budgetmatroid.verify import (
+    check_axioms,
+    contract,
+    exchange_witness,
+    extend_to_independent,
+    rank,
+    union,
+)
 from helpers import FAMILIES, all_bases, exhaustive_rank, listed_sets_matroid, random_matroid
 
 

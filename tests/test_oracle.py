@@ -5,7 +5,8 @@ from fractions import Fraction as F
 import pytest
 
 from budgetmatroid import FamilySpec, ScaleCapError, ValidationError, make_instance
-from budgetmatroid.oracle import brute_force_opt, knapsack_dp
+from budgetmatroid.oracle import brute_force_opt
+from budgetmatroid.verify import knapsack_dp
 from helpers import random_instance
 
 

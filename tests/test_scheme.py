@@ -1,6 +1,5 @@
 import ast
 import functools
-import importlib
 import itertools
 import os
 import random
@@ -38,7 +37,6 @@ from budgetmatroid.scheme import (
     _certificate,
     alpha_grid,
     class_partition,
-    profit_class,
 )
 from budgetmatroid.verify import (
     is_replacement,
@@ -137,10 +135,16 @@ def small_instance():
     )
 
 
-def check_class(inst, eps, alpha, e):
-    """profit_class of e against the interval definition."""
+def class_of(classes, e):
+    """The index of the class that holds e in a ``class_partition``, or None."""
+    return next((r for r, members in classes.items() if e in members), None)
+
+
+def check_class(inst, eps, alpha, classes, e):
+    """The class of e in ``classes``, the instance's ``class_partition`` at
+    eps and alpha, against the interval definition."""
     ratio = inst.profits[e] / (2 * alpha)
-    r = profit_class(inst, eps, alpha, e)
+    r = class_of(classes, e)
     if r is None:
         assert ratio > 1 or ratio <= (1 - eps.eps) ** eps.r_max
     else:
@@ -151,20 +155,20 @@ class TestProfitClasses:
     def test_hand_computed_classes(self):
         inst = small_instance()
         eps = EpsParam(3)
-        alpha = F(5)
+        classes = class_partition(inst, eps, F(5))
         # Ratios p/(2 alpha) = p/10: 8/10 in (2/3, 1] -> class 1;
         # 6/10 in (4/9, 2/3] -> class 2; 3/10 in (8/27, 4/9] -> class 3;
         # 1/10 in (4/81*2/3, ...) -> between (2/3)^5 and (2/3)^6... check below.
-        assert profit_class(inst, eps, alpha, 0) == 1
-        assert profit_class(inst, eps, alpha, 1) == 2
-        assert profit_class(inst, eps, alpha, 2) == 3
+        assert class_of(classes, 0) == 1
+        assert class_of(classes, 1) == 2
+        assert class_of(classes, 2) == 3
         # 1/10 = 0.1: (2/3)^5 = 32/243 ~ 0.1317 > 0.1 >= (2/3)^6 ~ 0.0878,
         # so class 6 if 6 <= r_max (= 5 for k = 3); otherwise unclassed.
-        assert profit_class(inst, eps, alpha, 3) is None
+        assert class_of(classes, 3) is None
 
     def test_ratio_above_one_unclassed(self):
         inst = small_instance()
-        assert profit_class(inst, EpsParam(3), F(1), 0) is None  # 8/2 > 1
+        assert class_of(class_partition(inst, EpsParam(3), F(1)), 0) is None  # 8/2 > 1
 
     def test_matches_interval_definition(self):
         rng = random.Random(5)
@@ -172,8 +176,9 @@ class TestProfitClasses:
             inst = random_instance(rng, "uniform", rng.randint(1, 8))
             eps = EpsParam(rng.choice((3, 4, 5)))
             alpha = F(rng.randint(1, 40), rng.choice((1, 2)))
+            classes = class_partition(inst, eps, alpha)
             for e in sorted(inst.active):
-                check_class(inst, eps, alpha, e)
+                check_class(inst, eps, alpha, classes, e)
 
     @pytest.mark.parametrize("k", [3, 7, 21, 70])
     def test_matches_interval_definition_at_the_bounds(self, k):
@@ -185,17 +190,16 @@ class TestProfitClasses:
             (1 - eps.eps) ** j * f for j in range(eps.r_max + 2) for f in (1 - tiny, 1, 1 + tiny)
         ]
         inst = make_instance(F(1), [F(0)] * len(ratios), ratios, FamilySpec("uniform", rank=1))
+        classes = class_partition(inst, eps, F(1, 2))
         for e in range(len(ratios)):
-            check_class(inst, eps, F(1, 2), e)
-            assert profit_class(inst, eps, F(1, 2), e) == profit_class_reference(
-                inst, eps, F(1, 2), e
-            )
-        assert class_partition(inst, eps, F(1, 2)) == class_partition_reference(inst, eps, F(1, 2))
+            check_class(inst, eps, F(1, 2), classes, e)
+            assert class_of(classes, e) == profit_class_reference(inst, eps, F(1, 2), e)
+        assert classes == class_partition_reference(inst, eps, F(1, 2))
 
     def test_alpha_must_be_positive(self):
         inst = small_instance()
         with pytest.raises(PreconditionError):
-            profit_class(inst, EpsParam(3), F(0), 0)
+            class_partition(inst, EpsParam(3), F(0))
         with pytest.raises(PreconditionError):
             run_for_alpha(inst, EpsParam(3), F(0))
 
@@ -253,10 +257,6 @@ class TestIntegerGuessLayer:
                 alphas += 1
                 classes = class_partition(inst, eps, alpha)
                 assert classes == class_partition_reference(inst, eps, alpha)
-                for e in sorted(inst.active):
-                    assert profit_class(inst, eps, alpha, e) == profit_class_reference(
-                        inst, eps, alpha, e
-                    )
                 assert lp_variables(inst, eps.eps, alpha) == lp_variables_reference(
                     inst, eps.eps, alpha
                 )
@@ -946,30 +946,49 @@ def test_solve_path_imports_no_verification_code(module):
 def test_residual_lps_make_no_contraction(monkeypatch, family):
     # Residual LPs run from their fixed set F as a base: an uncertified run
     # that enumerates nonempty F never builds a contraction handle.
+    # ``verify.contract`` is the only definition of one.
     def refused(m, f):
         raise AssertionError("contract called on the solve path")
 
-    for name in SOLVE_PATH_MODULES:
-        module = importlib.import_module(f"budgetmatroid.{name}")
-        if hasattr(module, "contract"):
-            monkeypatch.setattr(module, "contract", refused)
+    monkeypatch.setattr("budgetmatroid.verify.contract", refused)
     report = approximate(gap_instance(family, 10, 0), F(1, 3), certify=False)
     assert max(report.enum_counts.values()) > 1
 
 
-def test_package_and_cli_imports_leave_verify_unloaded():
+def test_package_and_cli_imports_leave_verify_unloaded(tmp_path):
     # A fresh interpreter, since this one has loaded verify for the tests.
+    # The imports and every command but verify leave verify unloaded; the
+    # verify command, run last, loads it.  The commands print too, so the
+    # findings come on the last line.
     src = str(Path(budgetmatroid.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    (tmp_path / "inst").mkdir()
     code = (
         "import sys\n"
+        "loaded = lambda: 'budgetmatroid.verify' in sys.modules\n"
         "import budgetmatroid\n"
-        "print('budgetmatroid.verify' in sys.modules)\n"
-        "import budgetmatroid.cli\n"
-        "print('budgetmatroid.verify' in sys.modules)\n"
+        "seen = [loaded()]\n"
+        "from budgetmatroid.cli import main\n"
+        "seen.append(loaded())\n"
+        "inst = 'inst/a.json'\n"
+        "for argv in (\n"
+        "    ['gen', '--family', 'partition', '--n', '6', '--seed', '7', '-o', inst],\n"
+        "    ['solve', '--instance', inst, '--eps', '1/3', '--exact', '--report', 'r.json'],\n"
+        "    ['exact', '--instance', inst],\n"
+        "    ['bench', '--dir', 'inst', '--eps', '1/3', '--csv', 'b.csv'],\n"
+        "    ['verify', '--instance', inst, '--eps', '1/3'],\n"
+        "):\n"
+        "    assert main(argv) == 0, argv\n"
+        "    seen.append(loaded())\n"
+        "print(*seen)\n"
     )
     proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        check=True,
     )
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.splitlines()[-1].split() == ["False"] * 6 + ["True"]
