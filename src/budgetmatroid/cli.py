@@ -24,8 +24,18 @@ EXIT_SCALE_CAP = 3
 EXIT_INVARIANT = 4
 
 
+def _read(path) -> str:
+    """An instance file's text; an unreadable file is a ValidationError at its path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(f"cannot read file: {exc.strerror or exc}", str(path)) from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not UTF-8 text at byte {exc.start}", str(path)) from None
+
+
 def _load_instance(path: str):
-    inst = parse_instance(Path(path).read_text())
+    inst = parse_instance(_read(path))
     if inst.dropped:
         print(
             f"warning: dropped dependent singleton elements {list(inst.dropped)}",
@@ -81,8 +91,7 @@ def cmd_verify(args) -> int:
 
     inst = _load_instance(args.instance)
     eps_target = parse_rational(args.eps, "eps")
-    if not 0 < eps_target < 1:
-        raise ValidationError("eps target must lie in (0, 1)", "eps")
+    EpsParam.from_target(eps_target)  # rejects a bad --eps before any check runs
     # The representative-set check runs at 1/k for the smallest k >= 3 with
     # 1/k <= eps, so a smaller --eps never asks for less.
     eps = EpsParam(max(3, -(-1 // eps_target)))
@@ -145,7 +154,7 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"no .json instances under {args.dir}", "dir")
     rows = []
     for path in paths:
-        inst = parse_instance(path.read_text())
+        inst = parse_instance(_read(path))
         try:
             opt = brute_force_opt(inst).profit
         except ScaleCapError:

@@ -3,14 +3,15 @@
 Supported kinds: uniform, partition, graphic, linear (exact rationals),
 explicit (listed maximal independent sets).  Element ids are indices into
 the instance ground set; for graphic matroids element i is edge i.  Each
-family's oracle is a small callable object that also carries an incremental
-greedy ``scan`` (see ``matroid``) and lists the ``FamilySpec`` fields of
-its kind in ``fields``.  Its constructor takes the spec and n, checks the
-spec and builds the oracle's data in the same pass, and raises
-``ValidationError`` with the offending field's path; for an explicit family
-that includes ``check_basis_exchange``, so every oracle ``construct``
-returns is a matroid's.  ``construct`` picks the class by kind, and
-``FIELDS`` maps each kind to its fields for the file format.
+family's oracle is a small callable object that also carries
+``scan(order)``, an incremental greedy pass from the empty set (see
+``matroid``: ``greedy`` puts a base in front and checks it), and lists the
+``FamilySpec`` fields of its kind in ``fields``.  Its constructor takes
+the spec and n, checks the spec and builds the oracle's data in the same
+pass, and raises ``ValidationError`` with the offending field's path; for
+an explicit family that includes ``check_basis_exchange``, so every oracle
+``construct`` returns is a matroid's.  ``construct`` picks the class by
+kind, and ``FIELDS`` maps each kind to its fields for the file format.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .errors import PreconditionError, ValidationError
+from .errors import ValidationError
 from .matroid import Matroid
 
 
@@ -38,9 +39,7 @@ class FamilySpec:
 
 def _integer_column(col: Sequence[Fraction]) -> tuple[int, ...]:
     """The column times the lcm of its denominators: the same span, integer entries."""
-    d = 1
-    for x in col:
-        d = lcm(d, x.denominator)
+    d = lcm(*(x.denominator for x in col))
     return tuple([x.numerator * (d // x.denominator) for x in col])
 
 
@@ -116,11 +115,9 @@ class _Uniform:
     def __call__(self, s: frozenset) -> bool:
         return len(s) <= self.rank
 
-    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
-        room = self.rank - len(base)
-        if room < 0:
-            raise PreconditionError("scan base is dependent")
-        kept = set(base)
+    def scan(self, order: Iterable[int]) -> frozenset:
+        room = self.rank
+        kept = set()
         for e in order:
             if not room:
                 break
@@ -166,15 +163,10 @@ class _Partition:
     def __call__(self, s: frozenset) -> bool:
         return all(len(s & block) <= cap for block, cap in self.pairs)
 
-    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+    def scan(self, order: Iterable[int]) -> frozenset:
         block_of = self.block_of
         room = [cap for _, cap in self.pairs]
-        for e in base:
-            i = block_of[e]
-            if not room[i]:
-                raise PreconditionError("scan base is dependent")
-            room[i] -= 1
-        kept = set(base)
+        kept = set()
         for e in order:
             i = block_of[e]
             if room[i] and e not in kept:
@@ -203,7 +195,7 @@ def _join(parent: dict, u: int, v: int) -> bool:
 
 class _Graphic:
     """Acyclic edge sets; loops are dependent singletons.  The scan keeps one
-    union-find, seeded with the base, across the order."""
+    union-find across the order."""
 
     __slots__ = ("edges",)
     fields = ("edges", "num_vertices")
@@ -231,19 +223,14 @@ class _Graphic:
                 return False
         return True
 
-    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+    def scan(self, order: Iterable[int]) -> frozenset:
         parent: dict[int, int] = {}
         edges = self.edges
-        for e in base:
-            u, v = edges[e]
-            if not _join(parent, u, v):
-                raise PreconditionError("scan base is dependent")
-        kept = set(base)
+        kept = set()
         for e in order:
-            if e not in kept:
-                u, v = edges[e]
-                if _join(parent, u, v):
-                    kept.add(e)
+            u, v = edges[e]
+            if _join(parent, u, v):
+                kept.add(e)
         return frozenset(kept)
 
 
@@ -273,17 +260,15 @@ class _Linear:
                 return False
         return True
 
-    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
+    def scan(self, order: Iterable[int]) -> frozenset:
         cols = self.cols
         basis: list = []
-        if not all(_reduce_into(basis, cols[e]) for e in sorted(base)):
-            raise PreconditionError("scan base is dependent")
         dim = len(cols[0]) if cols else 0
-        kept = set(base)
+        kept = set()
         for e in order:
             if len(basis) == dim:
                 break
-            if e not in kept and _reduce_into(basis, cols[e]):
+            if _reduce_into(basis, cols[e]):
                 kept.add(e)
         return frozenset(kept)
 
@@ -317,17 +302,14 @@ class _Explicit:
             return True
         return any(s <= mx for mx in self.sets)
 
-    def scan(self, base: frozenset, order: Iterable[int]) -> frozenset:
-        live = [mx for mx in self.sets if base <= mx]
-        if base and not live:
-            raise PreconditionError("scan base is dependent")
-        kept = set(base)
+    def scan(self, order: Iterable[int]) -> frozenset:
+        live = self.sets
+        kept = set()
         for e in order:
-            if e not in kept:
-                narrowed = [mx for mx in live if e in mx]
-                if narrowed:
-                    kept.add(e)
-                    live = narrowed
+            narrowed = [mx for mx in live if e in mx]
+            if narrowed:
+                kept.add(e)
+                live = narrowed
         return frozenset(kept)
 
 

@@ -5,18 +5,18 @@ The derived handles (restriction, truncation) answer through their
 parents, so the oracle semantics are exactly the set-theoretic
 definitions.  Handles are immutable.
 
-An oracle may also carry an incremental greedy ``scan(base, order)``:
-given an independent ``base``, it returns ``base`` plus the elements of
-``order`` that the greedy loop keeps on top of it, with state kept across
-the scan instead of one independence test per element.  The family
-oracles carry one, ``greedy`` uses it when present and restriction keeps
-it; truncation answers through a plain function, so greedy on it takes
-the one-test-per-element loop.  ``greedy`` takes a base too, so residual
-LPs need no contraction handle, and the scheme truncates a class matroid
-only above k^k elements.  A handle carries no counter: the scheme counts
-the independence tests of its enumeration where it makes them.  Code used
-only to verify matroids (rank, contraction, disjoint union, axiom checker,
-exchange witnesses) lives in ``verify``.
+An oracle may also carry an incremental greedy ``scan(order)``: the
+elements of ``order`` that the greedy loop keeps from the empty set, with
+state kept across the scan instead of one independence test per element.
+The family oracles carry one, ``greedy`` uses it when present and
+restriction keeps it; truncation answers through a plain function, so
+greedy on it takes the one-test-per-element loop.  ``greedy`` alone takes
+a base: it scans the base ahead of the order and rejects a dependent one,
+so residual LPs need no contraction handle, and the scheme truncates a
+class matroid only above k^k elements.  A handle carries no counter: the
+scheme counts the independence tests of its enumeration where it makes
+them.  Code used only to verify matroids (rank, contraction, disjoint
+union, axiom checker, exchange witnesses) lives in ``verify``.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.
@@ -61,13 +61,18 @@ def greedy(m: Matroid, order: Iterable[int], base: frozenset = frozenset()) -> f
     non-increasing weight, the result is a maximum-weight independent set
     of the contraction by ``base``, and any prefix of ``order`` yields its
     intersection with that prefix.  The oracle's incremental ``scan``
-    computes the set when it has one; otherwise the loop below, the
-    reference the scans are tested against, tests one set per element.
-    Both raise ``PreconditionError`` on a dependent base.
+    computes the set when it has one, on ``base`` followed by ``order``:
+    an independent base is kept whole, so the rest is the set on top of
+    it.  Otherwise the loop below, the reference the scans are tested
+    against, tests one set per element.  Both raise ``PreconditionError``
+    on a dependent base.
     """
     scan = getattr(m.indep_fn, "scan", None)
     if scan is not None:
-        return scan(base, order) - base if base else scan(base, order)
+        kept = scan([*base, *order])
+        if not base <= kept:
+            raise PreconditionError("greedy base is dependent")
+        return kept - base
     if base and not m.indep_fn(base):
         raise PreconditionError("greedy base is dependent")
     kept = base

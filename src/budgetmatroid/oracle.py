@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .errors import ScaleCapError
 from .instance import BmiInstance
+from .lp import _better
 
 ZERO = Fraction(0)
 
@@ -26,7 +27,8 @@ class ExactResult:
 
 
 def brute_force_opt(inst: BmiInstance, cap: int = 20) -> ExactResult:
-    """Exact optimum by DFS over subsets with hereditary/budget pruning."""
+    """Exact optimum by DFS over subsets with hereditary/budget pruning; ties
+    go to the lexicographically smallest sorted set, as ``lp._better`` rules."""
     elems = sorted(inst.active)
     if len(elems) > cap:
         raise ScaleCapError(f"{len(elems)} active elements exceed brute-force cap {cap}")
@@ -35,17 +37,11 @@ def brute_force_opt(inst: BmiInstance, cap: int = 20) -> ExactResult:
     best_profit = ZERO
     nodes = 0
 
-    def consider(candidate: frozenset, profit: Fraction):
-        nonlocal best_set, best_profit
-        if profit > best_profit or (
-            profit == best_profit and tuple(sorted(candidate)) < tuple(sorted(best_set))
-        ):
-            best_set, best_profit = candidate, profit
-
     def dfs(idx: int, current: frozenset, cost: Fraction, profit: Fraction):
-        nonlocal nodes
+        nonlocal best_set, best_profit, nodes
         nodes += 1
-        consider(current, profit)
+        if _better(profit, current, best_profit, best_set):
+            best_set, best_profit = current, profit
         for pos in range(idx, len(elems)):
             e = elems[pos]
             new_cost = cost + inst.costs[e]

@@ -13,14 +13,14 @@ for the properties the scheme relies on live in ``verify``.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
 from math import floor, inf, log, log1p
 from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
-from .instance import BmiInstance, format_rational
+from .instance import BmiInstance, _exact, format_rational
 from .lp import _better, bootstrap, lp_variables, round_integral, solve_lp
 from .matroid import min_weight_basis, restrict, truncate
 
@@ -109,24 +109,20 @@ class RunReport:
     ratio: Fraction | None = None
 
     def to_dict(self) -> dict:
-        optional = lambda x: None if x is None else format_rational(x)
-        return {
-            "solution": list(self.solution),
-            "profit": format_rational(self.profit),
-            "eps_target": format_rational(self.eps_target),
-            "eps_internal": format_rational(self.eps_internal),
-            "alpha_grid": [format_rational(a) for a in self.alpha_grid],
-            "alpha_best": optional(self.alpha_best),
-            "enum_counts": {format_rational(a): c for a, c in self.enum_counts.items()},
-            "lp_calls": self.lp_calls,
-            "oracle_calls": self.oracle_calls,
-            "wall_ms": self.wall_ms,
-            "dropped": list(self.dropped),
-            "upper_bound": format_rational(self.upper_bound),
-            "certified_ratio": format_rational(self.certified_ratio),
-            "exact_profit": optional(self.exact_profit),
-            "ratio": optional(self.ratio),
-        }
+        """The report as JSON values, one entry per field in field order."""
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
+
+
+def _encode(x):
+    """A report value as JSON: a Fraction as its literal, a tuple as a list,
+    a dict with its keys and values encoded; anything else as it is."""
+    if isinstance(x, Fraction):
+        return format_rational(x)
+    if isinstance(x, tuple):
+        return [_encode(v) for v in x]
+    if isinstance(x, dict):
+        return {_encode(k): _encode(v) for k, v in x.items()}
+    return x
 
 
 def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:
@@ -323,6 +319,8 @@ def _certificate(inst: BmiInstance, eps_target: Fraction, upper: Fraction, profi
 def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -> RunReport:
     """Full scheme with a certified early exit: guess the optimum scale
     geometrically, run the enumeration for every guess, return the best.
+    ``eps_target`` is an int or a Fraction in (0, 1); any other value, a
+    float included, raises ``ValidationError`` at ``eps``.
 
     The bootstrap LP bound U is at least OPT, so a solution with profit at
     least (1 - eps_target) * U meets the guarantee, whatever produced it.
@@ -337,7 +335,7 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     answer come from the session's recorded runs, in grid order.  A zero LP
     bound leaves the grid empty and the answer empty.
     """
-    eps_target = Fraction(eps_target)
+    eps_target = _exact(eps_target, "eps")
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
     session = RunSession(inst, eps)

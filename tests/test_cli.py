@@ -171,6 +171,25 @@ class TestGenAndValidation:
         assert main(["solve", "--instance", str(bad), "--eps", "1/3"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe{"], ids=["missing", "not-utf8"])
+    def test_unreadable_instance_file_is_validation_error(self, tmp_path, capsys, content):
+        path = tmp_path / "inst.json"
+        if content is None:
+            absent = tmp_path / "missing.json"
+            assert main(["solve", "--instance", str(absent), "--eps", "1/3"]) == 2
+            assert f"error: {absent}: cannot read file" in capsys.readouterr().err
+            # A dangling link: bench lists it, and no read of it succeeds.
+            path.symlink_to(absent)
+        else:
+            path.write_bytes(content)
+        for argv in (
+            ["solve", "--instance", str(path), "--eps", "1/3"],
+            ["exact", "--instance", str(path)],
+            ["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(tmp_path / "o.csv")],
+        ):
+            assert main(argv) == 2, argv
+            assert f"error: {path}: " in capsys.readouterr().err, argv
+
     def test_unknown_family_exit_code(self, tmp_path):
         out = tmp_path / "x.json"
         assert main(["gen", "--family", "mystery", "--n", "4", "--seed", "1", "-o", str(out)]) == 2

@@ -271,7 +271,8 @@ class TestScansThroughDerivedHandles:
                 base = {e for e in loop_greedy(m.indep_fn, (), shuffled) if rng.random() < 0.5}
                 base = frozenset(base)
                 if not plain:
-                    assert m.indep_fn.scan(base, order) == loop_greedy(m.indep_fn, base, order)
+                    scanned = m.indep_fn.scan([*base, *order])
+                    assert scanned == loop_greedy(m.indep_fn, base, order)
                 # greedy from a base: the greedy set of the contraction by it.
                 rest = [e for e in order if e not in base]
                 assert greedy(m, rest, base) == greedy(contract(m, base), rest)

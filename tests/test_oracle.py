@@ -59,13 +59,19 @@ class TestBruteForce:
         )
         m = inst.active_matroid()
         elems = sorted(inst.active)
-        best = F(0)
+        best, optimal = F(0), []
         for size in range(len(elems) + 1):
             for combo in itertools.combinations(elems, size):
                 s = frozenset(combo)
                 if inst.cost(s) <= inst.budget and m.is_independent(s):
-                    best = max(best, inst.profit(s))
-        assert brute_force_opt(inst).profit == best
+                    if inst.profit(s) > best:
+                        best, optimal = inst.profit(s), []
+                    if inst.profit(s) == best:
+                        optimal.append(combo)
+        result = brute_force_opt(inst)
+        assert result.profit == best
+        # Ties go to the lexicographically smallest sorted optimal set.
+        assert tuple(sorted(result.solution)) == min(optimal)
 
 
 class TestKnapsackDp:

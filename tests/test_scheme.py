@@ -1,6 +1,8 @@
 import ast
+import dataclasses
 import functools
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -31,7 +33,9 @@ from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import LP_STATS, lp_variables, solve_lp
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
+from budgetmatroid.instance import format_rational
 from budgetmatroid.scheme import (
+    RunReport,
     RunSession,
     _better,
     _certificate,
@@ -540,6 +544,35 @@ class TestApproximate:
             assert inst.active_matroid().is_independent(frozenset(report.solution))
             assert inst.cost(report.solution) <= inst.budget
             assert inst.profit(report.solution) == report.profit
+
+    @pytest.mark.parametrize("eps", [0.1, True, "1/3"])
+    def test_eps_must_be_an_int_or_fraction(self, eps):
+        # A float would run on its binary value, and a string or a bool is
+        # not a number here: each is rejected at eps, as make_instance does.
+        inst = random_instance(random.Random(3), "uniform", 4)
+        with pytest.raises(ValidationError) as info:
+            approximate(inst, eps)
+        assert info.value.path == "eps"
+
+    def test_report_to_dict(self):
+        # One entry per field, in field order; Fractions as literals, tuples
+        # as lists, enum_counts keyed by alpha literals; JSON round trip.
+        inst = gap_instance("partition", 8, 0)
+        report = approximate(inst, F(1, 3), certify=False)
+        report.exact_profit = brute_force_opt(inst).profit
+        report.ratio = report.profit / report.exact_profit
+        doc = report.to_dict()
+        assert list(doc) == [f.name for f in dataclasses.fields(RunReport)]
+        assert json.loads(json.dumps(doc)) == doc
+        assert report.enum_counts and report.alpha_grid
+        assert doc["enum_counts"] == {
+            format_rational(a): c for a, c in report.enum_counts.items()
+        }
+        assert doc["alpha_grid"] == [format_rational(a) for a in report.alpha_grid]
+        assert doc["solution"] == list(report.solution)
+        for name in ("profit", "upper_bound", "certified_ratio", "exact_profit", "ratio"):
+            assert doc[name] == format_rational(getattr(report, name))
+        assert doc["lp_calls"] == report.lp_calls and doc["alpha_best"] is not None
 
     def test_zero_profit_instance(self):
         inst = make_instance(
