@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -32,6 +33,15 @@ def _read(path) -> str:
         raise ValidationError(f"cannot read file: {exc.strerror or exc}", str(path)) from None
     except UnicodeDecodeError as exc:
         raise ValidationError(f"not UTF-8 text at byte {exc.start}", str(path)) from None
+
+
+def _write(path, text: str) -> None:
+    """Write an output file as UTF-8; an unwritable path is a ValidationError at it."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write file: {exc.strerror or exc}", str(path)) from None
 
 
 def _load_instance(path: str):
@@ -62,9 +72,7 @@ def cmd_solve(args) -> int:
         print(f"optimum:  {format_rational(report.exact_profit)}")
         print(f"ratio:    {format_rational(report.ratio)}")
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
-        )
+        _write(args.report, json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -80,14 +88,14 @@ def cmd_exact(args) -> int:
 def cmd_gen(args) -> int:
     spec = GenSpec(family=args.family, n=args.n, seed=args.seed)
     inst = generate_instance(spec)
-    Path(args.output).write_text(serialize_instance(inst))
+    _write(args.output, serialize_instance(inst))
     print(f"wrote {args.output} ({inst.n} elements, family {args.family})")
     return 0
 
 
 def cmd_verify(args) -> int:
     # Imported here, so that solve, exact, gen and bench never load the checkers.
-    from .verify import FractionalPoint, check_axioms, separate, verify_representative
+    from .verify import check_axioms, verify_representative
 
     inst = _load_instance(args.instance)
     eps_target = parse_rational(args.eps, "eps")
@@ -126,21 +134,9 @@ def cmd_verify(args) -> int:
         ok, witness = verify_representative(inst, eps, rep.elements, exact.profit, cap=10)
         return ok, None if ok else f"witness {sorted(witness)}"
 
-    def separation_spot():
-        if len(inst.active) > 12:
-            raise ScaleCapError("separation spot-check capped at 12 active elements")
-        m = inst.active_matroid()
-        elems = sorted(m.ground)
-        for i, e in enumerate(elems):
-            x = FractionalPoint(tuple(elems), {e: Fraction(1, 2)})
-            if not separate(m, x).inside:
-                return False, f"singleton half-mass point rejected at {e}"
-        return True, None
-
     check("matroid axioms", axioms)
     check("scheme run (internal invariants)", scheme_run)
     check("representative-set property", representative)
-    check("separation oracle spot-check", separation_spot)
     if failures:
         raise InternalInvariantError(f"{failures} verification check(s) failed")
     return 0
@@ -176,10 +172,11 @@ def cmd_bench(args) -> int:
             }
         )
         print(f"{path.name}: profit {format_rational(report.profit)}")
-    with open(args.csv, "w", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
+    table = io.StringIO()
+    writer = csv.DictWriter(table, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(args.csv, table.getvalue())
     print(f"wrote {args.csv} ({len(rows)} rows)")
     return 0
 

@@ -16,7 +16,7 @@ so residual LPs need no contraction handle, and the scheme truncates a
 class matroid only above k^k elements.  A handle carries no counter: the
 scheme counts the independence tests of its enumeration where it makes
 them.  Code used only to verify matroids (rank, contraction, disjoint
-union, axiom checker, exchange witnesses) lives in ``verify``.
+union, axiom checker) lives in ``verify``.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.

@@ -1,4 +1,4 @@
-"""Verification-only code: exhaustive checkers, exchange helpers, rank,
+"""Verification-only code: the exhaustive axiom checker, rank,
 contraction, points of the matroid polytope and their separation, the
 reference LP value, the knapsack DP and the rational linear-independence
 test.
@@ -6,11 +6,11 @@ test.
 Nothing on the solve path imports this module, the package root does not
 re-export it, and the CLI loads it only for its ``verify`` command, so
 ``import budgetmatroid`` and ``budgetmatroid solve`` never run it.  The
-matroid helpers (rank, contraction, disjoint union, axiom checker, exchange
-witnesses) work directly from the oracle; the scheme checkers (replacement,
-substitution, representative set) take the exact optimum as an argument
-because the profitable-element threshold depends on it, which only a
-verification oracle knows.  The parametric-greedy LP is
+matroid helpers (rank, contraction, disjoint union, axiom checker) work
+directly from the oracle; the scheme checkers (replacement, representative
+set) take the exact optimum as an argument because the profitable-element
+threshold depends on it, which only a verification oracle knows.  The
+parametric-greedy LP is
 tested against ``solve_polytope_lp_reference``, which lists the independent
 sets of a small matroid: the LP optimum lies on a vertex or an edge of the
 matroid polytope, so it is the best affordable set or the best budget-tight
@@ -29,10 +29,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InternalInvariantError, PreconditionError, ScaleCapError, ValidationError
+from .errors import PreconditionError, ScaleCapError, ValidationError
 from .instance import BmiInstance, format_rational
 from .matroid import Matroid, greedy
-from .scheme import EpsParam, class_partition
+from .scheme import EpsParam
 
 ZERO = Fraction(0)
 # Largest ground set solve_polytope_lp_reference enumerates: on generated
@@ -207,48 +207,6 @@ def columns_independent_reference(cols: Sequence[Sequence[Fraction]]) -> bool:
     return True
 
 
-def extend_to_independent(m: Matroid, a: Iterable[int], b: Iterable[int]) -> frozenset:
-    """Return D subset of A \\ B with |D| = max(|A|-|B|, 0) and B u D independent."""
-    sa, sb = frozenset(a), frozenset(b)
-    if not m.is_independent(sa):
-        raise PreconditionError("A is not independent")
-    if not m.is_independent(sb):
-        raise PreconditionError("B is not independent")
-    need = max(len(sa) - len(sb), 0)
-    d: frozenset = frozenset()
-    cur = sb
-    for e in sorted(sa - sb):
-        if len(d) == need:
-            break
-        ext = cur | {e}
-        if m.indep_fn(ext):
-            cur = ext
-            d = d | {e}
-    if len(d) != need:
-        raise InternalInvariantError(
-            "exchange axiom failed while extending an independent set"
-        )
-    return d
-
-
-def exchange_witness(m: Matroid, a_set: Iterable[int], b_set: Iterable[int], a: int) -> int:
-    """Find b in B \\ A with A - a + b independent (generalized exchange)."""
-    sa, sb = frozenset(a_set), frozenset(b_set)
-    if not m.is_independent(sa):
-        raise PreconditionError("A is not independent")
-    if not m.is_independent(sb):
-        raise PreconditionError("B is not independent")
-    if a not in sa - sb:
-        raise PreconditionError("a must belong to A \\ B")
-    if m.indep_fn(sb | {a}):
-        raise PreconditionError("B + a must be dependent")
-    base = sa - {a}
-    for b in sorted(sb - sa):
-        if m.indep_fn(base | {b}):
-            return b
-    raise InternalInvariantError("no exchange witness found; oracle is not a matroid")
-
-
 def contract(m: Matroid, f: Iterable[int]) -> Matroid:
     """M/F for independent F: A is independent iff A u F is in M."""
     fs = frozenset(f)
@@ -361,38 +319,6 @@ def is_replacement(
     if inst.profit(merged) < (1 - eps.eps) * inst.profit(gs):
         return False
     if len(zs) > len(gs & h):
-        return False
-    return True
-
-
-def is_substitution(
-    inst: BmiInstance,
-    eps: EpsParam,
-    alpha: Fraction,
-    g: Iterable[int],
-    z: Iterable[int],
-    opt_value: Fraction,
-) -> bool:
-    """Substitution: class-preserving replacement disjoint from G \\ H."""
-    gs, zs = frozenset(g), frozenset(z)
-    m = inst.active_matroid()
-    if not m.is_independent(gs) or len(gs) > eps.q:
-        raise PreconditionError("G must be independent with |G| <= q(eps)")
-    h = profitable_set(inst, eps, opt_value)
-    classes = class_partition(inst, eps, alpha)
-    classed = frozenset(e for members in classes.values() for e in members)
-    if not zs <= classed:
-        return False
-    merged = (gs - h) | zs
-    if len(merged) > eps.q or not m.is_independent(merged):
-        return False
-    if inst.cost(zs) > inst.cost(gs & h):
-        return False
-    for members in classes.values():
-        cls = frozenset(members)
-        if len(cls & zs) != len(cls & gs & h):
-            return False
-    if (gs - h) & zs:
         return False
     return True
 

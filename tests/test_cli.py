@@ -129,10 +129,13 @@ class TestExact:
 class TestVerify:
     def test_verify_generated_instance(self, tmp_path, capsys):
         inst = gen(tmp_path, family="partition", n=7, seed=19)
+        capsys.readouterr()
         assert main(["verify", "--instance", str(inst), "--eps", "1/3"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS matroid axioms" in out
-        assert "FAIL" not in out
+        lines = capsys.readouterr().out.splitlines()
+        names = ["matroid axioms", "scheme run (internal invariants)", "representative-set property"]
+        assert len(lines) == len(names)
+        for line, name in zip(lines, names):
+            assert line == f"PASS {name}" or line.startswith(f"PASS {name} ("), line
 
     def test_representative_check_eps_is_monotone(self, tmp_path, monkeypatch, capsys):
         # The representative-set check runs at 1/k, k = max(3, ceil(1/eps)).
@@ -189,6 +192,21 @@ class TestGenAndValidation:
         ):
             assert main(argv) == 2, argv
             assert f"error: {path}: " in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("command", ["gen", "solve", "bench"])
+    def test_unwritable_output_path_is_validation_error(self, tmp_path, capsys, command):
+        inst = gen(tmp_path)
+        target = tmp_path / "missing_dir" / "out"
+        argv = {
+            "gen": ["gen", "--family", "uniform", "--n", "4", "--seed", "1", "-o", str(target)],
+            "solve": ["solve", "--instance", str(inst), "--eps", "1/3", "--report", str(target)],
+            "bench": ["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(target)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {target}: cannot write file: No such file or directory"
+        ]
 
     def test_unknown_family_exit_code(self, tmp_path):
         out = tmp_path / "x.json"

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from budgetmatroid import (
     FamilySpec,
-    InternalInvariantError,
     PreconditionError,
     ScaleCapError,
     Matroid,
@@ -19,8 +18,6 @@ from budgetmatroid.matroid import greedy
 from budgetmatroid.verify import (
     check_axioms,
     contract,
-    exchange_witness,
-    extend_to_independent,
     rank,
     union,
 )
@@ -115,41 +112,6 @@ class TestMinWeightBasis:
             assert not m.is_independent(blockers | {a})
 
 
-class TestExchange:
-    def test_extend_noop_when_smaller(self):
-        m = uniform(3, 5)
-        assert extend_to_independent(m, {0}, {1, 2}) == frozenset()
-
-    def test_extend_ascending_scan(self):
-        m = uniform(3, 5)
-        d = extend_to_independent(m, {0, 1, 2}, {3})
-        assert d == {0, 1}
-        assert m.is_independent({3} | d)
-
-    def test_extend_triangle(self):
-        assert extend_to_independent(triangle(), {0, 1}, {2}) == {0}
-
-    def test_extend_rejects_dependent_input(self):
-        with pytest.raises(PreconditionError):
-            extend_to_independent(uniform(1, 3), {0, 1}, {2})
-
-    def test_witness_rank_one(self):
-        assert exchange_witness(uniform(1, 3), {0}, {1}, 0) == 1
-
-    def test_witness_triangle(self):
-        b = exchange_witness(triangle(), {0, 1}, {1, 2}, 0)
-        assert b == 2
-        assert triangle().is_independent({1, 2})
-
-    def test_witness_partition(self):
-        m = partition([[0, 1], [2]], [1, 1], 3)
-        assert exchange_witness(m, {0, 2}, {1, 2}, 0) == 1
-
-    def test_witness_precondition(self):
-        with pytest.raises(PreconditionError):
-            exchange_witness(uniform(3, 4), {0, 1}, {2, 3}, 0)  # B + a independent
-
-
 class TestOperations:
     def test_truncate(self):
         m = truncate(uniform(3, 4), 2)
@@ -212,13 +174,6 @@ class TestCheckAxioms:
     def test_refuses_large_ground(self):
         with pytest.raises(ScaleCapError):
             check_axioms(uniform(3, 11))
-
-    def test_broken_oracle_detected_by_witness_search(self):
-        # Not a matroid: {0,1} and {2} maximal. The witness search for the
-        # guaranteed exchange partner must flag it.
-        bad = listed_sets_matroid(((0, 1), (2,)), 3)
-        with pytest.raises(InternalInvariantError):
-            extend_to_independent(bad, frozenset({0, 1}), frozenset({2}))
 
 
 def loop_greedy(indep, base, order):

@@ -44,7 +44,6 @@ from budgetmatroid.scheme import (
 )
 from budgetmatroid.verify import (
     is_replacement,
-    is_substitution,
     profitable_set,
     union,
     verify_representative,
@@ -891,34 +890,6 @@ class TestCheckers:
     def test_replacement_rejects_low_profit(self):
         # Z = {} drops the profitable element 0 entirely.
         assert not is_replacement(self.inst, self.eps, {0, 2}, set(), self.opt)
-
-    def test_substitution_requires_same_class(self):
-        alpha = self.opt
-        # For G = {0}, Z = {0} is a substitution (identity).
-        assert is_substitution(self.inst, self.eps, alpha, {0}, {0}, self.opt)
-        # Z = {1} lies in a different profit class than 0.
-        assert not is_substitution(self.inst, self.eps, alpha, {0}, {1}, self.opt)
-
-    def test_substitution_is_replacement_when_profitable(self):
-        rng = random.Random(47)
-        for _ in range(20):
-            inst = random_instance(rng, "uniform", rng.randint(1, 6))
-            eps = EpsParam(3)
-            opt = brute_force_opt(inst).profit
-            if opt == 0:
-                continue
-            alpha = opt
-            m = inst.active_matroid()
-            elems = sorted(inst.active)
-            for gsize in range(0, min(3, len(elems)) + 1):
-                for g in itertools.combinations(elems, gsize):
-                    gs = frozenset(g)
-                    if not m.is_independent(gs):
-                        continue
-                    for zsize in range(0, len(elems) + 1):
-                        for z in itertools.combinations(elems, zsize):
-                            if is_substitution(inst, eps, alpha, gs, z, opt):
-                                assert is_replacement(inst, eps, gs, z, opt)
 
 
 class TestVerifyRepresentative:
