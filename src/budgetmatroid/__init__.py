@@ -20,6 +20,7 @@ from .scheme import (
     EpsParam,
     RepresentativeSet,
     RunReport,
+    RunSession,
     approximate,
     find_rep,
     run_for_alpha,
@@ -38,6 +39,7 @@ __all__ = [
     "PreconditionError",
     "RepresentativeSet",
     "RunReport",
+    "RunSession",
     "ScaleCapError",
     "ValidationError",
     "approximate",

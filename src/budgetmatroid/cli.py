@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
             print(f"FAIL {name}: {detail}")
 
     def axioms():
-        report = check_axioms(inst.active_matroid(), limit=10)
+        report = check_axioms(inst.active_matroid())
         return report.ok, report.violation
 
     def scheme_run():
@@ -148,6 +148,7 @@ def cmd_bench(args) -> int:
     paths = sorted(Path(args.dir).glob("*.json"))
     if not paths:
         raise ValidationError(f"no .json instances under {args.dir}", "dir")
+    _write(args.csv, "")  # an unwritable --csv fails before any instance is solved
     rows = []
     for path in paths:
         inst = parse_instance(_read(path))

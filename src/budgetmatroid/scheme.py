@@ -3,11 +3,11 @@ per-guess enumeration of F within the representative set, and the top-level
 wrapper with geometric guessing of the optimum scale.
 
 The solve path is: bootstrap LP -> certified early exit, or guess grid ->
-``run_for_alpha`` per guess: profit classes and LP variables on the
-instance's integer view, R once per distinct class grouping, then, once per
-distinct R and LP variables, enumerate independent, affordable F within R
--> residual LP for each F and its rounding, once per distinct LP.  Checkers
-for the properties the scheme relies on live in ``verify``.
+``run_for_alpha`` per guess on one ``RunSession``: profit classes and LP
+variables on the integer view, R once per distinct class grouping, then,
+once per distinct R and LP variables, enumerate independent, affordable F
+within R -> residual LP for each F and its rounding, once per distinct LP
+-> the best answer returned.  Checkers live in ``verify``.
 """
 
 from __future__ import annotations
@@ -178,8 +178,8 @@ def find_rep(
 
 
 class RunSession:
-    """One scheme run's representative sets, LP memo, recorded guesses and
-    oracle count.
+    """One scheme run on one instance at one eps: its representative sets,
+    LP memo, recorded guesses and oracle count.
 
     R depends only on the class grouping, the member tuples of the profit
     classes in class order, so ``reps`` maps each grouping met in the run
@@ -202,23 +202,16 @@ class RunSession:
 
 
 class GuessRun(NamedTuple):
-    """A guess's first alpha, best rounded solution, that solution's profit
-    in the instance's ``IntegerView`` and the number of F enumerated."""
+    """A guess's first alpha, best rounded solution and number of F enumerated."""
 
-    alpha: Fraction | None
+    alpha: Fraction
     solution: frozenset
-    profit: int
     enum_count: int
 
 
-def run_for_alpha(
-    inst: BmiInstance,
-    eps: EpsParam,
-    alpha: Fraction,
-    session: RunSession | None = None,
-) -> tuple[frozenset, int]:
-    """One pass of the enumeration scheme for a fixed guess alpha:
-    (best rounded solution, number of F enumerated).
+def run_for_alpha(session: RunSession, alpha: Fraction) -> tuple[frozenset, int]:
+    """One pass of the enumeration scheme on the session's instance and eps
+    for a fixed guess alpha: (best rounded solution, number of F enumerated).
 
     Every independent, affordable F within the representative set R with
     |F| <= 1/eps is extended by the residual LP over the guess's LP
@@ -228,17 +221,12 @@ def run_for_alpha(
     supersets, so no set of the family is missed.  Costs and profits are
     summed and compared in the instance's integer view, and each
     independence test of the instance's oracle adds one to the session's
-    ``oracle_calls``.  The session, made for the same instance and eps,
-    computes R once per class grouping.  The run reads only R and the LP
-    variables, so the session records it under the first alpha that gives
-    both, and a later guess that repeats them returns the recorded run.
+    ``oracle_calls``.  The session computes R once per class grouping.  The
+    run reads only R and the LP variables, so the session records it under
+    the first alpha that gives both, and a later guess that repeats them
+    returns the recorded run.  Alone: ``run_for_alpha(RunSession(inst, eps), alpha)``.
     """
-    if session is None:
-        session = RunSession(inst, eps)
-    if session.inst is not inst:
-        raise PreconditionError("the session was made for another instance")
-    if session.eps != eps:
-        raise PreconditionError("the session was made for another eps")
+    inst, eps = session.inst, session.eps
     classes = class_partition(inst, eps, alpha)
     grouping = tuple(members for _, members in sorted(classes.items()))
     rep = session.reps.get(grouping)
@@ -285,7 +273,7 @@ def run_for_alpha(
         raise InternalInvariantError(
             f"enumeration count {enum_count} exceeds (|R|+1)^(1/eps) = {bound}"
         )
-    session.runs[rep, variables] = GuessRun(alpha, best_set, best_profit, enum_count)
+    session.runs[rep, variables] = GuessRun(alpha, best_set, enum_count)
     return best_set, enum_count
 
 
@@ -295,16 +283,14 @@ def alpha_grid(lower: Fraction, upper: Fraction, eps: EpsParam) -> tuple[Fractio
     The ratio 1+eps < 2 guarantees a grid point in [OPT/2, OPT] whenever
     OPT lies in [lower, upper].
     """
-    if lower <= 0:
-        raise PreconditionError("grid lower bound must be positive")
+    if not 0 < lower <= upper:
+        raise PreconditionError("grid bounds must satisfy 0 < lower <= upper")
     grid = []
     point = lower
     step = 1 + eps.eps
     while point <= upper:
         grid.append(point)
         point *= step
-    if not grid:
-        grid.append(lower)
     return tuple(grid)
 
 
@@ -331,34 +317,36 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     on both paths.
 
     Every grid point goes through ``run_for_alpha`` on one session, which
-    runs each distinct guess once; the report's enumeration counts and its
-    answer come from the session's recorded runs, in grid order.  A zero LP
-    bound leaves the grid empty and the answer empty.
+    runs each distinct guess once; the best answer returned is kept, under
+    the first grid point that returns it.  The report's enumeration counts
+    come from the session's recorded runs, in grid order.  A zero LP bound
+    leaves the grid empty and the answer empty.
     """
     eps_target = _exact(eps_target, "eps")
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
     session = RunSession(inst, eps)
-    upper, lower, winner = bootstrap(inst)
-    best = GuessRun(None, winner, inst.view.profit(winner), 0)
+    view = inst.view
+    upper, lower, best = bootstrap(inst)
+    best_profit, alpha_best = view.profit(best), None
     grid = ()
-    if not (certify and _certificate(inst, eps_target, upper, best.profit)):
+    if not (certify and _certificate(inst, eps_target, upper, best_profit)):
         grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
+        best, best_profit = frozenset(), 0
         for alpha in grid:
-            run_for_alpha(inst, eps, alpha, session)
-        best = GuessRun(None, frozenset(), 0, 0)
-        for run in session.runs.values():
-            if best.alpha is None or _better(run.profit, run.solution, best.profit, best.solution):
-                best = run
+            solution, _ = run_for_alpha(session, alpha)
+            profit = view.profit(solution)
+            if alpha_best is None or _better(profit, solution, best_profit, best):
+                best, best_profit, alpha_best = solution, profit, alpha
 
-    profit = Fraction(best.profit, inst.view.dp)
+    profit = Fraction(best_profit, view.dp)
     return RunReport(
-        solution=tuple(sorted(best.solution)),
+        solution=tuple(sorted(best)),
         profit=profit,
         eps_target=eps_target,
         eps_internal=eps.eps,
         alpha_grid=grid,
-        alpha_best=best.alpha,
+        alpha_best=alpha_best,
         enum_counts={run.alpha: run.enum_count for run in session.runs.values()},
         lp_calls=len(session.memo),
         oracle_calls=session.oracle_calls,

@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 from .errors import PreconditionError, ScaleCapError, ValidationError
@@ -39,6 +38,10 @@ ZERO = Fraction(0)
 # instances the pair scan took 0.3 s per LP at 9 elements and 1 s at 10
 # (means on 2 vCPUs, Python 3.11).
 LP_REFERENCE_CAP = 9
+# Largest ground set check_axioms tabulates: the exchange scan is 3^n.
+AXIOM_CHECK_CAP = 10
+# Largest integer budget, in the instance's IntegerView, knapsack_dp fills.
+KNAPSACK_DP_CAP = 100_000
 
 
 @dataclass(frozen=True)
@@ -150,28 +153,26 @@ def solve_polytope_lp_reference(
     return best
 
 
-def knapsack_dp(inst: BmiInstance, cap: int = 100_000) -> Fraction:
+def knapsack_dp(inst: BmiInstance) -> Fraction:
     """Exact 0/1-knapsack optimum for the free-matroid special case.
 
-    Costs are scaled by their common denominator to integers and the DP runs
-    over integer capacities; profits stay exact rationals.
+    The DP runs over the ``IntegerView``'s integer costs and budget, the
+    budget at most ``KNAPSACK_DP_CAP``; profits stay exact rationals.
     """
     spec = inst.matroid_spec
     if spec.kind != "uniform" or spec.rank < inst.n:
         raise ValidationError("knapsack DP requires a free matroid (uniform rank >= n)")
-    elems = sorted(inst.active)
-    denom = lcm(inst.budget.denominator, *(inst.costs[e].denominator for e in elems)) if elems else 1
-    capacity = inst.budget * denom
-    assert capacity.denominator == 1
-    capacity = int(capacity)
-    if capacity > cap:
-        raise ScaleCapError(f"integerized budget {format_rational(capacity)} exceeds DP cap {cap}")
-    dp: list[Fraction | None] = [None] * (capacity + 1)
+    view = inst.view
+    if view.budget > KNAPSACK_DP_CAP:
+        raise ScaleCapError(
+            f"integerized budget {format_rational(view.budget)} exceeds DP cap {KNAPSACK_DP_CAP}"
+        )
+    dp: list[Fraction | None] = [None] * (view.budget + 1)
     dp[0] = ZERO
-    for e in elems:
-        w = int(inst.costs[e] * denom)
+    for e in sorted(inst.active):
+        w = view.costs[e]
         p = inst.profits[e]
-        for c in range(capacity, w - 1, -1):
+        for c in range(view.budget, w - 1, -1):
             prev = dp[c - w]
             if prev is not None and (dp[c] is None or prev + p > dp[c]):
                 dp[c] = prev + p
@@ -240,16 +241,16 @@ class AxiomReport:
     witness: tuple | None = None
 
 
-def check_axioms(m: Matroid, limit: int = 10) -> AxiomReport:
+def check_axioms(m: Matroid) -> AxiomReport:
     """Exhaustively verify non-emptiness, hereditary and exchange axioms.
 
-    Refuses above ``limit`` ground elements: the pairwise exchange scan is
-    a 3^n blowup.
+    Refuses above ``AXIOM_CHECK_CAP`` ground elements: the pairwise
+    exchange scan is a 3^n blowup.
     """
     elems = sorted(m.ground)
     n = len(elems)
-    if n > limit:
-        raise ScaleCapError(f"ground size {n} exceeds axiom-check cap {limit}")
+    if n > AXIOM_CHECK_CAP:
+        raise ScaleCapError(f"ground size {n} exceeds axiom-check cap {AXIOM_CHECK_CAP}")
     # Independence table over bitmasks of `elems`.
     table = []
     for mask in range(1 << n):

@@ -20,6 +20,7 @@ from budgetmatroid import (
     approximate,
     construct,
     find_rep,
+    RunSession,
     restrict,
     run_for_alpha,
     truncate,
@@ -99,7 +100,7 @@ def test_criterion_02_inner_guarantee():
         if opt == 0:
             continue
         eps = EpsParam(7)
-        sol, _ = run_for_alpha(inst, eps, alpha_in_window(inst, eps, opt))
+        sol, _ = run_for_alpha(RunSession(inst, eps), alpha_in_window(inst, eps, opt))
         runs += 1
         if inst.profit(sol) < 0:
             hard_failures += 1
@@ -113,7 +114,7 @@ def test_criterion_02_inner_guarantee():
         if opt == 0:
             continue
         eps = EpsParam(14)
-        sol, _ = run_for_alpha(inst, eps, alpha_in_window(inst, eps, opt))
+        sol, _ = run_for_alpha(RunSession(inst, eps), alpha_in_window(inst, eps, opt))
         runs += 1
         if inst.profit(sol) < (1 - 7 * eps.eps) * opt:
             hard_failures += 1
@@ -171,7 +172,7 @@ def test_criterion_05_enumeration_bound():
             continue
         for alpha in alpha_grid(upper / 2, upper, eps):
             rep = find_rep(inst, eps, alpha)
-            _, enum_count = run_for_alpha(inst, eps, alpha)
+            _, enum_count = run_for_alpha(RunSession(inst, eps), alpha)
             runs += 1
             if enum_count > (len(rep.elements) + 1) ** eps.k:
                 failures += 1

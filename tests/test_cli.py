@@ -32,6 +32,18 @@ def gen(tmp_path, family="partition", n=6, seed=7, name="inst.json"):
     return path
 
 
+def rank_one(tmp_path, n, profit="1", name="inst.json"):
+    """A uniform rank-1 instance of n unit-cost elements of one profit, budget 1."""
+    doc = {
+        "budget": "1",
+        "elements": [{"cost": "1", "profit": profit}] * n,
+        "matroid": {"kind": "uniform", "rank": 1},
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestSolve:
     def test_solve_with_report(self, tmp_path, capsys):
         inst = gen(tmp_path)
@@ -153,6 +165,35 @@ class TestVerify:
         assert seen == [3, 3, 4]
         assert "FAIL" not in capsys.readouterr().out
 
+    def test_checks_past_their_caps_are_skipped(self, tmp_path, capsys):
+        # 15 elements: above the axiom checker's 10 and brute force's 14.
+        inst = rank_one(tmp_path, 15)
+        assert main(["verify", "--instance", str(inst), "--eps", "1/2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "SKIP matroid axioms",
+            "PASS scheme run (internal invariants) (profit 1)",
+            "SKIP representative-set property",
+        ]
+
+    def test_zero_optimum_is_trivially_representative(self, tmp_path, capsys):
+        inst = rank_one(tmp_path, 3, profit="0")
+        assert main(["verify", "--instance", str(inst), "--eps", "1/2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "PASS representative-set property (trivial (zero optimum))"
+
+    def test_failed_check_exits_with_invariant_code(self, tmp_path, monkeypatch, capsys):
+        import budgetmatroid.verify
+
+        monkeypatch.setattr(
+            budgetmatroid.verify, "verify_representative", lambda *args, **kwargs: (False, frozenset({0}))
+        )
+        inst = rank_one(tmp_path, 3)
+        assert main(["verify", "--instance", str(inst), "--eps", "1/2"]) == 4
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "FAIL representative-set property: witness [0]"
+        assert err.splitlines() == ["internal invariant violated: 1 verification check(s) failed"]
+
     @pytest.mark.parametrize("eps", ["0", "1", "3/2", "-1/3"])
     def test_eps_outside_unit_interval_exits_before_any_check(self, tmp_path, capsys, eps):
         inst = gen(tmp_path, family="partition", n=7, seed=19)
@@ -204,9 +245,11 @@ class TestGenAndValidation:
         }[command]
         capsys.readouterr()
         assert main(argv) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            f"error: {target}: cannot write file: No such file or directory"
-        ]
+        out, err = capsys.readouterr()
+        assert err.splitlines() == [f"error: {target}: cannot write file: No such file or directory"]
+        if command == "bench":
+            # The unwritable --csv is found before any instance is solved.
+            assert "profit" not in out
 
     def test_unknown_family_exit_code(self, tmp_path):
         out = tmp_path / "x.json"
@@ -273,6 +316,15 @@ class TestBench:
         assert main(["bench", "--dir", str(tmp_path), f"--eps={eps}", "--csv", str(out_csv)]) == 2
         assert "eps: eps target must lie in (0, 1)" in capsys.readouterr().err
         assert not out_csv.exists()
+
+    def test_bench_leaves_opt_empty_past_brute_force_cap(self, tmp_path, capsys):
+        # 21 elements: above brute force's default cap of 20.
+        rank_one(tmp_path, 21)
+        out_csv = tmp_path / "bench.csv"
+        assert main(["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(out_csv)]) == 0
+        with open(out_csv, newline="") as handle:
+            (row,) = csv.DictReader(handle)
+        assert (row["n"], row["profit"], row["opt"], row["ratio"]) == ("21", "1", "", "")
 
     def test_bench_empty_dir_is_validation_error(self, tmp_path):
         assert main(["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(tmp_path / "o.csv")]) == 2

@@ -79,6 +79,10 @@ class TestKnapsackDp:
         inst = free_instance(7, ["3/2", "5/2", 3], [4, 5, 6])
         assert knapsack_dp(inst) == brute_force_opt(inst).profit
 
+    def test_empty_instance(self):
+        inst = make_instance(F(1, 2), [], [], FamilySpec("uniform", rank=0))
+        assert knapsack_dp(inst) == 0 == brute_force_opt(inst).profit
+
     def test_requires_free_matroid(self):
         inst = make_instance(
             F(3), [F(1), F(1)], [F(1), F(1)], FamilySpec("uniform", rank=1)

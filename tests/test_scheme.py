@@ -204,27 +204,17 @@ class TestProfitClasses:
         with pytest.raises(PreconditionError):
             class_partition(inst, EpsParam(3), F(0))
         with pytest.raises(PreconditionError):
-            run_for_alpha(inst, EpsParam(3), F(0))
+            run_for_alpha(RunSession(inst, EpsParam(3)), F(0))
 
-    def test_session_of_another_eps_is_refused(self):
-        # A session's recorded runs hold for its own eps only.
-        inst = small_instance()
-        session = RunSession(inst, EpsParam(3))
-        run_for_alpha(inst, EpsParam(3), F(5), session)
-        with pytest.raises(PreconditionError):
-            run_for_alpha(inst, EpsParam(4), F(5), session)
-
-    def test_session_of_another_instance_is_refused(self):
-        # The instances differ only in element 2's profit, so a session of
-        # a would hand b a's recorded run: {0, 1}, worth 9 against 11.
+    def test_session_runs_its_own_instance(self):
+        # The instances differ only in element 2's profit, and each
+        # session's run answers for its own: {0, 1} (9) for a, {0, 2} (11)
+        # for b.
         costs, spec = [F(1)] * 3, FamilySpec("uniform", rank=2)
         a = make_instance(F(2), costs, [F(5), F(4), F(3)], spec)
         b = make_instance(F(2), costs, [F(5), F(4), F(6)], spec)
-        session = RunSession(a, EpsParam(3))
-        run_for_alpha(a, EpsParam(3), F(6), session)
-        with pytest.raises(PreconditionError):
-            run_for_alpha(b, EpsParam(3), F(6), session)
-        assert run_for_alpha(b, EpsParam(3), F(6))[0] == {0, 2}
+        assert run_for_alpha(RunSession(a, EpsParam(3)), F(6))[0] == {0, 1}
+        assert run_for_alpha(RunSession(b, EpsParam(3)), F(6))[0] == {0, 2}
 
     def test_partition_covers_classed_elements(self):
         inst = small_instance()
@@ -385,7 +375,7 @@ class TestRepMemo:
         calls.clear()
         session = RunSession(inst, eps)
         for alpha in report.alpha_grid:
-            run_for_alpha(inst, eps, alpha, session)
+            run_for_alpha(session, alpha)
         assert len(calls) == len(session.reps)
         for alpha in report.alpha_grid:
             grouping = tuple(v for _, v in sorted(class_partition(inst, eps, alpha).items()))
@@ -430,7 +420,7 @@ class TestRepMemo:
 class TestRunForAlpha:
     def test_single_element(self):
         inst = make_instance(F(1), [F(1)], [F(4)], FamilySpec("uniform", rank=1))
-        sol, enum_count = run_for_alpha(inst, EpsParam(3), F(4))
+        sol, enum_count = run_for_alpha(RunSession(inst, EpsParam(3)), F(4))
         assert sol == {0}
         assert enum_count >= 1
 
@@ -443,7 +433,7 @@ class TestRunForAlpha:
             if opt == 0:
                 continue
             rep = find_rep(inst, eps, opt)
-            _, enum_count = run_for_alpha(inst, eps, opt)
+            _, enum_count = run_for_alpha(RunSession(inst, eps), opt)
             assert enum_count <= (len(rep.elements) + 1) ** eps.k
 
     def test_good_alpha_gives_good_profit(self):
@@ -454,7 +444,7 @@ class TestRunForAlpha:
             opt = brute_force_opt(inst).profit
             if opt == 0:
                 continue
-            sol, _ = run_for_alpha(inst, eps, opt)
+            sol, _ = run_for_alpha(RunSession(inst, eps), opt)
             assert inst.profit(sol) >= (1 - 7 * eps.eps) * opt
 
 
@@ -468,7 +458,7 @@ def check_dfs_against_reference(inst, eps, alpha):
     session = RunSession(inst, eps)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(budgetmatroid.scheme, "solve_lp", recording)
-        sol, enum_count = run_for_alpha(inst, eps, alpha, session)
+        sol, enum_count = run_for_alpha(session, alpha)
     ref_sol, ref_sets, ref_calls = reference_run_for_alpha(inst, eps, alpha)
     assert sorted(map(sorted, seen)) == sorted(map(sorted, ref_sets))
     assert enum_count == len(ref_sets)
@@ -529,6 +519,14 @@ class TestAlphaGrid:
             if not lower <= v <= upper:
                 continue
             assert any(v / 2 <= a <= v for a in grid)
+
+    def test_bounds_out_of_order_are_refused(self):
+        # bootstrap's lower bound is a feasible profit, at most OPT <= upper.
+        with pytest.raises(PreconditionError):
+            alpha_grid(F(2), F(1), EpsParam(3))
+        with pytest.raises(PreconditionError):
+            alpha_grid(F(0), F(1), EpsParam(3))
+        assert alpha_grid(F(1), F(1), EpsParam(3)) == (F(1),)
 
 
 class TestApproximate:
@@ -693,7 +691,7 @@ def check_against_every_guess(inst, eps_target):
     for alpha in report.alpha_grid:
         guess = (find_rep(inst, eps, alpha).elements, lp_variables(inst, eps.eps, alpha))
         first_of_guess.setdefault(guess, alpha)
-        sol, enum_count = run_for_alpha(inst, eps, alpha, session)
+        sol, enum_count = run_for_alpha(session, alpha)
         assert runs.setdefault(guess, (sol, enum_count)) == (sol, enum_count)
         profit = inst.profit(sol)
         if best is None or _better(profit, sol, best[1], best[0]):
