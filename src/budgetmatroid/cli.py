@@ -151,7 +151,11 @@ def cmd_bench(args) -> int:
     _write(args.csv, "")  # an unwritable --csv fails before any instance is solved
     rows = []
     for path in paths:
-        inst = parse_instance(_read(path))
+        text = _read(path)
+        try:
+            inst = parse_instance(text)
+        except ValidationError as exc:
+            raise ValidationError(str(exc), path.name) from None  # name the bad file
         try:
             opt = brute_force_opt(inst).profit
         except ScaleCapError:

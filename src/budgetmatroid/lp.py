@@ -28,12 +28,17 @@ integers.  ``solve_lp`` and ``bootstrap`` call the core on the instance's
 (residual LPs on hand-built M/F handles) and, through a rational entry that
 scales by the denominators' lcms, against
 ``verify.solve_polytope_lp_reference``.
+
+``complete`` fills an independent, affordable set greedily by profit/cost
+ratio; the scheme's certified exit runs it on the bootstrap's winner when
+that winner alone misses the certificate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd
 from typing import Iterable, Mapping
 
@@ -274,6 +279,36 @@ def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> f
         raise InternalInvariantError("rounded LP solution is dependent")
     if inst.view.cost(chosen) > inst.view.budget:
         raise InternalInvariantError("rounded LP solution exceeds the budget")
+    return chosen
+
+
+def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
+    """The independent, affordable ``start`` filled greedily by profit/cost ratio.
+
+    The other active elements of positive profit are scanned by
+    non-increasing ratio P_e / C_e in the instance's ``IntegerView``, ties by
+    id: a before b when P_a * C_b > P_b * C_a, so zero-cost elements come
+    first and no ratio is built.  Each that keeps the set affordable and
+    independent joins it, one oracle test per element that fits the budget.
+    This is the fill of Sahni's knapsack PTAS (JACM 1975); the result is
+    asserted feasible as ``round_integral``'s is.
+    """
+    view = inst.view
+    P, C = view.profits, view.costs
+    m = inst.active_matroid()
+    chosen = frozenset(start)
+    spent = view.cost(chosen)
+    rest = [e for e in sorted(inst.active - chosen) if P[e] > 0]
+    rest.sort(key=cmp_to_key(lambda a, b: P[b] * C[a] - P[a] * C[b]))
+    for e in rest:
+        if spent + C[e] <= view.budget:
+            ext = chosen | {e}
+            if m.indep_fn(ext):
+                chosen, spent = ext, spent + C[e]
+    if not m.is_independent(chosen):
+        raise InternalInvariantError("completed solution is dependent")
+    if view.cost(chosen) > view.budget:
+        raise InternalInvariantError("completed solution exceeds the budget")
     return chosen
 
 

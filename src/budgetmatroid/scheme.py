@@ -2,7 +2,8 @@
 per-guess enumeration of F within the representative set, and the top-level
 wrapper with geometric guessing of the optimum scale.
 
-The solve path is: bootstrap LP -> certified early exit, or guess grid ->
+The solve path is: bootstrap LP -> certified early exit of its winner, or
+of that winner completed by ``lp.complete``, or guess grid ->
 ``run_for_alpha`` per guess on one ``RunSession``: profit classes and LP
 variables on the integer view, R once per distinct class grouping, then,
 once per distinct R and LP variables, enumerate independent, affordable F
@@ -21,7 +22,7 @@ from typing import NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance, _exact, format_rational
-from .lp import _better, bootstrap, lp_variables, round_integral, solve_lp
+from .lp import _better, bootstrap, complete, lp_variables, round_integral, solve_lp
 from .matroid import min_weight_basis, restrict, truncate
 
 
@@ -312,9 +313,10 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     least (1 - eps_target) * U meets the guarantee, whatever produced it.
     The run first tests the bootstrap's winner, the better of the rounded
     LP and the best singleton, and returns it with an empty grid when it
-    reaches that bound.  Otherwise, and always with
-    ``certify=False``, the paper's scheme runs, and its report is the same
-    on both paths.
+    reaches that bound.  On a miss it fills the winner greedily by
+    profit/cost ratio (``complete``) and tests the result against the same
+    bound.  When both miss, and always with ``certify=False``, the paper's
+    scheme runs, and its report is the same on both paths.
 
     Every grid point goes through ``run_for_alpha`` on one session, which
     runs each distinct guess once; the best answer returned is kept, under
@@ -329,8 +331,14 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     view = inst.view
     upper, lower, best = bootstrap(inst)
     best_profit, alpha_best = view.profit(best), None
+    certified = certify and _certificate(inst, eps_target, upper, best_profit)
+    if certify and not certified:
+        # A miss means U > 0: a zero bound certifies any profit.
+        best = complete(inst, best)
+        best_profit = view.profit(best)
+        certified = _certificate(inst, eps_target, upper, best_profit)
     grid = ()
-    if not (certify and _certificate(inst, eps_target, upper, best_profit)):
+    if not certified:
         grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
         best, best_profit = frozenset(), 0
         for alpha in grid:

@@ -329,6 +329,17 @@ class TestBench:
     def test_bench_empty_dir_is_validation_error(self, tmp_path):
         assert main(["bench", "--dir", str(tmp_path), "--eps", "1/3", "--csv", str(tmp_path / "o.csv")]) == 2
 
+    def test_bench_names_the_file_that_fails_to_parse(self, tmp_path, capsys):
+        gen(tmp_path, name="a.json")
+        bad = json.loads(gen(tmp_path, name="b.json").read_text())
+        bad["budget"] = 3  # a JSON number: rationals must be strings
+        (tmp_path / "b.json").write_text(json.dumps(bad))
+        argv = ["bench", "--dir", str(tmp_path), "--eps", "1/2", "--csv", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert "a.json: profit" in out
+        assert err.startswith("error: b.json: budget: rationals must be strings")
+
 
 class TestConsoleScript:
     def test_module_entry_point(self, tmp_path):

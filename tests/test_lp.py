@@ -19,6 +19,7 @@ from budgetmatroid import lp
 from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import (
     LP_STATS,
+    complete,
     lp_upper_bound,
     lp_variables,
     round_integral,
@@ -547,3 +548,74 @@ class TestUpperBound:
             assert inst.active_matroid().is_independent(best)
             assert inst.cost(best) <= inst.budget
         assert winners == {"integral", "singleton"}
+
+
+def complete_reference(inst, start):
+    """``complete`` by rational ratios: zero-cost elements first, then by
+    non-increasing profit/cost, ties by id, each tested on the rationals."""
+    m = inst.active_matroid()
+    chosen = set(start)
+    rest = [e for e in inst.active - chosen if inst.profits[e] > 0]
+    rest.sort(key=lambda e: (inst.costs[e] > 0, -inst.profits[e] / inst.costs[e] if inst.costs[e] else 0, e))
+    for e in rest:
+        if inst.cost(chosen | {e}) <= inst.budget and m.is_independent(chosen | {e}):
+            chosen.add(e)
+    return frozenset(chosen)
+
+
+def complete_corpus():
+    """Generator instances of all five families at n <= 10 and gap instances
+    at n 8 and 10, seeds 0-3 each."""
+    for family in FAMILIES:
+        for seed in range(4):
+            for n in (4, 6, 8, 10):
+                yield generate_instance(GenSpec(family, n, seed))
+            for n in (8, 10):
+                yield gap_instance(family, n, seed)
+
+
+class TestComplete:
+    @staticmethod
+    def starts(inst):
+        """The empty set, the bootstrap's winner and the cheapest singleton."""
+        yield frozenset()
+        yield lp.bootstrap(inst)[2]
+        if inst.active:
+            yield frozenset({min(inst.active, key=lambda e: (inst.costs[e], e))})
+
+    def test_fills_the_start(self):
+        grew = 0
+        for inst in complete_corpus():
+            m = inst.active_matroid()
+            for start in self.starts(inst):
+                filled = complete(inst, start)
+                assert filled == complete_reference(inst, start)
+                assert start <= filled and m.is_independent(filled)
+                assert inst.cost(filled) <= inst.budget
+                assert inst.profit(filled) >= inst.profit(start)
+                grew += filled != start
+        assert grew > 0
+
+    def test_maximal_start_is_unchanged(self):
+        for inst in complete_corpus():
+            m = inst.active_matroid()
+            for start in self.starts(inst):
+                filled = complete(inst, start)
+                # No element of positive profit fits on top of the result.
+                for e in inst.active - filled:
+                    assert inst.profits[e] == 0 or not (
+                        inst.cost(filled | {e}) <= inst.budget and m.is_independent(filled | {e})
+                    )
+                assert complete(inst, filled) == filled
+
+    def test_zero_cost_first_and_ties_by_id(self):
+        # Ratios 2 (elements 1, 3), 3 (element 2) and zero cost (element 4);
+        # element 0 has no profit.  Rank 3 keeps the first three scanned.
+        inst = make_instance(
+            F(10),
+            [F(1), F(2), F(1), F(1, 2), F(0)],
+            [F(0), F(4), F(3), F(1), F(1, 3)],
+            FamilySpec("uniform", rank=3),
+        )
+        assert complete(inst, ()) == {4, 2, 1}
+        assert complete(inst, {0}) == {0, 4, 2}

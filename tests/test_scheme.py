@@ -30,7 +30,7 @@ from budgetmatroid import (
     serialize_instance,
 )
 from budgetmatroid.generate import GenSpec, generate_instance
-from budgetmatroid.lp import LP_STATS, lp_variables, solve_lp
+from budgetmatroid.lp import LP_STATS, bootstrap, lp_variables, solve_lp
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
 from budgetmatroid.instance import format_rational
@@ -383,11 +383,17 @@ class TestRepMemo:
         return report, len(session.reps)
 
     @pytest.mark.parametrize("family", ["partition", "explicit"])
-    def test_one_find_rep_on_uncertified_small_batch_runs(self, monkeypatch, family):
+    def test_one_find_rep_on_small_batch_paper_runs(self, monkeypatch, family):
         inst = generate_instance(GenSpec(family, 6, 4))
         report, groupings = self.count_runs(monkeypatch, inst, F(1, 3))
-        assert approximate(inst, F(1, 3)).alpha_grid == report.alpha_grid
         assert len(report.alpha_grid) == 13 and groupings == 1
+        # The bootstrap's winner alone misses the certificate; completed, it
+        # certifies the default run.
+        upper, _, best = bootstrap(inst)
+        assert not _certificate(inst, F(1, 3), upper, inst.view.profit(best))
+        default = approximate(inst, F(1, 3))
+        assert default.alpha_grid == () and default.enum_counts == {} and default.lp_calls == 0
+        assert default.certified_ratio >= F(2, 3)
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_count_is_distinct_groupings(self, monkeypatch, family):
@@ -722,7 +728,8 @@ def gap_run(family, n, seed, eps_target):
 
 
 class TestCertifiedExit:
-    """The default path: the bootstrap certificate, else the paper's scheme."""
+    """The default path: the bootstrap certificate, then the completed
+    winner's, else the paper's scheme."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_gap_instances(self, family):
@@ -744,17 +751,42 @@ class TestCertifiedExit:
                     # A real LP gap: nothing can certify.
                     assert report.alpha_grid
 
-    def test_gap_corpus_reaches_both_exits(self):
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_generated_instances(self, family):
+        # The generator corpus at n <= 10, the benchmark's small-batch specs
+        # among them: every default run certifies against U.
+        for n in (4, 6, 8, 10):
+            for seed in range(7):
+                inst = generate_instance(GenSpec(family, n, seed))
+                for eps in (F(1, 2), F(1, 3)):
+                    report = approximate(inst, eps)
+                    assert inst.profit(report.solution) == report.profit
+                    assert inst.active_matroid().is_independent(report.solution)
+                    assert inst.cost(report.solution) <= inst.budget
+                    assert report.alpha_grid == () and report.enum_counts == {}
+                    assert report.lp_calls == 0
+                    assert report.profit >= (1 - eps) * report.upper_bound
+
+    def test_gap_corpus_reaches_every_exit(self):
+        # Each run leaves by one of three exits: the bootstrap's winner
+        # certifies, only its completion does, or the grid runs on a real LP
+        # gap.  A run that enumerates although OPT could certify is "other".
         exits = set()
         for family in FAMILIES:
             for n, seed in GAP_CORPUS:
                 for eps in GAP_EPS:
                     inst, opt, report = gap_run(family, n, seed, eps)
-                    if not report.alpha_grid:
+                    upper, _, best = bootstrap(inst)
+                    if _certificate(inst, eps, upper, inst.view.profit(best)):
+                        assert not report.alpha_grid
                         exits.add("bootstrap")
+                    elif not report.alpha_grid:
+                        exits.add("completion")
                     elif opt < (1 - eps) * report.upper_bound:
                         exits.add("real gap")
-        assert exits == {"bootstrap", "real gap"}
+                    else:
+                        exits.add("other")
+        assert exits == {"bootstrap", "completion", "real gap"}
 
     def test_certified_at_bootstrap_solves_one_lp(self):
         for inst in (generate_instance(GenSpec("graphic", 10, 7)), gap_instance("uniform", 10, 2)):
