@@ -50,7 +50,10 @@ ZERO = Fraction(0)
 
 
 class LpStats:
-    """Process-wide counters used by the acceptance suite and reports."""
+    """Process-wide counts of LP solves and the most fractional entries in
+    one answer.  Acceptance criterion 3, the tests and the benchmark's
+    traced run read them; reports do not (``lp_calls`` counts a run's
+    residual LPs)."""
 
     def __init__(self):
         self.solves = 0
@@ -271,15 +274,21 @@ def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOut
     return solve_polytope_lp(m, view.profits, view.costs, view.budget - spent, view.dp, view.dc, fs)
 
 
+def _feasible(inst: BmiInstance, chosen: frozenset, what: str) -> frozenset:
+    """``chosen``, asserted independent in the active matroid and within the
+    budget; ``what`` names it in the ``InternalInvariantError``."""
+    if not inst.active_matroid().is_independent(chosen):
+        raise InternalInvariantError(f"{what} is dependent")
+    if inst.view.cost(chosen) > inst.view.budget:
+        raise InternalInvariantError(f"{what} exceeds the budget")
+    return chosen
+
+
 def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> frozenset:
     """The integral part of the LP vertex joined with F; asserted feasible."""
     u = outcome.u
     chosen = frozenset(f).union([e for e, v in outcome.xu.items() if v == u])
-    if not inst.active_matroid().is_independent(chosen):
-        raise InternalInvariantError("rounded LP solution is dependent")
-    if inst.view.cost(chosen) > inst.view.budget:
-        raise InternalInvariantError("rounded LP solution exceeds the budget")
-    return chosen
+    return _feasible(inst, chosen, "rounded LP solution")
 
 
 def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
@@ -291,7 +300,7 @@ def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
     first and no ratio is built.  Each that keeps the set affordable and
     independent joins it, one oracle test per element that fits the budget.
     This is the fill of Sahni's knapsack PTAS (JACM 1975); the result is
-    asserted feasible as ``round_integral``'s is.
+    asserted feasible by ``_feasible``, as ``round_integral``'s is.
     """
     view = inst.view
     P, C = view.profits, view.costs
@@ -305,11 +314,7 @@ def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
             ext = chosen | {e}
             if m.indep_fn(ext):
                 chosen, spent = ext, spent + C[e]
-    if not m.is_independent(chosen):
-        raise InternalInvariantError("completed solution is dependent")
-    if view.cost(chosen) > view.budget:
-        raise InternalInvariantError("completed solution exceeds the budget")
-    return chosen
+    return _feasible(inst, chosen, "completed solution")
 
 
 def _better(profit_a, sol_a, profit_b, sol_b) -> bool:

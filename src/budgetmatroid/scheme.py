@@ -2,13 +2,15 @@
 per-guess enumeration of F within the representative set, and the top-level
 wrapper with geometric guessing of the optimum scale.
 
-The solve path is: bootstrap LP -> certified early exit of its winner, or
-of that winner completed by ``lp.complete``, or guess grid ->
-``run_for_alpha`` per guess on one ``RunSession``: profit classes and LP
-variables on the integer view, R once per distinct class grouping, then,
-once per distinct R and LP variables, enumerate independent, affordable F
-within R -> residual LP for each F and its rounding, once per distinct LP
--> the best answer returned.  Checkers live in ``verify``.
+The solve path is: bootstrap LP -> the first certified candidate of
+``_certified_exits``, its winner or that winner completed by
+``lp.complete``, else guess grid -> ``run_for_alpha`` per guess on one
+``RunSession``: profit classes and LP variables on the integer view, R once
+per distinct class grouping, then, once per distinct R and LP variables,
+enumerate independent, affordable F within R -> residual LP for each F and
+its rounding, once per distinct LP -> the best answer returned.  The
+report's ``exit`` names the way out: "bootstrap", "completion" or "scheme".
+Checkers live in ``verify``.
 """
 
 from __future__ import annotations
@@ -97,6 +99,7 @@ class RunReport:
     profit: Fraction
     eps_target: Fraction
     eps_internal: Fraction
+    exit: str
     alpha_grid: tuple[Fraction, ...]
     alpha_best: Fraction | None
     enum_counts: dict
@@ -303,20 +306,30 @@ def _certificate(inst: BmiInstance, eps_target: Fraction, upper: Fraction, profi
     return profit * e * upper.denominator >= (e - d) * upper.numerator * inst.view.dp
 
 
+def _certified_exits(inst: BmiInstance, winner: frozenset):
+    """The candidates of the certified exits, in order, as (exit, candidate):
+    the bootstrap's winner, then that winner filled greedily by profit/cost
+    ratio.  A generator, so ``complete`` runs only after the winner misses."""
+    yield "bootstrap", winner
+    yield "completion", complete(inst, winner)
+
+
 def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -> RunReport:
-    """Full scheme with a certified early exit: guess the optimum scale
+    """Full scheme with certified early exits: guess the optimum scale
     geometrically, run the enumeration for every guess, return the best.
     ``eps_target`` is an int or a Fraction in (0, 1); any other value, a
     float included, raises ``ValidationError`` at ``eps``.
 
     The bootstrap LP bound U is at least OPT, so a solution with profit at
     least (1 - eps_target) * U meets the guarantee, whatever produced it.
-    The run first tests the bootstrap's winner, the better of the rounded
-    LP and the best singleton, and returns it with an empty grid when it
-    reaches that bound.  On a miss it fills the winner greedily by
-    profit/cost ratio (``complete``) and tests the result against the same
-    bound.  When both miss, and always with ``certify=False``, the paper's
-    scheme runs, and its report is the same on both paths.
+    The run tests the candidates of ``_certified_exits`` against that bound
+    and returns the first that reaches it, with an empty grid: the
+    bootstrap's winner, the better of the rounded LP and the best
+    singleton, then that winner completed.  When both miss, and always with
+    ``certify=False``, the paper's scheme runs, and its report is the same
+    on both paths.  The report's ``exit`` is "bootstrap", "completion" or
+    "scheme"; a zero bound certifies any profit, so a certified run with
+    U = 0 reads "bootstrap".
 
     Every grid point goes through ``run_for_alpha`` on one session, which
     runs each distinct guess once; the best answer returned is kept, under
@@ -329,16 +342,14 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     start = time.perf_counter()
     session = RunSession(inst, eps)
     view = inst.view
-    upper, lower, best = bootstrap(inst)
-    best_profit, alpha_best = view.profit(best), None
-    certified = certify and _certificate(inst, eps_target, upper, best_profit)
-    if certify and not certified:
-        # A miss means U > 0: a zero bound certifies any profit.
-        best = complete(inst, best)
+    upper, lower, winner = bootstrap(inst)
+    grid, alpha_best = (), None
+    for exit_name, best in _certified_exits(inst, winner) if certify else ():
         best_profit = view.profit(best)
-        certified = _certificate(inst, eps_target, upper, best_profit)
-    grid = ()
-    if not certified:
+        if _certificate(inst, eps_target, upper, best_profit):
+            break
+    else:
+        exit_name = "scheme"
         grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
         best, best_profit = frozenset(), 0
         for alpha in grid:
@@ -353,6 +364,7 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
         profit=profit,
         eps_target=eps_target,
         eps_internal=eps.eps,
+        exit=exit_name,
         alpha_grid=grid,
         alpha_best=alpha_best,
         enum_counts={run.alpha: run.enum_count for run in session.runs.values()},

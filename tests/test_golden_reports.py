@@ -55,6 +55,17 @@ def test_golden_file_covers_the_corpus(golden):
     assert sorted(golden) == sorted(case_key(*case) for case in CASES)
 
 
+def test_golden_exits(golden):
+    # The file's own meaning, whatever a regeneration writes: the paper's
+    # path always leaves by the scheme, and a certified exit runs no guess.
+    for case in golden.values():
+        for key, report in case.items():
+            if key.startswith("approximate eps="):
+                assert report["exit"] == "scheme"
+            elif key.startswith("approximate certified") and report["exit"] != "scheme":
+                assert report["alpha_grid"] == [] and report["lp_calls"] == 0
+
+
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case_key(*case))
 def test_reports_match_golden(golden, case):
     assert reports(*case) == golden[case_key(*case)]

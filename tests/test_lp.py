@@ -19,6 +19,7 @@ from budgetmatroid import lp
 from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import (
     LP_STATS,
+    LpOutcome,
     complete,
     lp_upper_bound,
     lp_variables,
@@ -619,3 +620,24 @@ class TestComplete:
         )
         assert complete(inst, ()) == {4, 2, 1}
         assert complete(inst, {0}) == {0, 4, 2}
+
+
+class TestFeasibilityAssertion:
+    """``round_integral`` and ``complete`` assert their result independent
+    and affordable; infeasible inputs make each message fire."""
+
+    # Rank 2 over three elements of cost 2 under budget 3: all three are
+    # dependent, and any two are independent but over budget.
+    inst = make_instance(F(3), [F(2)] * 3, [F(1)] * 3, FamilySpec("uniform", rank=2))
+    cases = [((0, 1, 2), "is dependent"), ((0, 1), "exceeds the budget")]
+
+    @pytest.mark.parametrize("chosen, failure", cases)
+    def test_round_integral(self, chosen, failure):
+        outcome = LpOutcome((0, 1, 2), dict.fromkeys(chosen, 1), 1, (), (len(chosen), 1), (0, 1))
+        with pytest.raises(InternalInvariantError, match=f"^rounded LP solution {failure}$"):
+            round_integral(self.inst, outcome, ())
+
+    @pytest.mark.parametrize("start, failure", cases)
+    def test_complete(self, start, failure):
+        with pytest.raises(InternalInvariantError, match=f"^completed solution {failure}$"):
+            complete(self.inst, start)

@@ -1,4 +1,5 @@
 import ast
+import collections
 import dataclasses
 import functools
 import itertools
@@ -30,7 +31,7 @@ from budgetmatroid import (
     serialize_instance,
 )
 from budgetmatroid.generate import GenSpec, generate_instance
-from budgetmatroid.lp import LP_STATS, bootstrap, lp_variables, solve_lp
+from budgetmatroid.lp import LP_STATS, lp_variables, solve_lp
 from budgetmatroid.matroid import min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
 from budgetmatroid.instance import format_rational
@@ -389,9 +390,8 @@ class TestRepMemo:
         assert len(report.alpha_grid) == 13 and groupings == 1
         # The bootstrap's winner alone misses the certificate; completed, it
         # certifies the default run.
-        upper, _, best = bootstrap(inst)
-        assert not _certificate(inst, F(1, 3), upper, inst.view.profit(best))
         default = approximate(inst, F(1, 3))
+        assert default.exit == "completion"
         assert default.alpha_grid == () and default.enum_counts == {} and default.lp_calls == 0
         assert default.certified_ratio >= F(2, 3)
 
@@ -712,6 +712,9 @@ def check_against_every_guess(inst, eps_target):
 
 GAP_CORPUS = [(n, seed) for n in (8, 10) for seed in range(4)]
 GAP_EPS = (F(1, 3), F(1, 10))
+# (family, seed) of generator instances at n = 10 whose default run at
+# eps 1/50 leaves by the scheme.
+SCHEME_ROWS = (("uniform", 0), ("uniform", 6), ("partition", 0), ("partition", 6), ("partition", 7))
 
 
 def without_time(report):
@@ -739,7 +742,7 @@ class TestCertifiedExit:
                 assert report.profit >= (1 - eps) * opt
                 assert inst.profit(report.solution) == report.profit
                 assert report.certified_ratio * report.upper_bound == report.profit
-                if report.alpha_grid:
+                if report.exit == "scheme":
                     # No certificate: the paper's scheme, report for report.
                     assert without_time(report) == without_time(
                         approximate(inst, eps, certify=False)
@@ -749,7 +752,7 @@ class TestCertifiedExit:
                     assert report.enum_counts == {} and report.lp_calls == 0
                 if opt < (1 - eps) * report.upper_bound:
                     # A real LP gap: nothing can certify.
-                    assert report.alpha_grid
+                    assert report.exit == "scheme"
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_generated_instances(self, family):
@@ -768,31 +771,39 @@ class TestCertifiedExit:
                     assert report.profit >= (1 - eps) * report.upper_bound
 
     def test_gap_corpus_reaches_every_exit(self):
-        # Each run leaves by one of three exits: the bootstrap's winner
-        # certifies, only its completion does, or the grid runs on a real LP
-        # gap.  A run that enumerates although OPT could certify is "other".
-        exits = set()
+        # Every run of the gap corpus, then generator runs at n = 10 and
+        # eps 1/50 that no certificate with the bootstrap bound reaches, so
+        # the default path keeps reaching the scheme.  Grouped by exit, each
+        # exit is taken and keeps its own contract.
+        by_exit = collections.defaultdict(list)
         for family in FAMILIES:
             for n, seed in GAP_CORPUS:
                 for eps in GAP_EPS:
-                    inst, opt, report = gap_run(family, n, seed, eps)
-                    upper, _, best = bootstrap(inst)
-                    if _certificate(inst, eps, upper, inst.view.profit(best)):
-                        assert not report.alpha_grid
-                        exits.add("bootstrap")
-                    elif not report.alpha_grid:
-                        exits.add("completion")
-                    elif opt < (1 - eps) * report.upper_bound:
-                        exits.add("real gap")
-                    else:
-                        exits.add("other")
-        assert exits == {"bootstrap", "completion", "real gap"}
+                    inst, _, report = gap_run(family, n, seed, eps)
+                    by_exit[report.exit].append((inst, eps, report))
+        for family, seed in SCHEME_ROWS:
+            inst, eps = generate_instance(GenSpec(family, 10, seed)), F(1, 50)
+            report = approximate(inst, eps)
+            assert report.exit == "scheme", (family, seed)
+            by_exit[report.exit].append((inst, eps, report))
+        assert set(by_exit) == {"bootstrap", "completion", "scheme"}
+        for exit_name, runs in by_exit.items():
+            for inst, eps, report in runs:
+                if exit_name == "scheme":
+                    assert without_time(report) == without_time(
+                        approximate(inst, eps, certify=False)
+                    )
+                else:
+                    assert report.alpha_grid == () and report.enum_counts == {}
+                    assert report.lp_calls == 0
+                    assert report.profit >= (1 - eps) * report.upper_bound
 
     def test_certified_at_bootstrap_solves_one_lp(self):
         for inst in (generate_instance(GenSpec("graphic", 10, 7)), gap_instance("uniform", 10, 2)):
             before = LP_STATS.solves
             report = approximate(inst, F(1, 3))
             assert LP_STATS.solves - before == 1
+            assert report.exit == "bootstrap"
             assert report.alpha_grid == () and report.enum_counts == {} and report.lp_calls == 0
             assert report.alpha_best is None and report.certified_ratio >= F(2, 3)
 
@@ -809,6 +820,8 @@ class TestCertifiedExit:
             report = approximate(inst, F(1, 3), certify=certify)
             assert report.upper_bound == 0 and report.certified_ratio == 1
             assert report.solution == ()
+            # A zero bound certifies any profit, so the winner is returned.
+            assert report.exit == ("bootstrap" if certify else "scheme")
 
     def test_certificate_boundary(self):
         # Profits 5/6, 2/3 and 1/3 scale by dp = 6 to 5, 4 and 2.  With
@@ -890,7 +903,7 @@ class TestDroppedElements:
                     assert inst.cost(solution) <= inst.budget
                     assert inst.profit(solution) == report.profit
                     assert report.dropped == inst.dropped
-                    uncertified += certify and bool(report.alpha_grid)
+                    uncertified += certify and report.exit == "scheme"
         # The default path also reaches the scheme, not only the bootstrap.
         assert uncertified
 
