@@ -274,10 +274,11 @@ def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOut
     return solve_polytope_lp(m, view.profits, view.costs, view.budget - spent, view.dp, view.dc, fs)
 
 
-def _feasible(inst: BmiInstance, chosen: frozenset, what: str) -> frozenset:
-    """``chosen``, asserted independent in the active matroid and within the
-    budget; ``what`` names it in the ``InternalInvariantError``."""
-    if not inst.active_matroid().is_independent(chosen):
+def _feasible(inst: BmiInstance, m: Matroid, chosen: frozenset, what: str) -> frozenset:
+    """``chosen``, asserted independent in ``m``, the instance's active
+    matroid, and within the budget; ``what`` names it in the
+    ``InternalInvariantError``."""
+    if not m.is_independent(chosen):
         raise InternalInvariantError(f"{what} is dependent")
     if inst.view.cost(chosen) > inst.view.budget:
         raise InternalInvariantError(f"{what} exceeds the budget")
@@ -288,7 +289,7 @@ def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> f
     """The integral part of the LP vertex joined with F; asserted feasible."""
     u = outcome.u
     chosen = frozenset(f).union([e for e, v in outcome.xu.items() if v == u])
-    return _feasible(inst, chosen, "rounded LP solution")
+    return _feasible(inst, inst.active_matroid(), chosen, "rounded LP solution")
 
 
 def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
@@ -314,7 +315,7 @@ def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
             ext = chosen | {e}
             if m.indep_fn(ext):
                 chosen, spent = ext, spent + C[e]
-    return _feasible(inst, chosen, "completed solution")
+    return _feasible(inst, m, chosen, "completed solution")
 
 
 def _better(profit_a, sol_a, profit_b, sol_b) -> bool:

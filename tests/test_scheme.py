@@ -771,32 +771,26 @@ class TestCertifiedExit:
                     assert report.profit >= (1 - eps) * report.upper_bound
 
     def test_gap_corpus_reaches_every_exit(self):
-        # Every run of the gap corpus, then generator runs at n = 10 and
-        # eps 1/50 that no certificate with the bootstrap bound reaches, so
-        # the default path keeps reaching the scheme.  Grouped by exit, each
-        # exit is taken and keeps its own contract.
+        # The gap corpus, grouped by exit, reaches all three, and a run
+        # leaves by the scheme only on a real LP gap: none enumerates while
+        # OPT could certify.  test_gap_instances checks each of these runs'
+        # contract.  The generator rows at n = 10 and eps 1/50 reach no
+        # certificate with the bootstrap bound, so the default path keeps
+        # reaching the scheme outside the gap corpus too.
         by_exit = collections.defaultdict(list)
         for family in FAMILIES:
             for n, seed in GAP_CORPUS:
                 for eps in GAP_EPS:
-                    inst, _, report = gap_run(family, n, seed, eps)
-                    by_exit[report.exit].append((inst, eps, report))
+                    _, opt, report = gap_run(family, n, seed, eps)
+                    by_exit[report.exit].append((opt, eps, report))
+        assert set(by_exit) == {"bootstrap", "completion", "scheme"}
+        for opt, eps, report in by_exit["scheme"]:
+            assert opt < (1 - eps) * report.upper_bound
         for family, seed in SCHEME_ROWS:
             inst, eps = generate_instance(GenSpec(family, 10, seed)), F(1, 50)
             report = approximate(inst, eps)
             assert report.exit == "scheme", (family, seed)
-            by_exit[report.exit].append((inst, eps, report))
-        assert set(by_exit) == {"bootstrap", "completion", "scheme"}
-        for exit_name, runs in by_exit.items():
-            for inst, eps, report in runs:
-                if exit_name == "scheme":
-                    assert without_time(report) == without_time(
-                        approximate(inst, eps, certify=False)
-                    )
-                else:
-                    assert report.alpha_grid == () and report.enum_counts == {}
-                    assert report.lp_calls == 0
-                    assert report.profit >= (1 - eps) * report.upper_bound
+            assert without_time(report) == without_time(approximate(inst, eps, certify=False))
 
     def test_certified_at_bootstrap_solves_one_lp(self):
         for inst in (generate_instance(GenSpec("graphic", 10, 7)), gap_instance("uniform", 10, 2)):
