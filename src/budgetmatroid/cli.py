@@ -119,7 +119,7 @@ def cmd_verify(args) -> int:
             print(f"FAIL {name}: {detail}")
 
     def axioms():
-        report = check_axioms(inst.active_matroid())
+        report = check_axioms(inst.matroid)
         return report.ok, report.violation
 
     def scheme_run():

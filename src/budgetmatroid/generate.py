@@ -71,19 +71,9 @@ def _random_family(rng: random.Random, family: str, n: int) -> FamilySpec:
     part = _random_family(rng, "partition", n)
     bases: list[tuple[int, ...]] = [()]
     for block, cap in zip(part.blocks, part.capacities):
-        bases = [b + c for b in bases for c in _combinations(block, cap)]
+        subs = [tuple(x for i, x in enumerate(block) if m >> i & 1) for m in range(2 ** len(block))]
+        bases = [b + c for b in bases for c in subs if len(c) == cap]
     return FamilySpec("explicit", maximal_sets=tuple(sorted(tuple(sorted(b)) for b in bases)))
-
-
-def _combinations(items: tuple[int, ...], r: int) -> list[tuple[int, ...]]:
-    """Every r-element subsequence of ``items``, in lexicographic order."""
-    if r == 0:
-        return [()]
-    return [
-        (x,) + rest
-        for i, x in enumerate(items[: len(items) - r + 1])
-        for rest in _combinations(items[i + 1 :], r - 1)
-    ]
 
 
 def generate_instance(spec: GenSpec) -> BmiInstance:

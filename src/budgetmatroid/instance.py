@@ -91,9 +91,11 @@ def format_rational(x: Fraction) -> str:
 class BmiInstance:
     """A budgeted matroid independent-set instance.
 
-    ``active`` is the set of element ids whose singleton is independent;
-    elements outside it can never appear in a solution and are excluded from
-    all computation.  ``dropped`` records them for reporting.
+    ``matroid`` is the independence oracle over the active elements, those
+    whose singleton is independent: ``make_instance`` restricts the family's
+    matroid to them, and ``active`` is its ground.  No solution and no
+    computation uses another element; ``dropped`` lists them for reports.
+    The full matroid, over all n elements, is ``construct(matroid_spec, n)``.
     """
 
     budget: Fraction
@@ -101,17 +103,15 @@ class BmiInstance:
     profits: tuple[Fraction, ...]
     matroid_spec: FamilySpec
     matroid: Matroid = field(repr=False)
-    active: frozenset = field(repr=False)
     dropped: tuple[int, ...] = ()
 
     @property
     def n(self) -> int:
         return len(self.costs)
 
-    def active_matroid(self) -> Matroid:
-        if self.active == self.matroid.ground:
-            return self.matroid
-        return restrict(self.matroid, self.active)
+    @property
+    def active(self) -> frozenset:
+        return self.matroid.ground
 
     def cost(self, elements: Iterable[int]) -> Fraction:
         return sum((self.costs[e] for e in elements), Fraction(0))
@@ -190,9 +190,10 @@ def make_instance(
         if p < 0:
             raise ValidationError("profit must be >= 0", f"elements[{i}].profit")
     matroid = construct(spec, n)
-    active = frozenset(e for e in range(n) if matroid.indep_fn(frozenset({e})))
-    dropped = tuple(e for e in range(n) if e not in active)
-    return BmiInstance(budget, costs, profits, spec, matroid, active, dropped)
+    dropped = tuple(e for e in range(n) if not matroid.indep_fn(frozenset({e})))
+    if dropped:
+        matroid = restrict(matroid, matroid.ground.difference(dropped))
+    return BmiInstance(budget, costs, profits, spec, matroid, dropped)
 
 
 def _int(value, path: str) -> int:

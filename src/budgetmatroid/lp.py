@@ -274,11 +274,10 @@ def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOut
     return solve_polytope_lp(m, view.profits, view.costs, view.budget - spent, view.dp, view.dc, fs)
 
 
-def _feasible(inst: BmiInstance, m: Matroid, chosen: frozenset, what: str) -> frozenset:
-    """``chosen``, asserted independent in ``m``, the instance's active
-    matroid, and within the budget; ``what`` names it in the
-    ``InternalInvariantError``."""
-    if not m.is_independent(chosen):
+def _feasible(inst: BmiInstance, chosen: frozenset, what: str) -> frozenset:
+    """``chosen``, asserted independent in the instance's matroid and within
+    the budget; ``what`` names it in the ``InternalInvariantError``."""
+    if not inst.matroid.is_independent(chosen):
         raise InternalInvariantError(f"{what} is dependent")
     if inst.view.cost(chosen) > inst.view.budget:
         raise InternalInvariantError(f"{what} exceeds the budget")
@@ -289,7 +288,7 @@ def round_integral(inst: BmiInstance, outcome: LpOutcome, f: Iterable[int]) -> f
     """The integral part of the LP vertex joined with F; asserted feasible."""
     u = outcome.u
     chosen = frozenset(f).union([e for e, v in outcome.xu.items() if v == u])
-    return _feasible(inst, inst.active_matroid(), chosen, "rounded LP solution")
+    return _feasible(inst, chosen, "rounded LP solution")
 
 
 def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
@@ -305,7 +304,7 @@ def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
     """
     view = inst.view
     P, C = view.profits, view.costs
-    m = inst.active_matroid()
+    indep = inst.matroid.indep_fn
     chosen = frozenset(start)
     spent = view.cost(chosen)
     rest = [e for e in sorted(inst.active - chosen) if P[e] > 0]
@@ -313,9 +312,9 @@ def complete(inst: BmiInstance, start: Iterable[int]) -> frozenset:
     for e in rest:
         if spent + C[e] <= view.budget:
             ext = chosen | {e}
-            if m.indep_fn(ext):
+            if indep(ext):
                 chosen, spent = ext, spent + C[e]
-    return _feasible(inst, m, chosen, "completed solution")
+    return _feasible(inst, chosen, "completed solution")
 
 
 def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
@@ -328,7 +327,7 @@ def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
 def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, frozenset]:
     """Bootstrap bounds and winner (upper, lower, best), lower >= upper / 3.
 
-    One call of the core on the active matroid: upper is the LP optimum
+    One call of the core on the instance's matroid: upper is the LP optimum
     (>= OPT).  best is the better, under ``_better``, of the LP's integral
     part and the best singleton (lowest id on ties, and affordable, as
     parsing rejects a cost above the budget); lower is its profit.  At most
@@ -339,7 +338,7 @@ def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, frozenset]:
         return ZERO, ZERO, frozenset()
     view = inst.view
     outcome = solve_polytope_lp(
-        inst.active_matroid(), view.profits, view.costs, view.budget, view.dp, view.dc
+        inst.matroid, view.profits, view.costs, view.budget, view.dp, view.dc
     )
     top = max(sorted(inst.active), key=view.profits.__getitem__)
     best = round_integral(inst, outcome, frozenset())

@@ -32,7 +32,7 @@ def brute_force_opt(inst: BmiInstance, cap: int = 20) -> ExactResult:
     elems = sorted(inst.active)
     if len(elems) > cap:
         raise ScaleCapError(f"{len(elems)} active elements exceed brute-force cap {cap}")
-    m = inst.active_matroid()
+    m = inst.matroid
     best_set: frozenset = frozenset()
     best_profit = ZERO
     nodes = 0

@@ -166,7 +166,7 @@ def find_rep(
     ``class_partition`` of (inst, eps, alpha), which a caller that already
     built it passes on.
     """
-    m = inst.active_matroid()
+    m = inst.matroid
     costs = inst.view.costs
     weights = {e: costs[e] for e in inst.active}
     slices: dict[int, frozenset] = {}
@@ -242,7 +242,7 @@ def run_for_alpha(session: RunSession, alpha: Fraction) -> tuple[frozenset, int]
         return run.solution, run.enum_count
 
     r_sorted = sorted(rep)
-    indep = inst.active_matroid().indep_fn
+    indep = inst.matroid.indep_fn
     view = inst.view
     memo = session.memo
     enum_count = tests = 0

@@ -308,7 +308,7 @@ def is_replacement(
 ) -> bool:
     """The four replacement properties of Z for G, decided directly."""
     gs, zs = frozenset(g), frozenset(z)
-    m = inst.active_matroid()
+    m = inst.matroid
     if not m.is_independent(gs) or len(gs) > eps.q:
         raise PreconditionError("G must be independent with |G| <= q(eps)")
     h = profitable_set(inst, eps, opt_value)
@@ -365,7 +365,7 @@ def verify_representative(
             f"{len(inst.active)} active elements exceed representative-check cap {cap}"
         )
     rs = sorted(frozenset(rep))
-    m = inst.active_matroid()
+    m = inst.matroid
     h = profitable_set(inst, eps, opt_value)
     max_size = min(eps.q, len(inst.active))
     for gs in _independent_subsets(m, max_size):

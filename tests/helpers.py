@@ -153,7 +153,7 @@ def reference_run_for_alpha(inst, eps, alpha) -> tuple[frozenset, list, int]:
     """
     r_sorted = sorted(find_rep(inst, eps, alpha).elements)
     variables = lp_variables(inst, eps.eps, alpha)
-    indep = inst.active_matroid().indep_fn
+    indep = inst.matroid.indep_fn
     oracle_calls = 0
     lp_sets = []
     best_set: frozenset = frozenset()

@@ -218,7 +218,7 @@ class TestAgainstReference:
         for n in (4, 7, 10 if family == "explicit" else 11):
             for seed in range(3):
                 inst = generate_instance(GenSpec(family, n, seed))
-                m = inst.active_matroid()
+                m = inst.matroid
                 profits = {e: inst.profits[e] for e in m.ground}
                 costs = {e: inst.costs[e] for e in m.ground}
                 check_against_reference(m, profits, costs, inst.budget)
@@ -402,7 +402,7 @@ class TestSolveLpAndRounding:
         # the one solve_rational_lp gives on the instance's rationals.
         for seed in range(4):
             inst = generate_instance(GenSpec(family, 8, seed))
-            m = inst.active_matroid()
+            m = inst.matroid
             f = frozenset({min(m.ground, key=lambda e: (inst.costs[e], e))})
             for fs in (frozenset(), f):
                 self._matches_the_rational_solve(inst, fs, inst.active)
@@ -410,7 +410,7 @@ class TestSolveLpAndRounding:
     def _matches_the_rational_solve(self, inst, fs, variables):
         # The residual matroid built by contraction and restriction, the
         # definition the base F of solve_lp's core stands for.
-        residual = restrict(contract(inst.active_matroid(), fs), variables - fs)
+        residual = restrict(contract(inst.matroid, fs), variables - fs)
         expected = solve_rational_lp(
             residual, inst.profits, inst.costs, inst.budget - inst.cost(fs)
         )
@@ -469,7 +469,7 @@ class TestSolveLpAndRounding:
         cases = 0
         for seed in range(4):
             for inst in (generate_instance(GenSpec(family, 8, seed)), gap_instance(family, 9, seed)):
-                m = inst.active_matroid()
+                m = inst.matroid
                 pairs = (
                     frozenset(pair)
                     for pair in itertools.combinations(sorted(m.ground), 2)
@@ -487,7 +487,7 @@ class TestSolveLpAndRounding:
         chosen = round_integral(inst, outcome, {1})
         assert 1 in chosen
         assert inst.cost(chosen) <= inst.budget
-        assert inst.active_matroid().is_independent(chosen)
+        assert inst.matroid.is_independent(chosen)
 
 
 class TestCoreSeam:
@@ -546,7 +546,7 @@ class TestUpperBound:
             assert best == expected
             winners.add("singleton" if best == singleton != integral else "integral")
             assert lower == inst.profit(best) == max(inst.profit(integral), top)
-            assert inst.active_matroid().is_independent(best)
+            assert inst.matroid.is_independent(best)
             assert inst.cost(best) <= inst.budget
         assert winners == {"integral", "singleton"}
 
@@ -554,7 +554,7 @@ class TestUpperBound:
 def complete_reference(inst, start):
     """``complete`` by rational ratios: zero-cost elements first, then by
     non-increasing profit/cost, ties by id, each tested on the rationals."""
-    m = inst.active_matroid()
+    m = inst.matroid
     chosen = set(start)
     rest = [e for e in inst.active - chosen if inst.profits[e] > 0]
     rest.sort(key=lambda e: (inst.costs[e] > 0, -inst.profits[e] / inst.costs[e] if inst.costs[e] else 0, e))
@@ -587,7 +587,7 @@ class TestComplete:
     def test_fills_the_start(self):
         grew = 0
         for inst in complete_corpus():
-            m = inst.active_matroid()
+            m = inst.matroid
             for start in self.starts(inst):
                 filled = complete(inst, start)
                 assert filled == complete_reference(inst, start)
@@ -599,7 +599,7 @@ class TestComplete:
 
     def test_maximal_start_is_unchanged(self):
         for inst in complete_corpus():
-            m = inst.active_matroid()
+            m = inst.matroid
             for start in self.starts(inst):
                 filled = complete(inst, start)
                 # No element of positive profit fits on top of the result.

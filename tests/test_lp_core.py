@@ -90,7 +90,7 @@ class TestAgainstReference:
                 inst = generate_instance(GenSpec(family, n, seed))
                 view = inst.view
                 same_as_reference(
-                    inst.active_matroid(), view.profits, view.costs, view.budget, view.dp, view.dc
+                    inst.matroid, view.profits, view.costs, view.budget, view.dp, view.dc
                 )
 
     @pytest.mark.parametrize("family", FAMILIES)
@@ -107,7 +107,7 @@ class TestAgainstReference:
             inst = gap_instance(family, 9, seed)
             plain, asked = counted(inst.matroid)
             for inst in (inst, dataclasses.replace(inst, matroid=plain)):
-                view, m = inst.view, inst.active_matroid()
+                view, m = inst.view, inst.matroid
                 guess = lp_variables(inst, eps.eps, lp_upper_bound(inst)[1])
                 for size in range(3):
                     for f in map(frozenset, itertools.combinations(sorted(inst.active), size)):
@@ -254,7 +254,7 @@ def test_greedy_passes_on_the_lp_bound_corpus(monkeypatch):
         lp_upper_bound(inst)
         view = inst.view
         newton_lp_reference(
-            inst.active_matroid(), view.profits, view.costs, view.budget, view.dp, view.dc
+            inst.matroid, view.profits, view.costs, view.budget, view.dp, view.dc
         )
     assert passes["walks"] > 0
     assert passes == {"core": 487, "walk": 0, "reference": 815, "walks": passes["walks"]}

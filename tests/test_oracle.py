@@ -57,7 +57,7 @@ class TestBruteForce:
         inst = random_instance(
             rng, rng.choice(("uniform", "partition", "graphic", "linear")), rng.randint(1, 8)
         )
-        m = inst.active_matroid()
+        m = inst.matroid
         elems = sorted(inst.active)
         best, optimal = F(0), []
         for size in range(len(elems) + 1):

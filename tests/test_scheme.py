@@ -32,9 +32,9 @@ from budgetmatroid import (
 )
 from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import LP_STATS, lp_variables, solve_lp
-from budgetmatroid.matroid import min_weight_basis, restrict, truncate
+from budgetmatroid.matroid import Matroid, min_weight_basis, restrict, truncate
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.instance import format_rational
+from budgetmatroid.instance import BmiInstance, format_rational
 from budgetmatroid.scheme import (
     RunReport,
     RunSession,
@@ -280,7 +280,7 @@ class TestFindRep:
             eps = EpsParam(3)
             alpha = F(rng.randint(1, 30))
             rep = find_rep(inst, eps, alpha)
-            m = inst.active_matroid()
+            m = inst.matroid
             classes = class_partition(inst, eps, alpha)
             assert set(rep.slices) == set(classes)
             level = min(eps.q, len(inst.active))
@@ -311,7 +311,7 @@ class TestFindRep:
             if not classes:
                 assert rep.elements == frozenset()
                 continue
-            m = inst.active_matroid()
+            m = inst.matroid
             level = min(eps.q, len(inst.active))
             parts = [
                 truncate(restrict(m, members), level) for members in classes.values()
@@ -336,7 +336,7 @@ class TestFindRep:
             upper, lower = lp_upper_bound(inst)
             if upper == 0:
                 continue
-            m = inst.active_matroid()
+            m = inst.matroid
             for alpha in alpha_grid(lower, upper, eps):
                 rep = find_rep(inst, eps, alpha)
                 classes = class_partition(inst, eps, alpha)
@@ -544,7 +544,7 @@ class TestApproximate:
             )
             report = approximate(inst, F(1, 3))
             assert report.profit >= F(2, 3) * brute_force_opt(inst).profit
-            assert inst.active_matroid().is_independent(frozenset(report.solution))
+            assert inst.matroid.is_independent(frozenset(report.solution))
             assert inst.cost(report.solution) <= inst.budget
             assert inst.profit(report.solution) == report.profit
 
@@ -764,7 +764,7 @@ class TestCertifiedExit:
                 for eps in (F(1, 2), F(1, 3)):
                     report = approximate(inst, eps)
                     assert inst.profit(report.solution) == report.profit
-                    assert inst.active_matroid().is_independent(report.solution)
+                    assert inst.matroid.is_independent(report.solution)
                     assert inst.cost(report.solution) <= inst.budget
                     assert report.alpha_grid == () and report.enum_counts == {}
                     assert report.lp_calls == 0
@@ -900,6 +900,54 @@ class TestDroppedElements:
                     uncertified += certify and report.exit == "scheme"
         # The default path also reaches the scheme, not only the bootstrap.
         assert uncertified
+
+    def test_active_is_the_matroid_ground(self):
+        assert "active" not in {f.name for f in dataclasses.fields(BmiInstance)}
+        for seed in range(3):
+            for inst in (
+                *(generate_instance(GenSpec(family, 8, seed)) for family in FAMILIES),
+                *(dropped_instance(kind, seed) for kind in DROPPED_KINDS),
+            ):
+                assert inst.active is inst.matroid.ground
+                assert inst.active.isdisjoint(inst.dropped)
+                assert inst.active.union(inst.dropped) == frozenset(range(inst.n))
+
+    @pytest.mark.parametrize("kind", DROPPED_KINDS)
+    def test_a_bootstrap_exit_builds_no_matroid(self, monkeypatch, kind):
+        # The instance keeps its one handle on the active elements, so a run
+        # certified at the bootstrap builds none.
+        inst = dropped_instance(kind, 0)
+        built = []
+        init = Matroid.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Matroid, "__init__", counted)
+        report = approximate(inst, F(1, 3))
+        assert report.exit == "bootstrap"
+        assert built == []
+
+    @pytest.mark.parametrize("kind", ("plain", *DROPPED_KINDS))
+    def test_a_counted_oracle_changes_no_report(self, kind):
+        # A tracer counts the oracle by swapping in a handle on the same
+        # ground whose test counts each call, with dataclasses.replace.
+        inst = gap_instance("graphic", 10, 0) if kind == "plain" else dropped_instance(kind, 0)
+        m, tests = inst.matroid, []
+
+        def indep(s):
+            tests.append(s)
+            return m.indep_fn(s)
+
+        counted = dataclasses.replace(inst, matroid=Matroid(m.ground, indep, m.label))
+        assert counted.active == inst.active and counted.dropped == inst.dropped
+        for certify in (True, False):
+            tests.clear()
+            report = approximate(counted, F(1, 3), certify=certify)
+            assert without_time(report) == without_time(approximate(inst, F(1, 3), certify=certify))
+        assert report.exit == "scheme"
+        assert len(tests) >= report.oracle_calls > 0
 
 
 class TestCheckers:
