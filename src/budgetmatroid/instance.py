@@ -158,6 +158,8 @@ class IntegerView:
 
 def _exact(value, path: str) -> Fraction:
     # A float would bring in its binary value silently, and bool is an int.
+    if type(value) is Fraction:  # immutable, so returned as it is
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         raise ValidationError(f"expected an int or a Fraction, got {value!r}", path)
     return Fraction(value)

@@ -46,8 +46,6 @@ from .errors import InternalInvariantError, PreconditionError
 from .instance import BmiInstance
 from .matroid import Matroid, greedy, restrict
 
-ZERO = Fraction(0)
-
 
 class LpStats:
     """Process-wide counts of LP solves and the most fractional entries in
@@ -148,7 +146,8 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int, base=frozenset
     sorts on b*P_e - a*C_e, a positive multiple of p_e - lambda*c_e.
     ``dp`` and ``dc`` only scale the outcome: it keeps the point as the
     integers x*u, the objective as u*dp*p.x over u*dp and lambda* as a*dc
-    over b*dp, all in lowest terms.
+    over b*dp, all in lowest terms.  The items are sorted by cost once per
+    LP, and each Newton probe sorts those with w >= 0 by weight once.
     """
     if B < 0:
         raise PreconditionError("negative residual budget")
@@ -187,12 +186,12 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int, base=frozenset
             if e in heavy and lc + C[e] <= B:
                 lc, lp = lc + C[e], lp + P[e]
         n = len(items)
+        # (-C, id), as a reverse sort keeps ties in order: the walk's first order is (-w, -C, id).
+        by_cost = sorted(items, key=C.__getitem__, reverse=True)
         for _ in range(n * n + n + 1):
             a, b = hp - lp, hc - lc
             w = {e: b * P[e] - a * C[e] for e in items}
-            # The walk's first order, (-w, -C, id) on weights >= 0.
-            left = [e for e in items if w[e] >= 0]
-            left.sort(key=C.__getitem__, reverse=True)
+            left = [e for e in by_cost if w[e] >= 0]
             left.sort(key=w.__getitem__, reverse=True)
             probe = greedy(m, left, base)
             pc = cost(probe)
@@ -324,23 +323,24 @@ def _better(profit_a, sol_a, profit_b, sol_b) -> bool:
     return tuple(sorted(sol_a)) < tuple(sorted(sol_b))
 
 
-def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, frozenset]:
-    """Bootstrap bounds and winner (upper, lower, best), lower >= upper / 3.
+def bootstrap(inst: BmiInstance) -> tuple[Fraction, int, frozenset]:
+    """Bootstrap bound and winner (upper, profit, best), 3 * profit / dp >= upper.
 
     One call of the core on the instance's matroid: upper is the LP optimum
     (>= OPT).  best is the better, under ``_better``, of the LP's integral
-    part and the best singleton (lowest id on ties, and affordable, as
-    parsing rejects a cost above the budget); lower is its profit.  At most
-    two fractional entries, each worth at most one singleton, give the
-    factor 3, checked on the ``IntegerView`` and the objective pair.
+    part and the best singleton of the LP's sorted domain (lowest id on
+    ties, and affordable, as parsing rejects a cost above the budget);
+    profit is its profit in the ``IntegerView``, dp times the lower bound.
+    At most two fractional entries, each worth at most one singleton, give
+    the factor 3, checked on the integers and the objective pair.
     """
     if not inst.active:
-        return ZERO, ZERO, frozenset()
+        return Fraction(0), 0, frozenset()
     view = inst.view
     outcome = solve_polytope_lp(
         inst.matroid, view.profits, view.costs, view.budget, view.dp, view.dc
     )
-    top = max(sorted(inst.active), key=view.profits.__getitem__)
+    top = max(outcome.domain, key=view.profits.__getitem__)
     best = round_integral(inst, outcome, frozenset())
     profit = view.profit(best)
     if _better(view.profits[top], (top,), profit, best):
@@ -348,9 +348,10 @@ def bootstrap(inst: BmiInstance) -> tuple[Fraction, Fraction, frozenset]:
     num, den = outcome.objective_pair
     if 3 * profit * den < num * view.dp:
         raise InternalInvariantError("bootstrap gap exceeded the factor-3 bound")
-    return outcome.objective, Fraction(profit, view.dp), best
+    return outcome.objective, profit, best
 
 
 def lp_upper_bound(inst: BmiInstance) -> tuple[Fraction, Fraction]:
     """Bootstrap bounds (upper, lower) with lower >= upper / 3; see ``bootstrap``."""
-    return bootstrap(inst)[:2]
+    upper, profit, _ = bootstrap(inst)
+    return upper, Fraction(profit, inst.view.dp)

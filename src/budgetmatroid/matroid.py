@@ -61,14 +61,16 @@ def greedy(m: Matroid, order: Iterable[int], base: frozenset = frozenset()) -> f
     non-increasing weight, the result is a maximum-weight independent set
     of the contraction by ``base``, and any prefix of ``order`` yields its
     intersection with that prefix.  The oracle's incremental ``scan``
-    computes the set when it has one, on ``base`` followed by ``order``:
-    an independent base is kept whole, so the rest is the set on top of
-    it.  Otherwise the loop below, the reference the scans are tested
-    against, tests one set per element.  Both raise ``PreconditionError``
-    on a dependent base.
+    computes the set when it has one: on ``order`` alone with no base, else
+    on ``base`` then ``order``, where an independent base is kept whole.
+    Otherwise the loop below, the reference the scans are tested against,
+    tests one set per element.  Both raise ``PreconditionError`` on a
+    dependent base.
     """
     scan = getattr(m.indep_fn, "scan", None)
     if scan is not None:
+        if not base:
+            return scan(order)
         kept = scan([*base, *order])
         if not base <= kept:
             raise PreconditionError("greedy base is dependent")

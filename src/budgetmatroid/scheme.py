@@ -48,11 +48,13 @@ class EpsParam:
 
     @classmethod
     def from_target(cls, eps_target: Fraction) -> "EpsParam":
-        """Internal parameter for the top-level guarantee: eps_internal <= eps_target / 7."""
-        if not 0 < eps_target < 1:
+        """Internal parameter k = ceil(7e/d) for eps_target = d/e in lowest
+        terms, an int or a Fraction in (0, 1), so eps_internal <= eps_target / 7;
+        any other value, a float included, raises ``ValidationError`` at ``eps``."""
+        d, e = _exact(eps_target, "eps").as_integer_ratio()
+        if not 0 < d < e:
             raise ValidationError("eps target must lie in (0, 1)", "eps")
-        k = -((-7) // eps_target)  # ceil(7 / eps_target) for exact rationals
-        return cls(int(k))
+        return cls(-(-7 * e // d))
 
     @property
     def eps(self) -> Fraction:
@@ -306,12 +308,14 @@ def _certificate(inst: BmiInstance, eps_target: Fraction, upper: Fraction, profi
     return profit * e * upper.denominator >= (e - d) * upper.numerator * inst.view.dp
 
 
-def _certified_exits(inst: BmiInstance, winner: frozenset):
-    """The candidates of the certified exits, in order, as (exit, candidate):
-    the bootstrap's winner, then that winner filled greedily by profit/cost
-    ratio.  A generator, so ``complete`` runs only after the winner misses."""
-    yield "bootstrap", winner
-    yield "completion", complete(inst, winner)
+def _certified_exits(inst: BmiInstance, winner: frozenset, profit: int):
+    """The candidates of the certified exits, in order, as (exit, candidate,
+    profit in the ``IntegerView``): the bootstrap's winner and its profit,
+    then that winner filled greedily by profit/cost ratio.  A generator, so
+    ``complete`` runs only after the winner misses."""
+    yield "bootstrap", winner, profit
+    filled = complete(inst, winner)
+    yield "completion", filled, inst.view.profit(filled)
 
 
 def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -> RunReport:
@@ -331,34 +335,35 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     "scheme"; a zero bound certifies any profit, so a certified run with
     U = 0 reads "bootstrap".
 
-    Every grid point goes through ``run_for_alpha`` on one session, which
-    runs each distinct guess once; the best answer returned is kept, under
-    the first grid point that returns it.  The report's enumeration counts
-    come from the session's recorded runs, in grid order.  A zero LP bound
-    leaves the grid empty and the answer empty.
+    Only the scheme builds a session, and every grid point goes through
+    ``run_for_alpha`` on it, which runs each distinct guess once; the best
+    answer returned is kept, under the first grid point that returns it.
+    The report's enumeration counts come from the session's recorded runs,
+    in grid order.  A zero LP bound leaves the grid empty and the answer empty.
     """
-    eps_target = _exact(eps_target, "eps")
+    # No int lies in (0, 1), so an eps_target that passes is a Fraction.
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
-    session = RunSession(inst, eps)
     view = inst.view
     upper, lower, winner = bootstrap(inst)
-    grid, alpha_best = (), None
-    for exit_name, best in _certified_exits(inst, winner) if certify else ():
-        best_profit = view.profit(best)
+    grid, alpha_best, enum_counts, lp_calls, oracle_calls = (), None, {}, 0, 0
+    for exit_name, best, best_profit in _certified_exits(inst, winner, lower) if certify else ():
         if _certificate(inst, eps_target, upper, best_profit):
             break
     else:
-        exit_name = "scheme"
-        grid = alpha_grid(lower, upper, eps) if upper > 0 else ()
+        exit_name, session = "scheme", RunSession(inst, eps)
+        grid = alpha_grid(Fraction(lower, view.dp), upper, eps) if upper > 0 else ()
         best, best_profit = frozenset(), 0
         for alpha in grid:
             solution, _ = run_for_alpha(session, alpha)
             profit = view.profit(solution)
             if alpha_best is None or _better(profit, solution, best_profit, best):
                 best, best_profit, alpha_best = solution, profit, alpha
+        enum_counts = {run.alpha: run.enum_count for run in session.runs.values()}
+        lp_calls, oracle_calls = len(session.memo), session.oracle_calls
 
     profit = Fraction(best_profit, view.dp)
+    num, den = best_profit * upper.denominator, view.dp * upper.numerator  # profit / upper
     return RunReport(
         solution=tuple(sorted(best)),
         profit=profit,
@@ -367,11 +372,11 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
         exit=exit_name,
         alpha_grid=grid,
         alpha_best=alpha_best,
-        enum_counts={run.alpha: run.enum_count for run in session.runs.values()},
-        lp_calls=len(session.memo),
-        oracle_calls=session.oracle_calls,
+        enum_counts=enum_counts,
+        lp_calls=lp_calls,
+        oracle_calls=oracle_calls,
         wall_ms=(time.perf_counter() - start) * 1000,
         dropped=inst.dropped,
         upper_bound=upper,
-        certified_ratio=profit / upper if upper > 0 else Fraction(1),
+        certified_ratio=Fraction(num, den) if den else Fraction(1),
     )

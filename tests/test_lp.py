@@ -531,8 +531,10 @@ class TestUpperBound:
         winners = set()
         for _ in range(30):
             inst = random_instance(rng, rng.choice(("uniform", "partition", "linear")), rng.randint(0, 8))
-            upper, lower, best = lp.bootstrap(inst)
+            upper, profit, best = lp.bootstrap(inst)
+            lower = F(profit, inst.view.dp)
             assert (upper, lower) == lp_upper_bound(inst)
+            assert profit == inst.view.profit(best)
             if not inst.active:
                 assert best == frozenset() and lower == 0
                 continue

@@ -85,6 +85,18 @@ class TestEpsParam:
             with pytest.raises(ValidationError):
                 EpsParam.from_target(bad)
 
+    @pytest.mark.parametrize("eps", [0.1, True, "1/3"])
+    def test_from_target_takes_an_int_or_fraction(self, eps):
+        with pytest.raises(ValidationError) as info:
+            EpsParam.from_target(eps)
+        assert info.value.path == "eps"
+
+    def test_from_target_matches_the_fraction_ceiling(self):
+        # k = ceil(7e/d) on the integers of eps = d/e is the rational ceiling.
+        for e in range(2, 61):
+            for d in range(1, e):
+                assert EpsParam.from_target(F(d, e)).k == -((-7) // F(d, e))
+
     def test_internal_eps_small_enough(self):
         for target in (F(1, 3), F(1, 2), F(1, 7), F(9, 10)):
             assert EpsParam.from_target(target).eps <= target / 7
@@ -791,6 +803,38 @@ class TestCertifiedExit:
             report = approximate(inst, eps)
             assert report.exit == "scheme", (family, seed)
             assert without_time(report) == without_time(approximate(inst, eps, certify=False))
+
+    def test_only_the_scheme_builds_a_session(self, monkeypatch):
+        # The runs of the exit table, and one with a zero bound, made afresh:
+        # a certified exit builds no session and the scheme exactly one.
+        # The ratio, built from integers, is profit / U, or 1 when U = 0.
+        built = []
+
+        class CountedSession(budgetmatroid.scheme.RunSession):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(budgetmatroid.scheme, "RunSession", CountedSession)
+        runs = [
+            (gap_instance(family, n, seed), eps)
+            for family in FAMILIES
+            for n, seed in GAP_CORPUS
+            for eps in GAP_EPS
+        ]
+        runs += [(generate_instance(GenSpec(family, 10, seed)), F(1, 50)) for family, seed in SCHEME_ROWS]
+        zero = make_instance(F(2), [F(1), F(1)], [F(0), F(0)], FamilySpec("uniform", rank=2))
+        runs.append((zero, F(1, 3)))
+        exits = collections.Counter()
+        for inst, eps in runs:
+            built.clear()
+            report = approximate(inst, eps)
+            exits[report.exit] += 1
+            assert len(built) == (report.exit == "scheme")
+            upper = report.upper_bound
+            assert report.certified_ratio == (report.profit / upper if upper else 1)
+        assert set(exits) == {"bootstrap", "completion", "scheme"}
+        assert exits["scheme"] > len(SCHEME_ROWS)
 
     def test_certified_at_bootstrap_solves_one_lp(self):
         for inst in (generate_instance(GenSpec("graphic", 10, 7)), gap_instance("uniform", 10, 2)):
