@@ -18,7 +18,8 @@ one removal or swap per step, at most one oracle test each.  The two sets
 on either side of the budget mix into a budget-tight vertex with at most
 two fractional entries.  Every solve checks primal = dual and that bound.
 A residual LP, over M/F for a guess F, runs every greedy pass and walk
-test on top of the independent base F, with no handle built for M/F.
+test on top of the independent base F, over the variables it is given:
+no handle is built for M/F or for M on the variables and F.
 
 The solve runs on integers: the core takes profits times D_p and costs and
 budget times D_c, lambda = a/b is a pair of integers, and ``LpOutcome``
@@ -44,7 +45,7 @@ from typing import Iterable, Mapping
 
 from .errors import InternalInvariantError, PreconditionError
 from .instance import BmiInstance
-from .matroid import Matroid, greedy, restrict
+from .matroid import Matroid, greedy
 
 
 class LpStats:
@@ -136,10 +137,11 @@ def _walk(m: Matroid, seq: list[int], w: Mapping[int, int], costs, kept: set, ba
                         yield e, f
 
 
-def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int, base=frozenset()) -> LpOutcome:
+def solve_polytope_lp(m: Matroid, variables, P, C, B, dp, dc, base=frozenset()) -> LpOutcome:
     """Exact basic optimum of max{p.x : c.x <= budget, x in P_M/base, x >= 0} on integers.
 
-    The integer core, on ``m.ground`` - ``base``, which must be independent.
+    The integer core over ``variables``, elements of ``m.ground`` outside
+    the independent ``base``; it reads ``m``'s oracle, not ``m.ground``.
     ``P`` and ``C``, mappings or sequences indexed by element, give each
     element its profit times ``dp`` and its cost times ``dc``, all integers,
     and ``B`` is the budget times ``dc``.  At lambda = a/b the greedy order
@@ -151,7 +153,7 @@ def solve_polytope_lp(m: Matroid, P, C, B: int, dp: int, dc: int, base=frozenset
     """
     if B < 0:
         raise PreconditionError("negative residual budget")
-    domain = tuple(sorted(m.ground - base if base else m.ground))
+    domain = tuple(sorted(variables))
     items = [e for e in domain if P[e] > 0]
     cost = lambda s: sum(map(C.__getitem__, s))
     profit = lambda s: sum(map(P.__getitem__, s))
@@ -258,9 +260,8 @@ def lp_variables(inst: BmiInstance, eps: Fraction, alpha: Fraction) -> frozenset
 
 def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOutcome:
     """Exact basic optimum of the budget-constrained polytope LP given fixed,
-    independent F, over the elements of ``variables`` outside F, both within
-    the active set: one call of the integer core with base F on the
-    instance's ``IntegerView``."""
+    independent F, over ``variables`` - F, both within the active set: one
+    core call on the instance's matroid and ``IntegerView``, with base F."""
     fs = frozenset(f)
     pool = variables | fs
     if not pool <= inst.active:
@@ -269,8 +270,8 @@ def solve_lp(inst: BmiInstance, f: Iterable[int], variables: frozenset) -> LpOut
     spent = view.cost(fs)
     if spent > view.budget:
         raise PreconditionError("F exceeds the budget")
-    m = restrict(inst.matroid, pool)
-    return solve_polytope_lp(m, view.profits, view.costs, view.budget - spent, view.dp, view.dc, fs)
+    P, C, B = view.profits, view.costs, view.budget - spent
+    return solve_polytope_lp(inst.matroid, variables - fs, P, C, B, view.dp, view.dc, fs)
 
 
 def _feasible(inst: BmiInstance, chosen: frozenset, what: str) -> frozenset:
@@ -337,14 +338,13 @@ def bootstrap(inst: BmiInstance) -> tuple[Fraction, int, frozenset]:
     if not inst.active:
         return Fraction(0), 0, frozenset()
     view = inst.view
-    outcome = solve_polytope_lp(
-        inst.matroid, view.profits, view.costs, view.budget, view.dp, view.dc
-    )
-    top = max(outcome.domain, key=view.profits.__getitem__)
+    P, C = view.profits, view.costs
+    outcome = solve_polytope_lp(inst.matroid, inst.active, P, C, view.budget, view.dp, view.dc)
+    top = max(outcome.domain, key=P.__getitem__)
     best = round_integral(inst, outcome, frozenset())
     profit = view.profit(best)
-    if _better(view.profits[top], (top,), profit, best):
-        best, profit = frozenset((top,)), view.profits[top]
+    if _better(P[top], (top,), profit, best):
+        best, profit = frozenset((top,)), P[top]
     num, den = outcome.objective_pair
     if 3 * profit * den < num * view.dp:
         raise InternalInvariantError("bootstrap gap exceeded the factor-3 bound")

@@ -345,14 +345,15 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
     eps = EpsParam.from_target(eps_target)
     start = time.perf_counter()
     view = inst.view
-    upper, lower, winner = bootstrap(inst)
+    upper, winner_profit, winner = bootstrap(inst)
     grid, alpha_best, enum_counts, lp_calls, oracle_calls = (), None, {}, 0, 0
-    for exit_name, best, best_profit in _certified_exits(inst, winner, lower) if certify else ():
+    exits = _certified_exits(inst, winner, winner_profit) if certify else ()
+    for exit_name, best, best_profit in exits:
         if _certificate(inst, eps_target, upper, best_profit):
             break
     else:
         exit_name, session = "scheme", RunSession(inst, eps)
-        grid = alpha_grid(Fraction(lower, view.dp), upper, eps) if upper > 0 else ()
+        grid = alpha_grid(Fraction(winner_profit, view.dp), upper, eps) if upper > 0 else ()
         best, best_profit = frozenset(), 0
         for alpha in grid:
             solution, _ = run_for_alpha(session, alpha)
@@ -362,11 +363,10 @@ def approximate(inst: BmiInstance, eps_target: Fraction, certify: bool = True) -
         enum_counts = {run.alpha: run.enum_count for run in session.runs.values()}
         lp_calls, oracle_calls = len(session.memo), session.oracle_calls
 
-    profit = Fraction(best_profit, view.dp)
     num, den = best_profit * upper.denominator, view.dp * upper.numerator  # profit / upper
     return RunReport(
         solution=tuple(sorted(best)),
-        profit=profit,
+        profit=Fraction(best_profit, view.dp),
         eps_target=eps_target,
         eps_internal=eps.eps,
         exit=exit_name,

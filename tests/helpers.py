@@ -5,8 +5,11 @@ ranks and bases come from exhaustive bitmask enumeration, not from the
 greedy routines, and the reference enumeration of F scans every
 combination rather than pruning.  ``newton_lp_reference`` keeps the LP
 core as it was before its walk updated the greedy set in place: it runs
-one full greedy pass per set it visits.  ``solve_rational_lp`` and
-``lp_point`` are the tests' rational entry to the LP core and its point.
+one full greedy pass per set it visits.  ``loop_greedy`` is the generic
+greedy loop, one independence test per element, that the oracles'
+incremental scans and ``matroid.greedy`` are diffed against.
+``solve_rational_lp`` and ``lp_point`` are the tests' rational entry to
+the LP core and its point.
 """
 
 from __future__ import annotations
@@ -81,6 +84,15 @@ def all_bases(m: Matroid) -> list[frozenset]:
     indep = all_independent_sets(m)
     top = max(len(s) for s in indep)
     return [s for s in indep if len(s) == top]
+
+
+def loop_greedy(indep, base, order):
+    """The generic greedy loop from ``base``: one independence test per element."""
+    kept = frozenset(base)
+    for e in order:
+        if indep(kept | {e}):
+            kept = kept | {e}
+    return kept
 
 
 def maximal_sets_reference(m: Matroid) -> tuple[tuple[int, ...], ...]:
@@ -228,7 +240,8 @@ def solve_rational_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
     dc = lcm(budget.denominator, *(costs[e].denominator for e in domain))
     P = dict(zip(domain, _scaled((profits[e] for e in domain), dp)))
     C = dict(zip(domain, _scaled((costs[e] for e in domain), dc)))
-    return solve_polytope_lp(m, P, C, budget.numerator * (dc // budget.denominator), dp, dc)
+    B = budget.numerator * (dc // budget.denominator)
+    return solve_polytope_lp(m, m.ground, P, C, B, dp, dc)
 
 
 def lp_point(outcome: LpOutcome) -> FractionalPoint:

@@ -17,7 +17,7 @@ from budgetmatroid.families import FIELDS, check_basis_exchange
 from budgetmatroid.instance import parse_instance
 from budgetmatroid.matroid import greedy
 from budgetmatroid.verify import check_axioms, columns_independent_reference, rank
-from helpers import FAMILIES, all_bases, listed_sets_matroid, random_matroid
+from helpers import FAMILIES, all_bases, listed_sets_matroid, loop_greedy, random_matroid
 
 # Denominators of the random column entries, by kind.
 COLUMN_DENOMINATORS = {
@@ -482,20 +482,11 @@ class TestBasisExchange:
         assert rejected >= 40
 
 
-def loop_scan(indep, base, order):
-    """The generic greedy loop from ``base``: one independence test per element."""
-    kept = frozenset(base)
-    for e in order:
-        if indep(kept | {e}):
-            kept = kept | {e}
-    return kept
-
-
 def random_independent(rng, m):
     """A random subset of the greedy set of a random order: independent."""
     order = sorted(m.ground)
     rng.shuffle(order)
-    greedy_set = loop_scan(m.indep_fn, (), order)
+    greedy_set = loop_greedy(m.indep_fn, (), order)
     return frozenset(e for e in greedy_set if rng.random() < 0.5)
 
 
@@ -508,7 +499,7 @@ def random_order(rng, m):
 
 def assert_scan_matches_loop(m, base, order):
     """The scan of base followed by order: the loop's set from the base."""
-    assert m.indep_fn.scan([*base, *order]) == loop_scan(m.indep_fn, base, order), (base, order)
+    assert m.indep_fn.scan([*base, *order]) == loop_greedy(m.indep_fn, base, order), (base, order)
 
 
 DEGENERATE = {

@@ -39,7 +39,7 @@ def solved(core, *args):
 
 
 def same_as_reference(m, P, C, B, dp=1, dc=1):
-    outcome = solved(lp.solve_polytope_lp, m, P, C, B, dp, dc)
+    outcome = solved(lp.solve_polytope_lp, m, m.ground, P, C, B, dp, dc)
     assert outcome == solved(newton_lp_reference, m, P, C, B, dp, dc)
     return outcome
 

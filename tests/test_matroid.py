@@ -21,7 +21,14 @@ from budgetmatroid.verify import (
     rank,
     union,
 )
-from helpers import FAMILIES, all_bases, exhaustive_rank, listed_sets_matroid, random_matroid
+from helpers import (
+    FAMILIES,
+    all_bases,
+    exhaustive_rank,
+    listed_sets_matroid,
+    loop_greedy,
+    random_matroid,
+)
 
 
 def uniform(r, n):
@@ -174,15 +181,6 @@ class TestCheckAxioms:
     def test_refuses_large_ground(self):
         with pytest.raises(ScaleCapError):
             check_axioms(uniform(3, 11))
-
-
-def loop_greedy(indep, base, order):
-    """The generic greedy loop from ``base``: one independence test per element."""
-    kept = frozenset(base)
-    for e in order:
-        if indep(kept | {e}):
-            kept = kept | {e}
-    return kept
 
 
 def random_derived(rng, m):

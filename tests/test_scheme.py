@@ -973,6 +973,35 @@ class TestDroppedElements:
         assert report.exit == "bootstrap"
         assert built == []
 
+    @pytest.mark.parametrize("kind", ("graphic", "linear", "partition", "gap"))
+    def test_a_residual_lp_builds_no_matroid(self, monkeypatch, kind):
+        # solve_lp hands the core the instance's matroid and its variables,
+        # so the paper path's residual LPs build no handle of their own.
+        if kind == "gap":
+            inst, eps = gap_instance("graphic", 12, 0), F(1, 10)
+        else:
+            inst, eps = dropped_instance(kind, 0), F(1, 3)
+        solving, built = [False], []
+        init, solve = Matroid.__init__, budgetmatroid.scheme.solve_lp
+
+        def counted(self, *args, **kwargs):
+            if solving[0]:
+                built.append(args)
+            init(self, *args, **kwargs)
+
+        def flagged(*args):
+            solving[0] = True
+            try:
+                return solve(*args)
+            finally:
+                solving[0] = False
+
+        monkeypatch.setattr(Matroid, "__init__", counted)
+        monkeypatch.setattr(budgetmatroid.scheme, "solve_lp", flagged)
+        report = approximate(inst, eps, certify=False)
+        assert report.lp_calls > 0
+        assert built == []
+
     @pytest.mark.parametrize("kind", ("plain", *DROPPED_KINDS))
     def test_a_counted_oracle_changes_no_report(self, kind):
         # A tracer counts the oracle by swapping in a handle on the same
