@@ -1,7 +1,7 @@
 """Budgeted matroid independent set: an efficient approximation scheme with
 exact rational arithmetic, plus a desk-scale brute-force optimum.  The
-property checkers, rank, contraction, polytope points and the knapsack DP
-live in ``budgetmatroid.verify``, which this package does not load."""
+property checkers live in ``budgetmatroid.verify``, which this package does
+not load."""
 
 from .errors import (
     BudgetMatroidError,

@@ -27,8 +27,8 @@ keeps x*u (u the denominator of theta), the objective and lambda* as
 integers.  ``solve_lp`` and ``bootstrap`` call the core on the instance's
 ``IntegerView``.  The tests diff the core against a reference core
 (residual LPs on hand-built M/F handles) and, through a rational entry that
-scales by the denominators' lcms, against
-``verify.solve_polytope_lp_reference``.
+scales by the denominators' lcms, against an LP value found by listing
+independent sets.
 
 ``complete`` fills an independent, affordable set greedily by profit/cost
 ratio; the scheme's certified exit runs it on the bootstrap's winner when

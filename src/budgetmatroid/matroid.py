@@ -15,8 +15,8 @@ a base: it scans the base ahead of the order and rejects a dependent one,
 so residual LPs need no contraction handle, and the scheme truncates a
 class matroid only above k^k elements.  A handle carries no counter: the
 scheme counts the independence tests of its enumeration where it makes
-them.  Code used only to verify matroids (rank, contraction, disjoint
-union, axiom checker) lives in ``verify``.
+them.  The axiom checker lives in ``verify``; rank, contraction and
+disjoint union, which no solve uses, are left to the tests.
 
 Every routine that scans elements does so in ascending element id, which
 makes all outputs deterministic.

@@ -3,8 +3,7 @@
 The search prunes using only the hereditary axiom, so it stays correct even
 against an oracle that violates the exchange axiom — useful when diagnosing
 a broken family implementation.  ``budgetmatroid solve --exact`` and
-``budgetmatroid exact`` run it; the knapsack DP, used only to check it,
-lives in ``verify``.
+``budgetmatroid exact`` run it; the tests check it against a knapsack DP.
 """
 
 from __future__ import annotations

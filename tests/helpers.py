@@ -8,8 +8,8 @@ core as it was before its walk updated the greedy set in place: it runs
 one full greedy pass per set it visits.  ``loop_greedy`` is the generic
 greedy loop, one independence test per element, that the oracles'
 incremental scans and ``matroid.greedy`` are diffed against.
-``solve_rational_lp`` and ``lp_point`` are the tests' rational entry to
-the LP core and its point.
+``solve_rational_lp`` is the tests' rational entry to the LP core.
+``reference.py`` holds the references that moved out of the package.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from budgetmatroid.lp import (
 )
 from budgetmatroid.matroid import Matroid, greedy
 from budgetmatroid.scheme import EpsParam, _better, find_rep
-from budgetmatroid.verify import FractionalPoint
 
 FAMILIES = ("uniform", "partition", "graphic", "linear", "explicit")
 
@@ -242,12 +241,6 @@ def solve_rational_lp(m: Matroid, profits, costs, budget) -> LpOutcome:
     C = dict(zip(domain, _scaled((costs[e] for e in domain), dc)))
     B = budget.numerator * (dc // budget.denominator)
     return solve_polytope_lp(m, m.ground, P, C, B, dp, dc)
-
-
-def lp_point(outcome: LpOutcome) -> FractionalPoint:
-    """The outcome's point x, each entry x_e = xu[e] / u."""
-    u = outcome.u
-    return FractionalPoint(outcome.domain, {e: Fraction(v, u) for e, v in outcome.xu.items()})
 
 
 def lp_variables_reference(inst, eps: Fraction, alpha: Fraction) -> frozenset:

@@ -16,8 +16,9 @@ from budgetmatroid import (
 from budgetmatroid.families import FIELDS, check_basis_exchange
 from budgetmatroid.instance import parse_instance
 from budgetmatroid.matroid import greedy
-from budgetmatroid.verify import check_axioms, columns_independent_reference, rank
+from budgetmatroid.verify import check_axioms
 from helpers import FAMILIES, all_bases, listed_sets_matroid, loop_greedy, random_matroid
+from reference import columns_independent_reference, rank
 
 # Denominators of the random column entries, by kind.
 COLUMN_DENOMINATORS = {

@@ -27,23 +27,23 @@ from budgetmatroid.lp import (
     solve_lp,
 )
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.verify import (
-    LP_REFERENCE_CAP,
-    FractionalPoint,
-    contract,
-    rank,
-    separate,
-    solve_polytope_lp_reference,
-)
 from helpers import (
     FAMILIES,
     all_independent_sets,
     gap_instance,
-    lp_point,
     random_instance,
     random_matroid,
     random_rational,
     solve_rational_lp,
+)
+from reference import (
+    LP_REFERENCE_CAP,
+    FractionalPoint,
+    contract,
+    lp_point,
+    rank,
+    separate,
+    solve_polytope_lp_reference,
 )
 
 

@@ -20,10 +20,10 @@ from budgetmatroid.generate import GenSpec, generate_instance
 from budgetmatroid.lp import lp_upper_bound, lp_variables
 from budgetmatroid.matroid import Matroid, greedy, restrict, truncate
 from budgetmatroid.scheme import EpsParam
-from budgetmatroid.verify import contract
 
 import helpers
 from helpers import FAMILIES, gap_instance, newton_lp_reference, random_matroid
+from reference import contract
 
 # The benchmark's lp-bound corpus: (family, n, generator seed).
 LP_BOUND_SPECS = [(f, 11, s) for s in range(46) for f in FAMILIES[:4]]

@@ -6,8 +6,8 @@ import pytest
 
 from budgetmatroid import FamilySpec, ScaleCapError, ValidationError, make_instance
 from budgetmatroid.oracle import brute_force_opt
-from budgetmatroid.verify import knapsack_dp
 from helpers import random_instance
+from reference import knapsack_dp
 
 
 def free_instance(budget, costs, profits):
