@@ -18,7 +18,7 @@ from .errors import InternalInvariantError, ScaleCapError, ValidationError
 from .generate import GenSpec, generate_instance
 from .instance import format_rational, parse_instance, parse_rational, serialize_instance
 from .oracle import brute_force_opt
-from .scheme import EpsParam, approximate, find_rep
+from .scheme import EpsParam, approximate, class_partition, find_rep
 
 EXIT_VALIDATION = 2
 EXIT_SCALE_CAP = 3
@@ -130,7 +130,7 @@ def cmd_verify(args) -> int:
         exact = brute_force_opt(inst, cap=14)
         if exact.profit == 0:
             return True, "trivial (zero optimum)"
-        rep = find_rep(inst, eps, exact.profit)
+        rep = find_rep(inst, eps, class_partition(inst, eps, exact.profit))
         ok, witness = verify_representative(inst, eps, rep.elements, exact.profit, cap=10)
         return ok, None if ok else f"witness {sorted(witness)}"
 

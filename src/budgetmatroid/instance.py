@@ -235,18 +235,18 @@ _CODEC = {
 }
 
 
-def _spec_from_json(obj, path="matroid") -> FamilySpec:
+def _spec_from_json(obj) -> FamilySpec:
     if not isinstance(obj, dict):
-        raise ValidationError("matroid stanza must be an object", path)
+        raise ValidationError("matroid stanza must be an object", "matroid")
     kind = obj.get("kind")
     if kind not in KINDS:
-        raise ValidationError(f"unknown matroid kind {kind!r}", f"{path}.kind")
+        raise ValidationError(f"unknown matroid kind {kind!r}", "matroid.kind")
     try:
-        return FamilySpec(kind, **{f: _CODEC[f][0](obj[f], f"{path}.{f}") for f in FIELDS[kind]})
+        return FamilySpec(kind, **{f: _CODEC[f][0](obj[f], f"matroid.{f}") for f in FIELDS[kind]})
     except KeyError as exc:
-        raise ValidationError(f"missing field {exc.args[0]!r}", path) from exc
+        raise ValidationError(f"missing field {exc.args[0]!r}", "matroid") from exc
     except (TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed matroid payload ({exc})", path) from exc
+        raise ValidationError(f"malformed matroid payload ({exc})", "matroid") from exc
 
 
 def _spec_to_json(spec: FamilySpec) -> dict:

@@ -25,14 +25,14 @@ from typing import NamedTuple
 from .errors import InternalInvariantError, PreconditionError, ValidationError
 from .instance import BmiInstance, _exact, format_rational
 from .lp import _better, bootstrap, complete, lp_variables, round_integral, solve_lp
-from .matroid import min_weight_basis, restrict, truncate
+from .matroid import greedy, truncate
 
 
 @dataclass(frozen=True)
 class EpsParam:
-    """Accuracy parameter restricted to integer reciprocals 1/k, k >= 3.
+    """Accuracy parameter limited to integer reciprocals 1/k, k >= 3.
 
-    The restriction keeps 1/eps, the truncation level k^k and every class
+    The limit keeps 1/eps, the truncation level k^k and every class
     bound (1-eps)^r = (k-1)^r / k^r exact: a ratio num/den lies below the
     bound exactly when num * k^r <= den * (k-1)^r, one integer comparison.
     The bounds are compared where a class index is looked up and never
@@ -154,45 +154,38 @@ def class_partition(inst: BmiInstance, eps: EpsParam, alpha: Fraction) -> dict:
     return {r: tuple(v) for r, v in classes.items()}
 
 
-def find_rep(
-    inst: BmiInstance, eps: EpsParam, alpha: Fraction, classes: dict | None = None
-) -> RepresentativeSet:
-    """Per-class minimum-cost bases of the class matroids truncated at k^k.
+def find_rep(inst: BmiInstance, eps: EpsParam, classes: dict) -> RepresentativeSet:
+    """Per-class minimum-cost bases of the class matroids truncated at k^k,
+    for the ``class_partition`` ``classes`` of the instance at eps.
 
     Equivalent to one minimum basis of the disjoint-ground union matroid:
-    a union basis splits into per-part minimum bases.  Costs are compared
-    in the instance's ``IntegerView``.  Truncation at k^k changes a class
-    only if the class has more elements than that, so a class matroid is
-    truncated only then; for k >= 8, every eps target below 1, that takes
-    more than 16.7 million elements.  ``classes``, if given, is the
-    ``class_partition`` of (inst, eps, alpha), which a caller that already
-    built it passes on.
+    a union basis splits into per-part minimum bases.  Each basis is one
+    greedy pass of the instance's oracle over the class's members by
+    ascending (cost, id), costs in the instance's ``IntegerView``.
+    Truncation at k^k changes a class only if the class has more elements
+    than that, so only then does the pass test through ``truncate``; for
+    k >= 8, every eps target below 1, that takes more than 16.7 million
+    elements.
     """
-    m = inst.matroid
     costs = inst.view.costs
-    weights = {e: costs[e] for e in inst.active}
     slices: dict[int, frozenset] = {}
-    if classes is None:
-        classes = class_partition(inst, eps, alpha)
     for r, members in sorted(classes.items()):
-        class_matroid = restrict(m, members)
-        if eps.q < len(members):
-            class_matroid = truncate(class_matroid, eps.q)
-        slices[r] = min_weight_basis(class_matroid, weights)
-    elements = frozenset().union(*slices.values()) if slices else frozenset()
-    return RepresentativeSet(elements, slices)
+        m = truncate(inst.matroid, eps.q) if eps.q < len(members) else inst.matroid
+        slices[r] = greedy(m, sorted(members, key=lambda e: (costs[e], e)))
+    return RepresentativeSet(frozenset().union(*slices.values()), slices)
 
 
 class RunSession:
     """One scheme run on one instance at one eps: its representative sets,
     LP memo, recorded guesses and oracle count.
 
-    R depends only on the class grouping, the member tuples of the profit
-    classes in class order, so ``reps`` maps each grouping met in the run
-    to its R and ``find_rep`` runs once per grouping.  The rounded LP
-    candidate depends only on (F, variable set), so each residual LP is
-    solved and rounded once per run: ``memo`` maps (F, variables - F) to
-    the candidate and its profit in the instance's ``IntegerView``.
+    ``find_rep`` reads only the class partition, and R's elements only its
+    grouping, the member tuples of the classes in class order, so ``reps``
+    maps each grouping met in the run to its R and ``find_rep`` runs once
+    per grouping.  The rounded LP candidate depends only on (F, variable
+    set), so each residual LP is solved and rounded once per run: ``memo``
+    maps (F, variables - F) to the candidate and its profit in the
+    instance's ``IntegerView``.
     ``runs`` maps each distinct guess (R, LP variables) to the ``GuessRun``
     of its first alpha.  ``oracle_calls`` is the number of independence
     tests the enumeration made.
@@ -237,7 +230,7 @@ def run_for_alpha(session: RunSession, alpha: Fraction) -> tuple[frozenset, int]
     grouping = tuple(members for _, members in sorted(classes.items()))
     rep = session.reps.get(grouping)
     if rep is None:
-        rep = session.reps[grouping] = find_rep(inst, eps, alpha, classes).elements
+        rep = session.reps[grouping] = find_rep(inst, eps, classes).elements
     variables = lp_variables(inst, eps.eps, alpha)
     run = session.runs.get((rep, variables))
     if run is not None:

@@ -34,7 +34,7 @@ from budgetmatroid.lp import (
     solve_polytope_lp,
 )
 from budgetmatroid.matroid import Matroid, greedy
-from budgetmatroid.scheme import EpsParam, _better, find_rep
+from budgetmatroid.scheme import EpsParam, _better, class_partition, find_rep
 
 FAMILIES = ("uniform", "partition", "graphic", "linear", "explicit")
 
@@ -162,7 +162,7 @@ def reference_run_for_alpha(inst, eps, alpha) -> tuple[frozenset, list, int]:
     independence, counting each oracle call, and sends each one that passes
     to ``solve_lp``.
     """
-    r_sorted = sorted(find_rep(inst, eps, alpha).elements)
+    r_sorted = sorted(find_rep(inst, eps, class_partition(inst, eps, alpha)).elements)
     variables = lp_variables(inst, eps.eps, alpha)
     indep = inst.matroid.indep_fn
     oracle_calls = 0

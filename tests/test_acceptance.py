@@ -135,9 +135,9 @@ def test_criterion_04_representative_sets():
         if opt == 0:
             continue
         alpha = opt  # inside [OPT/2, OPT]
-        rep = find_rep(inst, eps, alpha)
-        checked += 1
         classes = class_partition(inst, eps, alpha)
+        rep = find_rep(inst, eps, classes)
+        checked += 1
         for r, members in classes.items():
             if len(rep.elements & frozenset(members)) > eps.q:
                 failures += 1
@@ -163,7 +163,7 @@ def test_criterion_05_enumeration_bound():
         if upper == 0:
             continue
         for alpha in alpha_grid(upper / 2, upper, eps):
-            rep = find_rep(inst, eps, alpha)
+            rep = find_rep(inst, eps, class_partition(inst, eps, alpha))
             _, enum_count = run_for_alpha(RunSession(inst, eps), alpha)
             runs += 1
             if enum_count > (len(rep.elements) + 1) ** eps.k:

@@ -155,9 +155,9 @@ class TestVerify:
         seen = []
         real = cli.find_rep
 
-        def recording_find_rep(inst, eps, alpha):
+        def recording_find_rep(inst, eps, classes):
             seen.append(eps.k)
-            return real(inst, eps, alpha)
+            return real(inst, eps, classes)
 
         monkeypatch.setattr(cli, "find_rep", recording_find_rep)
         for eps in ("1/2", "1/3", "2/7"):

@@ -281,15 +281,34 @@ class TestIntegerGuessLayer:
 class TestFindRep:
     def test_slices_are_min_cost_bases(self):
         rng = random.Random(11)
-        for _ in range(40):
-            inst = random_instance(
-                rng, rng.choice(("uniform", "partition", "graphic")), rng.randint(1, 8)
+        cases = [
+            (
+                random_instance(
+                    rng, rng.choice(("uniform", "partition", "graphic")), rng.randint(1, 8)
+                ),
+                F(rng.randint(1, 30)),
             )
+            for _ in range(40)
+        ]
+        # Every family, and instances whose matroid is itself a restriction
+        # to the active elements.
+        cases += [
+            (random_instance(rng, family, rng.randint(1, 8)), F(rng.randint(1, 30)))
+            for family in FAMILIES
+            for _ in range(8)
+        ]
+        cases += [
+            (dropped_instance(kind, seed), F(alpha))
+            for kind in DROPPED_KINDS
+            for seed in range(3)
+            for alpha in (3, 9, 30)
+        ]
+        dependent = 0
+        for inst, alpha in cases:
             eps = EpsParam(3)
-            alpha = F(rng.randint(1, 30))
-            rep = find_rep(inst, eps, alpha)
-            m = inst.matroid
             classes = class_partition(inst, eps, alpha)
+            rep = find_rep(inst, eps, classes)
+            m = inst.matroid
             assert set(rep.slices) == set(classes)
             level = min(eps.q, len(inst.active))
             for r, members in classes.items():
@@ -307,6 +326,8 @@ class TestFindRep:
                 for combo in itertools.combinations(members, len(basis)):
                     if cm.is_independent(frozenset(combo)):
                         assert inst.cost(combo) >= cost
+                dependent += len(basis) < len(members)
+        assert dependent > 0
 
     def test_union_matroid_equivalence(self):
         rng = random.Random(13)
@@ -314,8 +335,8 @@ class TestFindRep:
             inst = random_instance(rng, "graphic", rng.randint(2, 8))
             eps = EpsParam(3)
             alpha = F(rng.randint(1, 25))
-            rep = find_rep(inst, eps, alpha)
             classes = class_partition(inst, eps, alpha)
+            rep = find_rep(inst, eps, classes)
             if not classes:
                 assert rep.elements == frozenset()
                 continue
@@ -336,9 +357,15 @@ class TestFindRep:
         monkeypatch.setattr(EpsParam, "q", 2)
         rng = random.Random(17)
         binding = 0
-        for _ in range(30):
-            family = rng.choice(("uniform", "partition", "graphic", "linear"))
-            inst = random_instance(rng, family, rng.randint(4, 9))
+        instances = [
+            random_instance(
+                rng, rng.choice(("uniform", "partition", "graphic", "linear")), rng.randint(4, 9)
+            )
+            for _ in range(30)
+        ]
+        instances += [random_instance(rng, "explicit", rng.randint(4, 9)) for _ in range(6)]
+        instances += [dropped_instance(kind, seed) for kind in DROPPED_KINDS for seed in range(3)]
+        for inst in instances:
             eps = EpsParam(3)
             assert eps.q == 2
             upper, lower = lp_upper_bound(inst)
@@ -346,8 +373,8 @@ class TestFindRep:
                 continue
             m = inst.matroid
             for alpha in alpha_grid(lower, upper, eps):
-                rep = find_rep(inst, eps, alpha)
                 classes = class_partition(inst, eps, alpha)
+                rep = find_rep(inst, eps, classes)
                 assert set(rep.slices) == set(classes)
                 for r, members in classes.items():
                     costs = {e: inst.costs[e] for e in members}
@@ -372,9 +399,9 @@ class TestRepMemo:
         calls = []
         real = budgetmatroid.scheme.find_rep
 
-        def counted(inst, eps, alpha, *classes):
-            calls.append(alpha)
-            return real(inst, eps, alpha, *classes)
+        def counted(inst, eps, classes):
+            calls.append(classes)
+            return real(inst, eps, classes)
 
         monkeypatch.setattr(budgetmatroid.scheme, "find_rep", counted)
         report = approximate(inst, eps_target, certify=False)
@@ -387,8 +414,9 @@ class TestRepMemo:
             run_for_alpha(session, alpha)
         assert len(calls) == len(session.reps)
         for alpha in report.alpha_grid:
-            grouping = tuple(v for _, v in sorted(class_partition(inst, eps, alpha).items()))
-            assert session.reps[grouping] == real(inst, eps, alpha).elements
+            classes = class_partition(inst, eps, alpha)
+            grouping = tuple(v for _, v in sorted(classes.items()))
+            assert session.reps[grouping] == real(inst, eps, classes).elements
         return report, len(session.reps)
 
     @pytest.mark.parametrize("family", ["partition", "explicit"])
@@ -446,7 +474,7 @@ class TestRunForAlpha:
             opt = brute_force_opt(inst).profit
             if opt == 0:
                 continue
-            rep = find_rep(inst, eps, opt)
+            rep = find_rep(inst, eps, class_partition(inst, eps, opt))
             _, enum_count = run_for_alpha(RunSession(inst, eps), opt)
             assert enum_count <= (len(rep.elements) + 1) ** eps.k
 
@@ -703,7 +731,8 @@ def check_against_every_guess(inst, eps_target):
     first_of_guess, runs = {}, {}
     best = None
     for alpha in report.alpha_grid:
-        guess = (find_rep(inst, eps, alpha).elements, lp_variables(inst, eps.eps, alpha))
+        rep = find_rep(inst, eps, class_partition(inst, eps, alpha))
+        guess = (rep.elements, lp_variables(inst, eps.eps, alpha))
         first_of_guess.setdefault(guess, alpha)
         sol, enum_count = run_for_alpha(session, alpha)
         assert runs.setdefault(guess, (sol, enum_count)) == (sol, enum_count)
@@ -972,33 +1001,25 @@ class TestDroppedElements:
     @pytest.mark.parametrize(
         "kind", ("graphic", "linear", "partition", "gap", *(f"gap10-{f}" for f in FAMILIES))
     )
-    def test_a_residual_lp_builds_no_matroid(self, monkeypatch, kind):
-        # solve_lp hands the core the instance's matroid and its variables,
-        # so the paper path's residual LPs build no handle of their own:
-        # neither a restriction nor a contraction by their nonempty F.
+    def test_a_paper_run_builds_no_matroid(self, monkeypatch, kind):
+        # Every step of the paper path reads the instance's one handle:
+        # find_rep runs greedy on it per class, and solve_lp hands the core
+        # it and its variables, so a residual LP builds neither a
+        # restriction nor a contraction by its nonempty F.
         if kind == "gap":
             inst, eps = gap_instance("graphic", 12, 0), F(1, 10)
         elif kind.startswith("gap10-"):
             inst, eps = gap_instance(kind.removeprefix("gap10-"), 10, 0), F(1, 3)
         else:
             inst, eps = dropped_instance(kind, 0), F(1, 3)
-        solving, built = [False], []
-        init, solve = Matroid.__init__, budgetmatroid.scheme.solve_lp
+        built = []
+        init = Matroid.__init__
 
         def counted(self, *args, **kwargs):
-            if solving[0]:
-                built.append(args)
+            built.append(args)
             init(self, *args, **kwargs)
 
-        def flagged(*args):
-            solving[0] = True
-            try:
-                return solve(*args)
-            finally:
-                solving[0] = False
-
         monkeypatch.setattr(Matroid, "__init__", counted)
-        monkeypatch.setattr(budgetmatroid.scheme, "solve_lp", flagged)
         report = approximate(inst, eps, certify=False)
         assert report.lp_calls > 0 and max(report.enum_counts.values()) > 1
         assert built == []
@@ -1075,7 +1096,7 @@ class TestVerifyRepresentative:
             opt = brute_force_opt(inst).profit
             if opt == 0:
                 continue
-            rep = find_rep(inst, eps, opt)
+            rep = find_rep(inst, eps, class_partition(inst, eps, opt))
             ok, witness = verify_representative(inst, eps, rep.elements, opt)
             assert ok, (inst, sorted(rep.elements), witness)
 
