@@ -12,6 +12,11 @@ pass, and raises ``ValidationError`` with the offending field's path; for
 an explicit family that includes ``check_basis_exchange``, so every oracle
 ``construct`` returns is a matroid's.  ``construct`` picks the class by
 kind, and ``FIELDS`` maps each kind to its fields for the file format.
+
+Each test is one pass over the set it is given.  The explicit oracle keeps,
+per element, an int bit mask of the listed sets that hold it and ANDs the
+masks of the set's elements; the partition oracle counts down the room of
+each element's block and stops at the first full block.
 """
 
 from __future__ import annotations
@@ -128,10 +133,11 @@ class _Uniform:
 
 
 class _Partition:
-    """At most ``cap`` elements of each block; the scan keeps the room left
-    in each block."""
+    """At most ``cap`` elements of each block.  ``block_of`` gives each
+    element its block index; the test and the scan count down the room
+    left in each block, and the test fails at the first full block."""
 
-    __slots__ = ("pairs", "block_of")
+    __slots__ = ("caps", "block_of")
     fields = ("blocks", "capacities")
 
     def __init__(self, spec: FamilySpec, n: int):
@@ -155,17 +161,22 @@ class _Partition:
         for i, cap in enumerate(spec.capacities):
             if cap < 0:
                 raise ValidationError("capacity must be >= 0", f"matroid.capacities[{i}]")
-        self.pairs = tuple(
-            (frozenset(block), cap) for block, cap in zip(spec.blocks, spec.capacities)
-        )
-        self.block_of = block_of
+        self.caps = tuple(spec.capacities)
+        self.block_of = tuple(block_of[e] for e in range(n))
 
     def __call__(self, s: frozenset) -> bool:
-        return all(len(s & block) <= cap for block, cap in self.pairs)
+        block_of = self.block_of
+        room = list(self.caps)
+        for e in s:
+            i = block_of[e]
+            if not room[i]:
+                return False
+            room[i] -= 1
+        return True
 
     def scan(self, order: Iterable[int]) -> frozenset:
         block_of = self.block_of
-        room = [cap for _, cap in self.pairs]
+        room = list(self.caps)
         kept = set()
         for e in order:
             i = block_of[e]
@@ -274,39 +285,52 @@ class _Linear:
 
 
 class _Explicit:
-    """Subsets of the listed maximal sets.  The scan keeps the listed sets
-    that still contain the kept set."""
+    """Subsets of the listed maximal sets.  ``masks[e]`` has bit i set when
+    listed set i holds e, so a nonempty set is independent exactly when the
+    AND of its elements' masks is nonzero: the listed sets that hold it.
+    The scan narrows one such mask across the order."""
 
-    __slots__ = ("sets",)
+    __slots__ = ("masks", "full")
     fields = ("maximal_sets",)
 
     def __init__(self, spec: FamilySpec, n: int):
         if spec.maximal_sets is None:
             raise ValidationError("explicit matroid needs maximal_sets", "matroid.maximal_sets")
         sets = tuple(frozenset(s) for s in spec.maximal_sets)
+        masks = [0] * n
         for i, s in enumerate(sets):
             for e in s:
                 if not 0 <= e < n:
                     raise ValidationError(f"element {e} out of range", f"matroid.maximal_sets[{i}]")
-        for i, a in enumerate(sets):
-            for j, b in enumerate(sets):
-                if i != j and a <= b:
-                    raise ValidationError(
-                        "maximal_sets must be an antichain", f"matroid.maximal_sets[{i}]"
-                    )
+                masks[e] |= 1 << i
+        # Distinct sets of one size are an antichain; only unequal sizes or
+        # a repeat can put one listed set inside another.
+        if len(set(map(len, sets))) > 1 or len(set(sets)) < len(sets):
+            for i, a in enumerate(sets):
+                for j, b in enumerate(sets):
+                    if i != j and a <= b:
+                        raise ValidationError(
+                            "maximal_sets must be an antichain", f"matroid.maximal_sets[{i}]"
+                        )
         check_basis_exchange(sets)
-        self.sets = sets
+        self.masks = tuple(masks)
+        self.full = (1 << len(sets)) - 1
 
     def __call__(self, s: frozenset) -> bool:
-        if not s:
-            return True
-        return any(s <= mx for mx in self.sets)
+        masks = self.masks
+        live = self.full
+        for e in s:
+            live &= masks[e]
+            if not live:
+                return False
+        return True
 
     def scan(self, order: Iterable[int]) -> frozenset:
-        live = self.sets
+        masks = self.masks
+        live = self.full
         kept = set()
         for e in order:
-            narrowed = [mx for mx in live if e in mx]
+            narrowed = live & masks[e]
             if narrowed:
                 kept.add(e)
                 live = narrowed

@@ -150,10 +150,10 @@ class IntegerView:
         self.budget = inst.budget.numerator * (self.dc // inst.budget.denominator)
 
     def cost(self, elements: Iterable[int]) -> int:
-        return sum(self.costs[e] for e in elements)
+        return sum(map(self.costs.__getitem__, elements))
 
     def profit(self, elements: Iterable[int]) -> int:
-        return sum(self.profits[e] for e in elements)
+        return sum(map(self.profits.__getitem__, elements))
 
 
 def _exact(value, path: str) -> Fraction:

@@ -7,19 +7,23 @@ positive weights (Ravi and Goemans, SWAT 1996; Berger, Bonifaci, Grandoni
 and Schaefer, Math. Prog. 2011): the upper envelope of one line
 p(S) + lambda*(budget - c(S)) per independent set S.  Newton's method
 (Dinkelbach 1967; Radzik 1992), in the line-intersection form of Eisner and
-Severance (JACM 1976), finds the optimal multiplier lambda*.  From the
-greedy set just right of lambda = 0, over budget, and its part that fits
-the budget, it intersects an over-budget and an affordable set's lines and
-runs greedy there (the oracle's incremental scan, see ``matroid.greedy``)
-until that set's line passes through the point.  The last pass is the
-greedy set of the order just left of lambda*; walking to the order just
-right of it, one tie or zero weight at a time, changes the set by at most
-one removal or swap per step, at most one oracle test each.  The two sets
-on either side of the budget mix into a budget-tight vertex with at most
-two fractional entries.  Every solve checks primal = dual and that bound.
+Severance (JACM 1976), finds the optimal multiplier lambda*.  The greedy
+set just right of lambda = 0 maximizes profit over P_M; when it fits the
+budget, lambda* = 0 and that integral set is the optimum, returned at once.
+Otherwise, from that set, over budget, and its part that fits the budget,
+it intersects an over-budget and an affordable set's lines and runs greedy
+there (the oracle's incremental scan, see ``matroid.greedy``) until that
+set's line passes through the point.  The last pass is the greedy set of
+the order just left of lambda*; walking to the order just right of it, one
+tie or zero weight at a time, changes the set by at most one removal or
+swap per step, at most one oracle test each.  The two sets on either side
+of the budget mix into a budget-tight vertex with at most two fractional
+entries, and the solve checks primal = dual and that bound.  At lambda* = 0
+both checks are identities (see ``solve_polytope_lp``).
 A residual LP, over M/F for a guess F, runs every greedy pass and walk
-test on top of the independent base F, over the variables it is given:
-no handle is built for M/F or for M on the variables and F.
+test on top of the independent base F, over the variables it is given,
+and takes the same lambda* = 0 exit: no handle is built for M/F or for M
+on the variables and F.
 
 The solve runs on integers: the core takes profits times D_p and costs and
 budget times D_c, lambda = a/b is a pair of integers, and ``LpOutcome``
@@ -150,6 +154,15 @@ def solve_polytope_lp(m: Matroid, variables, P, C, B, dp, dc, base=frozenset()) 
     integers x*u, the objective as u*dp*p.x over u*dp and lambda* as a*dc
     over b*dp, all in lowest terms.  The items are sorted by cost once per
     LP, and each Newton probe sorts those with w >= 0 by weight once.
+
+    When ``heavy``, the greedy set just right of lambda = 0, fits the
+    budget, its integral point is returned at once with u = 1, no
+    fractional entry, objective P(heavy) over dp and lambda* = 0.  The
+    mixing would take light = heavy, a = 0 and b = u = 1 there: primal =
+    dual and the fractional count hold as identities, and its budget check
+    is the branch's own test c(heavy) <= B.  The exit still records the
+    solve in ``LP_STATS``, and ``round_integral`` still asserts the rounded
+    set independent and affordable.
     """
     if B < 0:
         raise PreconditionError("negative residual budget")
@@ -163,64 +176,66 @@ def solve_polytope_lp(m: Matroid, variables, P, C, B, dp, dc, base=frozenset()) 
     order = sorted(items, key=C.__getitem__)
     order.sort(key=P.__getitem__, reverse=True)
     heavy = greedy(m, order, base)
-    hc, hp = cost(heavy), profit(heavy)
+    hc = cost(heavy)
     if hc <= B:
-        a, b, light, lc, lp, t, u = 0, 1, heavy, hc, hp, 0, 1
+        # lambda* = 0: heavy maximizes p over P_M and fits the budget.
+        LP_STATS.record(0)
+        return LpOutcome(domain, dict.fromkeys(heavy, 1), 1, (), _ratio(profit(heavy), dp), (0, 1))
+    hp = profit(heavy)
+    # Newton steps on the sums of two sets: heavy (hc, hp) stays over
+    # budget and light (lc, lp) affordable, first the part of ``heavy``
+    # that fits the budget in greedy order, found with no oracle call.
+    # lambda = a/b and w[e] = b * D_p * (p_e - lambda*c_e).  A probe on
+    # the point where their lines meet shows lambda minimizes the dual,
+    # and heavy's falling line the leftmost: every start ends at lambda*.
+    # Step bound: a probe is greedy at its lambda, so its line supports
+    # the dual there; earlier heavy probes touch it left of the current
+    # heavy's point and earlier light probes right of the current
+    # light's.  The first light set need not be greedy, but no light
+    # probe precedes it and, once replaced, it never returns.  So where
+    # heavy's and light's lines meet, every probe's line lies on or
+    # below them, and a probe that does not stop the loop lies above:
+    # none repeats.  The greedy set changes only where two of the n
+    # weight lines cross or one crosses zero, at most n(n+1)/2 points,
+    # so more than n^2 + n + 1 steps mean wrong weights.
+    lc = lp = 0
+    for e in order:
+        if e in heavy and lc + C[e] <= B:
+            lc, lp = lc + C[e], lp + P[e]
+    n = len(items)
+    # (-C, id), as a reverse sort keeps ties in order: the walk's first order is (-w, -C, id).
+    by_cost = sorted(items, key=C.__getitem__, reverse=True)
+    for _ in range(n * n + n + 1):
+        a, b = hp - lp, hc - lc
+        w = {e: b * P[e] - a * C[e] for e in items}
+        left = [e for e in by_cost if w[e] >= 0]
+        left.sort(key=w.__getitem__, reverse=True)
+        probe = greedy(m, left, base)
+        pc = cost(probe)
+        if sum(map(w.__getitem__, probe)) == b * hp - a * hc:
+            break
+        if pc > B:
+            hc, hp = pc, profit(probe)
+        else:
+            lc, lp = pc, profit(probe)
     else:
-        # Newton steps on the sums of two sets: heavy (hc, hp) stays over
-        # budget and light (lc, lp) affordable, first the part of ``heavy``
-        # that fits the budget in greedy order, found with no oracle call.
-        # lambda = a/b and w[e] = b * D_p * (p_e - lambda*c_e).  A probe on
-        # the point where their lines meet shows lambda minimizes the dual,
-        # and heavy's falling line the leftmost: every start ends at lambda*.
-        # Step bound: a probe is greedy at its lambda, so its line supports
-        # the dual there; earlier heavy probes touch it left of the current
-        # heavy's point and earlier light probes right of the current
-        # light's.  The first light set need not be greedy, but no light
-        # probe precedes it and, once replaced, it never returns.  So where
-        # heavy's and light's lines meet, every probe's line lies on or
-        # below them, and a probe that does not stop the loop lies above:
-        # none repeats.  The greedy set changes only where two of the n
-        # weight lines cross or one crosses zero, at most n(n+1)/2 points,
-        # so more than n^2 + n + 1 steps mean wrong weights.
-        lc = lp = 0
-        for e in order:
-            if e in heavy and lc + C[e] <= B:
-                lc, lp = lc + C[e], lp + P[e]
-        n = len(items)
-        # (-C, id), as a reverse sort keeps ties in order: the walk's first order is (-w, -C, id).
-        by_cost = sorted(items, key=C.__getitem__, reverse=True)
-        for _ in range(n * n + n + 1):
-            a, b = hp - lp, hc - lc
-            w = {e: b * P[e] - a * C[e] for e in items}
-            left = [e for e in by_cost if w[e] >= 0]
-            left.sort(key=w.__getitem__, reverse=True)
-            probe = greedy(m, left, base)
-            pc = cost(probe)
-            if sum(map(w.__getitem__, probe)) == b * hp - a * hc:
-                break
-            if pc > B:
-                hc, hp = pc, profit(probe)
-            else:
-                lc, lp = pc, profit(probe)
-        else:
-            raise InternalInvariantError(
-                f"Newton steps for lambda* exceeded {n * n + n + 1} on {n} items"
-            )
+        raise InternalInvariantError(
+            f"Newton steps for lambda* exceeded {n * n + n + 1} on {n} items"
+        )
 
-        kept = set(probe)
-        for e, f in _walk(m, left, w, C, kept, base):
-            lc = pc - C[e] + (0 if f is None else C[f])
-            if pc > B >= lc:
-                light = frozenset(kept)
-                heavy, hc = light.union((e,)).difference((f,)), pc
-                break
-            pc = lc
-        else:
-            raise InternalInvariantError("greedy walk never crossed the budget")
-        hp, lp = profit(heavy), profit(light)
-        # theta = t/u = (B - c(light)) / (c(heavy) - c(light)) in lowest terms.
-        t, u = _ratio(B - lc, hc - lc)
+    kept = set(probe)
+    for e, f in _walk(m, left, w, C, kept, base):
+        lc = pc - C[e] + (0 if f is None else C[f])
+        if pc > B >= lc:
+            light = frozenset(kept)
+            heavy, hc = light.union((e,)).difference((f,)), pc
+            break
+        pc = lc
+    else:
+        raise InternalInvariantError("greedy walk never crossed the budget")
+    hp, lp = profit(heavy), profit(light)
+    # theta = t/u = (B - c(light)) / (c(heavy) - c(light)) in lowest terms.
+    t, u = _ratio(B - lc, hc - lc)
 
     # x times u, the denominator of theta, so every entry is an integer.
     x = dict.fromkeys(heavy, t)

@@ -14,6 +14,7 @@ from budgetmatroid import (
     construct,
 )
 from budgetmatroid.families import FIELDS, check_basis_exchange
+from budgetmatroid.generate import _random_family
 from budgetmatroid.instance import parse_instance
 from budgetmatroid.matroid import greedy
 from budgetmatroid.verify import check_axioms
@@ -583,3 +584,59 @@ class TestScans:
             for order in ([], rest):
                 with pytest.raises(PreconditionError):
                     greedy(handle, order, dependent)
+
+
+def partition_by_count(spec):
+    """Independence in a partition spec by its definition: at most the
+    block's capacity of elements in each block."""
+    pairs = [(frozenset(block), cap) for block, cap in zip(spec.blocks, spec.capacities)]
+    return lambda s: all(len(s & block) <= cap for block, cap in pairs)
+
+
+def definition(spec, n):
+    """The independence test of an explicit or partition spec, written from
+    its definition and not through ``construct``."""
+    if spec.kind == "explicit":
+        return listed_sets_matroid(spec.maximal_sets, n).indep_fn
+    return partition_by_count(spec)
+
+
+def assert_oracle_is_definition(spec, n):
+    oracle = construct(spec, n).indep_fn
+    indep = definition(spec, n)
+    for mask in range(1 << n):
+        s = frozenset(e for e in range(n) if mask >> e & 1)
+        assert oracle(s) == indep(s), (spec, sorted(s))
+
+
+class TestDefinitions:
+    """The explicit and partition oracles against their definitions on every
+    subset.  ``TestScans`` diffs each scan against a loop over the oracle's
+    own test, so a wrong test shows only here."""
+
+    @pytest.mark.parametrize("family", ["explicit", "partition"])
+    def test_random_specs(self, family):
+        rng = random.Random(f"definition-{family}")
+        for _ in range(100):
+            n = rng.randint(0, 10)
+            assert_oracle_is_definition(_random_family(rng, family, n), n)
+
+    @pytest.mark.parametrize(
+        "case", [case for case, spec in DEGENERATE.items() if spec.kind in ("explicit", "partition")]
+    )
+    def test_degenerate_families(self, case):
+        assert_oracle_is_definition(DEGENERATE[case], 7)
+
+    def test_explicit_past_a_machine_word(self):
+        # One block of 10 elements with capacity 5: 252 listed sets, so the
+        # masks run past 64 bits.  The scan is diffed against greedy on the
+        # definition as well.
+        n = 10
+        spec = FamilySpec("explicit", maximal_sets=tuple(itertools.combinations(range(n), 5)))
+        assert len(spec.maximal_sets) > 64
+        assert_oracle_is_definition(spec, n)
+        scan, indep = construct(spec, n).indep_fn.scan, definition(spec, n)
+        rng = random.Random("definition-wide")
+        for _ in range(50):
+            order = rng.sample(range(n), rng.randint(0, n))
+            assert scan(order) == loop_greedy(indep, (), order), order

@@ -101,8 +101,11 @@ class TestAgainstReference:
         # contracted and restricted handle.  Once with the family's scans
         # and once through a plain oracle without one, which takes the
         # generic greedy loop from F; every set that oracle is asked about
-        # contains F.
+        # contains F.  The LPs with nonempty F are counted by how they end:
+        # at lambda* = 0, where the core returns the greedy set at once, and
+        # at lambda* > 0.
         eps = EpsParam(3)
+        ends = {"zero": 0, "positive": 0}
         for seed in range(3):
             inst = gap_instance(family, 9, seed)
             plain, asked = counted(inst.matroid)
@@ -119,6 +122,8 @@ class TestAgainstReference:
                             mark = len(asked)
                             outcome = solved(lp.solve_lp, inst, f, variables)
                             assert all(f <= s for s in asked[mark:])
+                            if f and isinstance(outcome, tuple):
+                                ends["positive" if outcome[5][0] else "zero"] += 1
                             assert outcome == solved(
                                 newton_lp_reference,
                                 residual,
@@ -129,6 +134,7 @@ class TestAgainstReference:
                                 view.dc,
                             )
             assert asked
+        assert min(ends.values()) > 0, ends
 
 
 def handles(rng, family, n):
