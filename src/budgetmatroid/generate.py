@@ -2,9 +2,11 @@
 
 Generator id "mt19937-v1": a seeded ``random.Random`` with a fixed call
 sequence, so identical (spec, seed) pairs produce byte-identical serialized
-instances.  Costs and profits are drawn from uniform rational grids.  An
-"explicit" family is a random partition matroid written out as its list of
-bases: every choice of ``cap`` elements from each block.
+instances.  Costs and profits are drawn from uniform rational grids; the
+budget, the larger of the largest cost and 30-70 % of the costs' sum, is
+found on integers over the grid's common denominator.  An "explicit"
+family is a random partition matroid written out as its list of bases:
+every choice of ``cap`` elements from each block.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ScaleCapError, ValidationError
 from .families import KINDS, FamilySpec
@@ -20,6 +23,7 @@ from .instance import BmiInstance, make_instance
 GENERATOR_VERSION = "mt19937-v1"
 
 _DENOMINATORS = (1, 2, 3, 4)
+_GRID = lcm(*_DENOMINATORS)
 _COST_MAX = 20
 _PROFIT_MAX = 40
 # The explicit oracle checks the exchange axiom over pairs of listed bases,
@@ -83,10 +87,8 @@ def generate_instance(spec: GenSpec) -> BmiInstance:
         raise ValidationError("n must be >= 0", "n")
     rng = random.Random(spec.seed)
     family = _random_family(rng, spec.family, spec.n)
-    costs = [
-        Fraction(rng.randint(1, _COST_MAX), rng.choice(_DENOMINATORS))
-        for _ in range(spec.n)
-    ]
+    drawn = [(rng.randint(1, _COST_MAX), rng.choice(_DENOMINATORS)) for _ in range(spec.n)]
+    costs = [Fraction(a, b) for a, b in drawn]
     profits = [
         Fraction(rng.randint(0, _PROFIT_MAX), rng.choice(_DENOMINATORS))
         for _ in range(spec.n)
@@ -94,6 +96,9 @@ def generate_instance(spec: GenSpec) -> BmiInstance:
     if spec.n == 0:
         budget = Fraction(1)
     else:
-        total = sum(costs)
-        budget = max(max(costs), total * Fraction(rng.randint(30, 70), 100))
+        # max(max(costs), sum(costs) * pct / 100) in units of 1/(100 * _GRID):
+        # a cost a/b is a * (_GRID // b) units of 1/_GRID.
+        scaled = [a * (_GRID // b) for a, b in drawn]
+        pct = rng.randint(30, 70)
+        budget = Fraction(max(100 * max(scaled), pct * sum(scaled)), 100 * _GRID)
     return make_instance(budget, costs, profits, family)

@@ -5,6 +5,10 @@ are encoded as strings in the file format; raw JSON numbers are rejected so
 no value ever passes through floating point, and ``make_instance`` takes
 only ``int`` and ``Fraction``.  A matroid stanza holds its kind's
 ``families.FIELDS``, each coded by ``_CODEC``.
+
+Validation, formatting and the digit bound compare each value's integer
+(numerator, denominator) pair, with no Fraction operator, and decide every
+check, message and path as Fraction comparisons would.
 """
 
 from __future__ import annotations
@@ -72,14 +76,15 @@ def parse_rational(value, path: str) -> Fraction:
             raise ValidationError(f"decimal exponent exceeds {MAX_EXPONENT} in {value!r}", path)
         n, d = (n * 10**e, d) if e >= 0 else (n, d * 10**-e)
     x = Fraction(-n if sign == "-" else n, d)
-    if abs(x.numerator) >= _BOUND or x.denominator >= _BOUND:
+    n, d = x.as_integer_ratio()
+    if abs(n) >= _BOUND or d >= _BOUND:
         raise ValidationError(f"{value!r} has more than {MAX_DIGITS} digits in lowest terms", path)
     return x
 
 
-def format_rational(x: Fraction) -> str:
-    """``str(Fraction(x))`` for numerators and denominators of any size."""
-    x = Fraction(x)
+def format_rational(x: Fraction | int) -> str:
+    """``str(x)`` for a Fraction or an int whose numerator and denominator
+    have any number of digits: "n" or "n/d", in lowest terms."""
     try:
         return str(x)
     except ValueError:  # more digits than the interpreter's int-string limit
@@ -165,31 +170,53 @@ def _exact(value, path: str) -> Fraction:
     return Fraction(value)
 
 
+def _exacts(values: Iterable, name: str) -> tuple[Fraction, ...]:
+    """``_exact`` of each value, at path ``elements[i].<name>``; the path is
+    built only for a value that is not a Fraction already."""
+    return tuple(
+        v if type(v) is Fraction else _exact(v, f"elements[{i}].{name}")
+        for i, v in enumerate(values)
+    )
+
+
 def make_instance(
     budget: Fraction,
     costs: Iterable[Fraction],
     profits: Iterable[Fraction],
     spec: FamilySpec,
 ) -> BmiInstance:
-    costs = tuple(_exact(c, f"elements[{i}].cost") for i, c in enumerate(costs))
-    profits = tuple(_exact(p, f"elements[{i}].profit") for i, p in enumerate(profits))
+    """The instance, with the active matroid of ``spec`` on its n elements.
+
+    Budget, costs and profits must each be an ``int`` or a ``Fraction``;
+    they are stored as Fractions.  The checks run in this order and the
+    first to fail raises ``ValidationError`` at its path: the type of each
+    cost, then of each profit, equal lengths, the budget's type, budget > 0,
+    then for each element 0 <= cost <= budget, then each profit >= 0.  Each
+    test reads the value's integer (numerator, denominator) pair, whose
+    denominator is positive, and decides as the Fraction comparison would:
+    a sign is the numerator's, and c > budget is cn * bd > bn * cd.
+    """
+    costs = _exacts(costs, "cost")
+    profits = _exacts(profits, "profit")
     n = len(costs)
     if len(profits) != n:
         raise ValidationError("costs and profits must have equal length", "elements")
     budget = _exact(budget, "budget")
-    if budget <= 0:
+    bn, bd = budget.as_integer_ratio()
+    if bn <= 0:
         raise ValidationError("budget must be a positive rational", "budget")
     for i, c in enumerate(costs):
-        if c < 0:
+        cn, cd = c.as_integer_ratio()
+        if cn < 0:
             raise ValidationError("cost must be >= 0", f"elements[{i}].cost")
-        if c > budget:
+        if cn * bd > bn * cd:
             raise ValidationError(
                 f"cost {format_rational(c)} of element {i} exceeds budget "
                 f"{format_rational(budget)}",
                 f"elements[{i}].cost",
             )
     for i, p in enumerate(profits):
-        if p < 0:
+        if p.numerator < 0:
             raise ValidationError("profit must be >= 0", f"elements[{i}].profit")
     matroid = construct(spec, n)
     dropped = tuple(e for e in range(n) if not matroid.indep_fn(frozenset({e})))

@@ -41,11 +41,10 @@ that winner alone misses the certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalInvariantError, PreconditionError
 from .instance import BmiInstance
@@ -77,8 +76,7 @@ def _ratio(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-@dataclass(frozen=True)
-class LpOutcome:
+class LpOutcome(NamedTuple):
     """A basic optimum of the budgeted polytope LP, kept in integers.
 
     ``xu`` maps each element with x_e > 0 to x_e * u, where u is the
@@ -92,7 +90,7 @@ class LpOutcome:
     """
 
     domain: tuple[int, ...]
-    xu: Mapping[int, int] = field(repr=False)
+    xu: Mapping[int, int]
     u: int
     fractional_support: tuple[int, ...]
     objective_pair: tuple[int, int]

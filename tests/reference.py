@@ -5,8 +5,10 @@ rank, contraction and disjoint union (criterion 8 checks the last two),
 points of the matroid polytope (``lp_point`` builds one from an
 ``LpOutcome``) and their exhaustive separation, the LP value found by
 listing independent sets, the free-matroid knapsack DP that brute force
-and the scheme are checked against, and Gaussian elimination over
-Fractions, which the fraction-free linear oracle is diffed against.
+and the scheme are checked against, Gaussian elimination over Fractions,
+which the fraction-free linear oracle is diffed against, and the value
+checks of ``make_instance`` written with Fraction comparisons, which its
+integer tests are diffed against.
 """
 
 from __future__ import annotations
@@ -226,3 +228,37 @@ def union(ms: list[Matroid]) -> Matroid:
         label=f"union[{len(ms)}]",
     )
 
+
+def instance_values_reference(budget, costs, profits) -> tuple[str, str] | None:
+    """The (message, path) of the first value check ``make_instance`` fails,
+    decided by Fraction comparisons, or None when every check passes."""
+
+    def inexact(value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            return f"expected an int or a Fraction, got {value!r}", path
+        return None
+
+    for name, values in (("cost", costs), ("profit", profits)):
+        for i, v in enumerate(values):
+            if bad := inexact(v, f"elements[{i}].{name}"):
+                return bad
+    if len(costs) != len(profits):
+        return "costs and profits must have equal length", "elements"
+    if bad := inexact(budget, "budget"):
+        return bad
+    budget = Fraction(budget)
+    if budget <= 0:
+        return "budget must be a positive rational", "budget"
+    for i, c in enumerate(map(Fraction, costs)):
+        if c < 0:
+            return "cost must be >= 0", f"elements[{i}].cost"
+        if c > budget:
+            return (
+                f"cost {format_rational(c)} of element {i} exceeds budget "
+                f"{format_rational(budget)}",
+                f"elements[{i}].cost",
+            )
+    for i, p in enumerate(map(Fraction, profits)):
+        if p < 0:
+            return "profit must be >= 0", f"elements[{i}].profit"
+    return None

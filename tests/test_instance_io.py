@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -19,6 +20,7 @@ from budgetmatroid.instance import (
     serialize_instance,
 )
 from helpers import FAMILIES, maximal_sets_reference
+from reference import instance_values_reference
 
 
 def minimal_doc(**overrides):
@@ -495,6 +497,22 @@ class TestGenerator:
             assert all(0 <= c <= inst.budget for c in inst.costs)
             assert all(p >= 0 for p in inst.profits)
 
+    def test_bytes_pinned(self):
+        # GENERATOR_VERSION promises byte-identical instances for a (spec,
+        # seed) pair: a change to the draws, their order, the budget rule or
+        # the file format changes this digest, and must change the version.
+        digest = hashlib.sha256()
+        for family in ("uniform", "partition", "graphic", "linear", "explicit"):
+            for n in (0, 1, 6, 10, 11, 20):
+                if family == "explicit" and n > 10:
+                    continue
+                for seed in range(20):
+                    text = serialize_instance(generate_instance(GenSpec(family, n, seed)))
+                    digest.update(text.encode())
+        assert digest.hexdigest() == (
+            "9dd82ef7b8fafd2a2fae6684773ccd6908ea7d6bc07c08795d6c4445bc1bdca7"
+        )
+
     def test_zero_elements(self):
         inst = generate_instance(GenSpec("uniform", 0, seed=5))
         assert inst.n == 0 and inst.budget == 1
@@ -543,3 +561,82 @@ class TestMakeInstance:
         assert all(type(x) is F for x in (inst.budget, *inst.costs, *inst.profits))
         assert (inst.budget, inst.costs, inst.profits) == (F(3), (F(1), F(3, 2)), (F(2), F(1)))
         assert approximate(inst, F(1, 3)).profit == 2
+
+
+# The largest numerator or denominator a parsed literal may have.
+TOP = 10**MAX_DIGITS - 1
+
+
+def assert_checked_as_fractions(budget, costs, profits):
+    """make_instance accepts exactly what the Fraction-comparison reference
+    accepts, storing the same values, and otherwise raises a
+    ValidationError with the reference's message at its path."""
+    spec = FamilySpec("uniform", rank=1)
+    expected = instance_values_reference(budget, costs, profits)
+    if expected is None:
+        inst = make_instance(budget, costs, profits, spec)
+        assert (inst.budget, inst.costs, inst.profits) == (
+            F(budget), tuple(map(F, costs)), tuple(map(F, profits))
+        )
+        return
+    with pytest.raises(ValidationError) as err:
+        make_instance(budget, costs, profits, spec)
+    message, path = expected
+    assert type(err.value) is ValidationError
+    assert (str(err.value), err.value.path) == (f"{path}: {message}", path)
+
+
+def exact_values():
+    ints = st.integers(-4, 4) | st.sampled_from([TOP, -TOP, TOP - 1])
+    return ints | st.builds(F, ints, st.integers(1, 4) | st.sampled_from([TOP, TOP - 1]))
+
+
+class TestIntegerChecks:
+    """make_instance compares integer (numerator, denominator) pairs; the
+    reference compares Fractions, and both must decide every check alike."""
+
+    @pytest.mark.parametrize(
+        "budget, costs, profits",
+        [
+            (F(3), [F(0)], [F(0)]),  # zero cost and profit accepted
+            (0, [], []),
+            (F(0), [F(1)], [F(1)]),
+            (F(-1, 2), [F(1)], [F(1)]),
+            (F(3), [F(1), F(-1, 3)], [F(1), F(1)]),
+            (F(3), [F(1)], [F(-1, 4)]),
+            (F(7, 3), [F(7, 3)], [F(1)]),  # cost equal to the budget accepted
+            (3, [3], [0]),
+            (F(7, 3), [F(8, 3)], [F(1)]),  # one unit of the denominator over
+            (3, [4], [1]),
+            (5, [0, 5, 6], [1, 2, 3]),
+            (F(TOP), [F(TOP)], [F(TOP)]),
+            (F(TOP - 1), [F(TOP)], [F(1)]),
+            (F(1, TOP), [F(1, TOP)], [F(0)]),
+            (F(1, TOP), [F(1, TOP - 1)], [F(0)]),
+            (F(-TOP), [F(1)], [F(1)]),
+            (F(TOP), [F(-1, TOP)], [F(1)]),
+            (F(TOP, 3), [F(TOP - 1, 3), F(TOP + 1, 3)], [0, 0]),
+            # The first check to fail is reported, in make_instance's order.
+            (F(-1), [F(-1)], [F(-1)]),
+            (F(1), [F(2), F(-1)], [F(0), F(0)]),
+            (F(1), [F(-1)], [F(-1)]),
+            (F(1), [F(1)], [F(-1), 0.5]),
+            (F(-1), [F(1)], [F(1), F(1)]),
+        ],
+    )
+    def test_cases(self, budget, costs, profits):
+        assert_checked_as_fractions(budget, costs, profits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_drawn_values(self, data):
+        budget = data.draw(exact_values() | st.sampled_from([0.5, True]))
+        values = exact_values() | st.sampled_from([1.0, False, "1"])
+        if type(budget) in (int, F):
+            b = F(budget)
+            unit = F(1, b.denominator)
+            values |= st.sampled_from([b, b + unit, b - unit])
+        n = data.draw(st.integers(0, 4))
+        costs = data.draw(st.lists(values, min_size=n, max_size=n))
+        profits = data.draw(st.lists(values, min_size=n, max_size=n + 1))
+        assert_checked_as_fractions(budget, costs, profits)
